@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#include "common/error.hpp"
 
 namespace hemp::numeric {
 
@@ -15,160 +12,6 @@ double clamp(double x, double lo, double hi) {
 
 bool approx_equal(double a, double b, double tol) {
   return std::fabs(a - b) <= tol * std::max({1.0, std::fabs(a), std::fabs(b)});
-}
-
-double bisect_root(const std::function<double(double)>& f, double lo, double hi,
-                   const RootOptions& opts) {
-  HEMP_REQUIRE(lo < hi, "bisect_root: empty bracket");
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  HEMP_REQUIRE(std::signbit(flo) != std::signbit(fhi),
-               "bisect_root: f(lo) and f(hi) must have opposite signs");
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0 || hi - lo < opts.x_tol) return mid;
-    if (std::signbit(fmid) == std::signbit(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  throw ConvergenceError("bisect_root: iteration cap reached");
-}
-
-double brent_root(const std::function<double(double)>& f, double lo, double hi,
-                  const RootOptions& opts) {
-  HEMP_REQUIRE(lo < hi, "brent_root: empty bracket");
-  double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
-  if (fa == 0.0) return a;
-  if (fb == 0.0) return b;
-  HEMP_REQUIRE(std::signbit(fa) != std::signbit(fb),
-               "brent_root: f(lo) and f(hi) must have opposite signs");
-  if (std::fabs(fa) < std::fabs(fb)) {
-    std::swap(a, b);
-    std::swap(fa, fb);
-  }
-  double c = a, fc = fa;
-  bool mflag = true;
-  double d = 0.0;
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    if (fb == 0.0 || std::fabs(b - a) < opts.x_tol) return b;
-    double s;
-    if (fa != fc && fb != fc) {
-      // Inverse quadratic interpolation.
-      s = a * fb * fc / ((fa - fb) * (fa - fc)) +
-          b * fa * fc / ((fb - fa) * (fb - fc)) +
-          c * fa * fb / ((fc - fa) * (fc - fb));
-    } else {
-      // Secant.
-      s = b - fb * (b - a) / (fb - fa);
-    }
-    const double m = 0.5 * (a + b);
-    const bool s_bad =
-        (s < std::min(m, b) || s > std::max(m, b)) ||
-        (mflag && std::fabs(s - b) >= 0.5 * std::fabs(b - c)) ||
-        (!mflag && std::fabs(s - b) >= 0.5 * std::fabs(c - d)) ||
-        (mflag && std::fabs(b - c) < opts.x_tol) ||
-        (!mflag && std::fabs(c - d) < opts.x_tol);
-    if (s_bad) {
-      s = m;
-      mflag = true;
-    } else {
-      mflag = false;
-    }
-    const double fs = f(s);
-    d = c;
-    c = b;
-    fc = fb;
-    if (std::signbit(fa) != std::signbit(fs)) {
-      b = s;
-      fb = fs;
-    } else {
-      a = s;
-      fa = fs;
-    }
-    if (std::fabs(fa) < std::fabs(fb)) {
-      std::swap(a, b);
-      std::swap(fa, fb);
-    }
-  }
-  throw ConvergenceError("brent_root: iteration cap reached");
-}
-
-MinimizeResult golden_section_minimize(const std::function<double(double)>& f,
-                                       double lo, double hi,
-                                       const MinimizeOptions& opts) {
-  HEMP_REQUIRE(lo <= hi, "golden_section_minimize: empty interval");
-  constexpr double kInvPhi = 0.6180339887498949;
-  double a = lo, b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1), f2 = f(x2);
-  for (int i = 0; i < opts.max_iterations && (b - a) > opts.x_tol; ++i) {
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  const double x = 0.5 * (a + b);
-  return {x, f(x)};
-}
-
-MinimizeResult grid_refine_minimize(const std::function<double(double)>& f,
-                                    double lo, double hi,
-                                    const MinimizeOptions& opts) {
-  HEMP_REQUIRE(lo <= hi, "grid_refine_minimize: empty interval");
-  HEMP_REQUIRE(opts.grid_points >= 3, "grid_refine_minimize: need >= 3 grid points");
-  const int n = opts.grid_points;
-  int best = 0;
-  double best_val = std::numeric_limits<double>::infinity();
-  const double step = (hi - lo) / (n - 1);
-  for (int i = 0; i < n; ++i) {
-    const double x = lo + step * i;
-    const double v = f(x);
-    if (v < best_val) {
-      best_val = v;
-      best = i;
-    }
-  }
-  const double a = lo + step * std::max(best - 1, 0);
-  const double b = lo + step * std::min(best + 1, n - 1);
-  MinimizeResult refined = golden_section_minimize(f, a, b, opts);
-  // The basin refinement can only improve on the grid probe; keep the probe if
-  // the local search wandered into a worse neighbouring basin.
-  if (refined.value <= best_val) return refined;
-  return {lo + step * best, best_val};
-}
-
-MinimizeResult grid_refine_maximize(const std::function<double(double)>& f,
-                                    double lo, double hi,
-                                    const MinimizeOptions& opts) {
-  MinimizeResult r = grid_refine_minimize([&f](double x) { return -f(x); }, lo, hi, opts);
-  return {r.x, -r.value};
-}
-
-double trapezoid_integral(const std::function<double(double)>& f, double lo,
-                          double hi, int panels) {
-  HEMP_REQUIRE(panels >= 1, "trapezoid_integral: need >= 1 panel");
-  if (lo == hi) return 0.0;
-  const double h = (hi - lo) / panels;
-  double sum = 0.5 * (f(lo) + f(hi));
-  for (int i = 1; i < panels; ++i) sum += f(lo + h * i);
-  return sum * h;
 }
 
 }  // namespace hemp::numeric

@@ -38,9 +38,12 @@ MaxPowerPoint find_mpp(const PvCell& cell, double irradiance) {
   if (irradiance <= 0.0) return {Volts(0.0), Amps(0.0), Watts(0.0)};
   solver_stats::count_exact_mpp_solve();
   const Volts voc = cell.open_circuit_voltage(irradiance);
+  // P(V) = V * I(V) is strictly concave on [0, Voc] — I falls and is concave
+  // there, and P is zero wherever the front-end blocks reverse current — so
+  // the concave grid search returns the full 96-point scan's result exactly.
   auto p = [&](double v) { return cell.power(Volts(v), irradiance).value(); };
-  const auto r = numeric::grid_refine_maximize(p, 0.0, voc.value(),
-                                               {.x_tol = 1e-6, .grid_points = 96});
+  const auto r = numeric::concave_grid_refine_maximize(
+      p, 0.0, voc.value(), {.x_tol = 1e-6, .grid_points = 96});
   const Volts vmpp(r.x);
   return {vmpp, cell.current(vmpp, irradiance), Watts(r.value)};
 }

@@ -25,51 +25,113 @@ FlatPv make_flat_pv(const PvCellParams& p) {
   return pv;
 }
 
+namespace {
+
+/// The safeguarded Newton behind pv_current, run on W independent terminal
+/// voltages at one irradiance in lockstep: each lane repeats the scalar
+/// solve's arithmetic exactly (and stops exactly where it would), while the
+/// lanes' exp -> divide chains, each latency-bound on its own, overlap.
+/// W = 1 is pv_current itself.  `warm[l]` is lane l's start iterate and
+/// receives its solution, as pv_current's `warm` does.
+template <int W>
+void pv_current_lanes(const FlatPv& pv, const double* v, double g, double* warm,
+                      double* out) {
+  const double iph = pv.iph_full * g;
+  std::array<double, W> lo{}, hi{}, i{};
+  std::array<bool, W> live{}, lo_probed{};
+  int n_live = 0;
+  for (int l = 0; l < W; ++l) {
+    if (iph == 0.0) {
+      out[l] = 0.0;
+      continue;
+    }
+    // Short-circuit early-out with no exp: f(iph) = -(i0*expm1(vj/nvt) +
+    // vj/Rsh) with vj = v + iph*Rs, and the bracketed term is strictly
+    // increasing through zero, so f(iph) >= 0 exactly when vj <= 0.
+    if (v[l] + iph * pv.rs <= 0.0) {
+      out[l] = iph;
+      continue;
+    }
+    lo[l] = -iph;
+    hi[l] = iph;
+    i[l] = std::clamp(warm[l], lo[l], hi[l]);
+    live[l] = true;
+    ++n_live;
+  }
+  const auto finish = [&](int l) {
+    warm[l] = i[l];
+    out[l] = std::max(i[l], 0.0);
+    live[l] = false;
+    --n_live;
+  };
+  for (int iter = 0; iter < 60 && n_live > 0; ++iter) {
+    std::array<double, W> vj{}, e{};
+    for (int l = 0; l < W; ++l) {
+      if (!live[l]) continue;
+      vj[l] = v[l] + i[l] * pv.rs;
+      e[l] = std::exp(vj[l] / pv.nvt);
+    }
+    for (int l = 0; l < W; ++l) {
+      if (!live[l]) continue;
+      const double fi = iph - pv.i0 * (e[l] - 1.0) - vj[l] / pv.rsh - i[l];
+      if (fi > 0.0) {
+        lo[l] = i[l];
+      } else {
+        hi[l] = i[l];
+      }
+      const double dfi = -pv.i0 * e[l] * pv.rs / pv.nvt - pv.rs / pv.rsh - 1.0;
+      double next = i[l] - fi / dfi;
+      if (!(next > lo[l] && next < hi[l])) {
+        if (next <= lo[l] && !lo_probed[l] && lo[l] == -iph) {
+          // Newton wants to leave the physical bracket downward: the root may
+          // sit below -iph (terminal voltage above open circuit).  One probe
+          // of the boundary settles it instead of a long bisection collapse.
+          lo_probed[l] = true;
+          const double vjl = v[l] - iph * pv.rs;
+          if (iph - pv.i0 * std::expm1(vjl / pv.nvt) - vjl / pv.rsh + iph <
+              0.0) {
+            out[l] = 0.0;
+            live[l] = false;
+            --n_live;
+            continue;
+          }
+        }
+        next = 0.5 * (lo[l] + hi[l]);
+      }
+      const bool converged = std::fabs(next - i[l]) < 1e-12;
+      i[l] = next;
+      if (converged) finish(l);
+    }
+  }
+  // Lanes still running after the iteration cap keep their last iterate.
+  for (int l = 0; l < W && n_live > 0; ++l) {
+    if (live[l]) finish(l);
+  }
+}
+
+/// Rows of the IV surface solved together by build_iv_surface.
+constexpr int kIvRowLanes = 4;
+
+/// Fill rows [vi, vi + W) of one surface slice (`out`, g fastest), their
+/// solves in lockstep.  Rows in v are independent: the warm start chains
+/// only along g, from zero at each row's g = 0 end.
+template <int W>
+void solve_iv_rows(const FlatPv& pv, const IvSurface& iv, int vi, double* out) {
+  std::array<double, W> v{}, warm{}, cur{};
+  for (int l = 0; l < W; ++l) v[l] = (vi + l) * iv.dv;
+  for (int gi = 0; gi < iv.g_knots; ++gi) {
+    pv_current_lanes<W>(pv, v.data(), gi * iv.dg, warm.data(), cur.data());
+    for (int l = 0; l < W; ++l) out[(vi + l) * iv.g_knots + gi] = cur[l];
+  }
+}
+
+}  // namespace
+
 // hemp-analyzer: allow(unit-boundary) — flattened kernel math on raw SI
 double pv_current(const FlatPv& pv, double v, double g, double& warm) {
-  const double iph = pv.iph_full * g;
-  if (iph == 0.0) return 0.0;
-  // Short-circuit early-out with no exp: f(iph) = -(i0*expm1(vj/nvt) +
-  // vj/Rsh) with vj = v + iph*Rs, and the bracketed term is strictly
-  // increasing through zero, so f(iph) >= 0 exactly when vj <= 0.
-  if (v + iph * pv.rs <= 0.0) return iph;
-  double lo = -iph;
-  double hi = iph;
-  bool lo_probed = false;
-  double i = std::clamp(warm, lo, hi);
-  for (int iter = 0; iter < 60; ++iter) {
-    const double vj = v + i * pv.rs;
-    const double e = std::exp(vj / pv.nvt);
-    const double fi = iph - pv.i0 * (e - 1.0) - vj / pv.rsh - i;
-    if (fi > 0.0) {
-      lo = i;
-    } else {
-      hi = i;
-    }
-    const double dfi = -pv.i0 * e * pv.rs / pv.nvt - pv.rs / pv.rsh - 1.0;
-    double next = i - fi / dfi;
-    if (!(next > lo && next < hi)) {
-      if (next <= lo && !lo_probed && lo == -iph) {
-        // Newton wants to leave the physical bracket downward: the root may
-        // sit below -iph (terminal voltage above open circuit).  One probe
-        // of the boundary settles it instead of a long bisection collapse.
-        lo_probed = true;
-        const double vjl = v - iph * pv.rs;
-        if (iph - pv.i0 * std::expm1(vjl / pv.nvt) - vjl / pv.rsh + iph <
-            0.0) {
-          return 0.0;
-        }
-      }
-      next = 0.5 * (lo + hi);
-    }
-    if (std::fabs(next - i) < 1e-12) {
-      i = next;
-      break;
-    }
-    i = next;
-  }
-  warm = i;
-  return std::max(i, 0.0);
+  double out = 0.0;
+  pv_current_lanes<1>(pv, &v, g, &warm, &out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -271,13 +333,11 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
     scaled.isc_full_sun = base.isc_full_sun * iv.s_knots[i];
     const FlatPv flat = make_flat_pv(scaled);
     double* out = &iv.vals[i * slice];
-    for (int vi = 0; vi < v_knots; ++vi) {
-      double warm = 0.0;
-      for (int gi = 0; gi < g_knots; ++gi) {
-        out[vi * g_knots + gi] =
-            pv_current(flat, vi * iv.dv, gi * iv.dg, warm);
-      }
+    int vi = 0;
+    for (; vi + kIvRowLanes <= v_knots; vi += kIvRowLanes) {
+      solve_iv_rows<kIvRowLanes>(flat, iv, vi, out);
     }
+    for (; vi < v_knots; ++vi) solve_iv_rows<1>(flat, iv, vi, out);
   }
   return iv;
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -101,6 +103,76 @@ TEST(GridRefine, RequiresAtLeastThreeGridPoints) {
       grid_refine_minimize([](double v) { return v; }, 0.0, 1.0,
                            {.x_tol = 1e-7, .grid_points = 2}),
       ModelError);
+}
+
+// --- concave_grid_refine_maximize: the full grid scan's result, bit for bit --
+
+bool same_result(const MinimizeResult& a, const MinimizeResult& b) {
+  return std::memcmp(&a.x, &b.x, sizeof a.x) == 0 &&
+         std::memcmp(&a.value, &b.value, sizeof a.value) == 0;
+}
+
+template <class F>
+void expect_matches_scan(const F& f, double lo, double hi,
+                         const MinimizeOptions& opts = {}) {
+  const MinimizeResult scan = grid_refine_maximize(f, lo, hi, opts);
+  const MinimizeResult concave = concave_grid_refine_maximize(f, lo, hi, opts);
+  EXPECT_TRUE(same_result(scan, concave))
+      << "scan (" << scan.x << ", " << scan.value << ") vs concave ("
+      << concave.x << ", " << concave.value << ")";
+}
+
+TEST(ConcaveGridRefine, PeakAtFirstGridPoint) {
+  auto f = [](double v) { return 1.0 - v * v; };
+  expect_matches_scan(f, 0.0, 1.0);
+  EXPECT_NEAR(concave_grid_refine_maximize(f, 0.0, 1.0).x, 0.0, 1e-6);
+}
+
+TEST(ConcaveGridRefine, PeakAtLastGridPoint) {
+  auto f = [](double v) { return std::sqrt(v); };
+  expect_matches_scan(f, 0.0, 2.0);
+  EXPECT_NEAR(concave_grid_refine_maximize(f, 0.0, 2.0).x, 2.0, 1e-6);
+}
+
+TEST(ConcaveGridRefine, TailPlateauOfZeros) {
+  // The shape of P = V * I past open circuit: a concave bump, then zeros.
+  auto f = [](double v) { return std::max(0.0, v * (0.6 - v)); };
+  for (const int n : {3, 4, 7, 64, 96, 257}) {
+    expect_matches_scan(f, 0.0, 1.0, {.x_tol = 1e-7, .grid_points = n});
+  }
+  EXPECT_NEAR(concave_grid_refine_maximize(f, 0.0, 1.0).x, 0.3, 1e-6);
+  // All zeros: the first grid point is the first maximum.
+  expect_matches_scan([](double) { return 0.0; }, 0.0, 1.0);
+}
+
+TEST(ConcaveGridRefine, AgreesWithScanOnConcaveParabolas) {
+  for (double c = -0.3; c <= 1.3; c += 0.0137) {
+    for (const int n : {3, 5, 64, 96}) {
+      auto f = [c](double v) { return 2.0 - (v - c) * (v - c); };
+      expect_matches_scan(f, 0.0, 1.0, {.x_tol = 1e-6, .grid_points = n});
+    }
+  }
+}
+
+TEST(ConcaveGridRefine, ProbesLogarithmicallyManyGridPoints) {
+  auto f = [](double v) { return -(v - 0.37) * (v - 0.37); };
+  int scan_calls = 0, concave_calls = 0;
+  const MinimizeOptions opts{.x_tol = 1e-6, .grid_points = 96};
+  (void)grid_refine_maximize([&](double v) { ++scan_calls; return f(v); }, 0.0,
+                             1.0, opts);
+  (void)concave_grid_refine_maximize(
+      [&](double v) { ++concave_calls; return f(v); }, 0.0, 1.0, opts);
+  // Same refine on both sides; the grid phase drops from 96 probes to at
+  // most two per bisection step (ceil(log2 95) = 7 steps).
+  EXPECT_LE(concave_calls, scan_calls - 96 + 14);
+}
+
+TEST(ConcaveGridRefine, RejectsDegenerateGrid) {
+  EXPECT_THROW(concave_grid_refine_maximize([](double v) { return v; }, 0.0, 1.0,
+                                            {.x_tol = 1e-7, .grid_points = 2}),
+               ModelError);
+  EXPECT_THROW(concave_grid_refine_maximize([](double v) { return v; }, 1.0, 0.0),
+               ModelError);
 }
 
 TEST(Trapezoid, IntegratesLine) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/numeric.hpp"
 
 namespace hemp {
 namespace {
@@ -88,6 +92,52 @@ TEST_P(MppDominance, MppDominatesSweep) {
 
 INSTANTIATE_TEST_SUITE_P(IrradianceSweep, MppDominance,
                          ::testing::Values(0.05, 0.12, 0.25, 0.5, 0.75, 1.0));
+
+// Property: find_mpp's concave grid search returns exactly — bit for bit —
+// what the full 96-point grid scan with the same refine returns, across the
+// fleet's whole cell population: pv-scale, panel temperature and light.
+MaxPowerPoint full_scan_mpp(const PvCell& cell, double g) {
+  const Volts voc = cell.open_circuit_voltage(g);
+  auto p = [&](double v) { return cell.power(Volts(v), g).value(); };
+  const auto r = numeric::grid_refine_maximize(p, 0.0, voc.value(),
+                                               {.x_tol = 1e-6, .grid_points = 96});
+  const Volts vmpp(r.x);
+  return {vmpp, cell.current(vmpp, g), Watts(r.value)};
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(FindMpp, MatchesFullGridScanBitwise) {
+  std::vector<PvCellParams> bases = {PvCellParams{}};
+  for (double t = -20.0; t <= 85.0; t += 15.0) {
+    bases.push_back(make_ixys_kxob22_cell_at(t).params());
+  }
+  std::vector<double> gs;
+  for (double g = 1e-4; g < 1.5; g *= 1.25) gs.push_back(g);
+  gs.push_back(1.5);
+  int cases = 0, mismatches = 0;
+  for (const PvCellParams& base : bases) {
+    for (double s = 0.2; s <= 3.0 + 1e-9; s += 0.1) {
+      PvCellParams scaled = base;
+      scaled.isc_full_sun = base.isc_full_sun * s;
+      const PvCell cell(scaled);
+      for (const double g : gs) {
+        const MaxPowerPoint got = find_mpp(cell, g);
+        const MaxPowerPoint want = full_scan_mpp(cell, g);
+        ++cases;
+        if (!same_bits(got.voltage.value(), want.voltage.value()) ||
+            !same_bits(got.current.value(), want.current.value()) ||
+            !same_bits(got.power.value(), want.power.value())) {
+          ++mismatches;
+          ADD_FAILURE() << "scale " << s << " g " << g << ": V "
+                        << got.voltage.value() << " vs " << want.voltage.value();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(cases, 10000);
+}
 
 }  // namespace
 }  // namespace hemp
