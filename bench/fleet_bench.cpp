@@ -16,8 +16,10 @@
 //
 // Construction (trace flattening, surface builds) is timed separately from
 // run(): the kernel is built once and reused, so the per-run figure is pure
-// stepping throughput.  Both engines must reproduce their own summary hash
-// across serial/parallel runs, or the bench aborts.
+// stepping throughput.  The day1000 construction is also timed on one thread
+// and on the pool (`batch_build_parallel_speedup`).  Both engines must
+// reproduce their own summary hash across serial/parallel runs, or the bench
+// aborts.
 //
 // Usage: fleet_bench [--quick] [--out PATH] [--day1000 PATH]
 //   --quick    fewer nodes / fewer repeats (CI smoke job)
@@ -149,6 +151,8 @@ int main(int argc, char** argv) {
   // Quick mode trims the population — per-node throughput is what the
   // baseline gate bands, and it is roughly population-independent.
   double day1000_nodes_per_sec = 0.0;
+  double day1000_build_serial_s = 0.0;
+  double day1000_build_parallel_s = 0.0;
   int day1000_nodes = 0;
   std::uint64_t day1000_hash = 0;
   hemp::solver_stats::StepSnapshot day1000_steps{};
@@ -158,6 +162,25 @@ int main(int argc, char** argv) {
     if (quick) day.nodes = 64;
     day.validate();
     day1000_nodes = day.nodes;
+    // Construction on one thread and on the shared pool: its independent
+    // work units (surface slices, crossover cells, node blocks) are what
+    // the parallel build spreads out.
+    const auto build_serial = suite.run(
+        "batch_day1000_build_serial",
+        [&] {
+          const BatchFleetKernel k(day, {.parallel = false});
+          microbench::keep(k);
+        },
+        /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
+    const auto build_parallel = suite.run(
+        "batch_day1000_build_parallel",
+        [&] {
+          const BatchFleetKernel k(day);
+          microbench::keep(k);
+        },
+        /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
+    day1000_build_serial_s = build_serial.seconds_per_batch();
+    day1000_build_parallel_s = build_parallel.seconds_per_batch();
     const BatchFleetKernel day_kernel(day);
     const auto steps_before = hemp::solver_stats::step_snapshot();
     const auto day_run = suite.run(
@@ -189,6 +212,12 @@ int main(int argc, char** argv) {
              serial.seconds_per_batch() / batch_serial.seconds_per_batch());
   suite.note("batch_day1000_nodes", day1000_nodes);
   suite.note("batch_nodes_per_sec", day1000_nodes_per_sec);
+  if (day1000_build_parallel_s > 0.0) {
+    suite.note("batch_day1000_build_serial_s", day1000_build_serial_s);
+    suite.note("batch_day1000_build_parallel_s", day1000_build_parallel_s);
+    suite.note("batch_build_parallel_speedup",
+               day1000_build_serial_s / day1000_build_parallel_s);
+  }
   // Step-count floor: the event-driven kernel's per-step cost is lean, so
   // throughput is governed by how many steps a node-day takes.  Tracked by
   // cause so the floor stays a measured quantity (bench/baseline.json bands

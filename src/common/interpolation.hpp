@@ -38,6 +38,10 @@ class BilinearGrid {
   [[nodiscard]] std::size_t x_size() const { return xs_.size(); }
   [[nodiscard]] std::size_t y_size() const { return ys_.size(); }
 
+  /// Writable row i of the values (y_size() entries), so a builder can size a
+  /// grid first and fill its rows in place afterwards.
+  [[nodiscard]] double* row(std::size_t i) { return &values_[i * ys_.size()]; }
+
  private:
   [[nodiscard]] std::size_t x_segment(double x) const;
   [[nodiscard]] std::size_t y_segment(double y) const;

@@ -8,6 +8,13 @@
 
 namespace hemp {
 
+namespace {
+
+// The pool whose worker_loop the current thread runs (nullptr elsewhere).
+thread_local const ThreadPool* tls_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -41,7 +48,10 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+bool ThreadPool::is_worker_thread() const { return tls_worker_of == this; }
+
 void ThreadPool::worker_loop() {
+  tls_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -103,8 +113,8 @@ struct ForState {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (n == 1) {
-    body(0);
+  if (n == 1 || pool.is_worker_thread()) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 

@@ -9,6 +9,12 @@
 // every i in [0, n); bodies must write only to their own per-index slot.
 // Under that contract a parallel run is bit-identical to the serial loop
 // `for (i = 0; i < n; ++i) body(i)` regardless of scheduling.
+//
+// Nested calls: a parallel_for issued from inside one of the same pool's
+// workers runs its loop inline on that worker.  Queuing helpers there could
+// deadlock — every worker may be blocked in an outer body waiting for helpers
+// no free worker is left to run — and the outer loop already keeps the pool
+// busy.
 #pragma once
 
 #include <condition_variable>
@@ -39,6 +45,9 @@ class ThreadPool {
   /// Process-wide pool, created on first use with the default size.
   static ThreadPool& shared();
 
+  /// True when the calling thread is one of this pool's workers.
+  [[nodiscard]] bool is_worker_thread() const;
+
  private:
   void worker_loop();
 
@@ -52,7 +61,8 @@ class ThreadPool {
 /// Run body(i) for every i in [0, n) using `pool`'s workers plus the calling
 /// thread.  Blocks until all indices are done.  The first exception thrown by
 /// any body is rethrown on the caller after completion; remaining indices are
-/// skipped on a best-effort basis once a body has thrown.
+/// skipped on a best-effort basis once a body has thrown.  Called from one of
+/// `pool`'s own workers, it runs the plain serial loop on that worker.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 

@@ -104,6 +104,10 @@ constexpr int kCrossTempKnots = 6;
 constexpr int kCrossSKnots = 7;
 constexpr double kCrossMinG = 0.045;  // below resolution: "no crossover"
 
+// Nodes per constructor work unit (sampling, trace flatten + coarsen, and
+// per-node constants); measured in DESIGN.md Sec. 6j.
+constexpr std::size_t kCtorNodeBlock = 16;
+
 // Terminal-current surface i(v, g): the stepped loop's only cell-model
 // evaluation (bilinear in (v, g), scale-blended across two pv-scale slices).
 // 1.7 V covers the largest open-circuit voltage any sampled cell reaches;
@@ -231,7 +235,9 @@ struct BatchFleetKernel::Shared {
   std::vector<ProcFlat> proc;
   std::vector<double> crossover_power;  ///< 0 = no low-light crossover
   std::vector<FlatTrace> traces;        ///< empty when shared_sky
-  std::vector<Processor> processors;    ///< kept for exact sprint planning
+  /// Kept for exact sprint planning; optional only so that every slot can
+  /// be constructed in place by its own work unit.
+  std::vector<std::optional<Processor>> processors;
 
   // Shared MPP + terminal-current surfaces over (pv_scale, irradiance),
   // built by the hemp::flat layer (exact solves, ctor only).
@@ -252,7 +258,8 @@ struct BatchFleetKernel::Shared {
   }
 };
 
-BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
+BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
+                                   const BatchKernelOptions& opts) {
   auto shared = std::make_shared<Shared>();
   Shared& sh = *shared;
   sh.scenario = std::move(scenario);
@@ -275,41 +282,44 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
     sh.bypass_exit = forced_spec->bypass_exit_ratio;
   }
 
+  // Everything below up to the crossover-power pass is a set of independent
+  // work units (DESIGN.md Sec. 6j).  The serial set-up is sizing only: each
+  // unit writes its own preallocated slot, so running the units on the pool
+  // in any order gives the bits of the serial loop.
+
   // --- Shared MPP + terminal-current surfaces: exact solves sampled once
-  // for the fleet by the hemp::flat builders. -------------------------------
+  // for the fleet by the hemp::flat builders, one unit per pv-scale row. ----
   const auto [s_lo, s_hi] =
       widen_if_degenerate(sc.pv_scale_min, sc.pv_scale_max);
-  sh.mpp = flat::build_mpp_surface(PvCellParams{}, s_lo, s_hi, kSurfaceSKnots,
-                                   kSurfaceGMin, kSurfaceGMax, kSurfaceGKnots);
-  sh.iv = flat::build_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
-                                 PvCellParams{}, kIvVMax, kIvVKnots,
-                                 kSurfaceGMax, kIvGKnots);
+  sh.mpp = flat::size_mpp_surface(s_lo, s_hi, kSurfaceSKnots, kSurfaceGMin,
+                                  kSurfaceGMax, kSurfaceGKnots);
+  sh.iv = flat::size_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots), kIvVMax,
+                                kIvVKnots, kSurfaceGMax, kIvGKnots);
 
   // --- Low-light crossover tables: exact RegulatorSelector bisection per
-  // corner over a coarse (temperature, pv_scale) grid; interpolated per node.
+  // corner over a coarse (temperature, pv_scale) grid, one unit per cell;
+  // interpolated per node once every cell is in.
   const std::vector<double> temp_knots = linspace(-20.0, 85.0, kCrossTempKnots);
   const std::vector<double> cross_s_knots = linspace(s_lo, s_hi, kCrossSKnots);
-  constexpr ProcessCorner kAllCorners[] = {ProcessCorner::kSlowSlow,
-                                           ProcessCorner::kTypical,
-                                           ProcessCorner::kFastFast};
-  std::array<std::optional<BilinearGrid>, 3> cross_grids;
-  for (int c = 0; c < 3; ++c) {
-    std::vector<double> vals(temp_knots.size() * cross_s_knots.size());
-    for (std::size_t i = 0; i < temp_knots.size(); ++i) {
-      for (std::size_t j = 0; j < cross_s_knots.size(); ++j) {
-        const PvCell cell = make_scaled_cell(cross_s_knots[j]);
-        const SwitchedCapRegulator reg;
-        const Processor proc =
-            make_test_chip_at({kAllCorners[c], temp_knots[i]});
-        const SystemModel model(cell, reg, proc);
-        RegulatorSelector selector(model);
-        const auto g_cross = selector.crossover_irradiance();
-        vals[i * cross_s_knots.size() + j] = g_cross.value_or(0.0);
-      }
-    }
-    cross_grids[static_cast<std::size_t>(c)].emplace(temp_knots, cross_s_knots,
-                                                     std::move(vals));
-  }
+  // Corner order: the crossover tables' index and the weights' draw order.
+  static constexpr ProcessCorner kCorners[] = {ProcessCorner::kSlowSlow,
+                                               ProcessCorner::kTypical,
+                                               ProcessCorner::kFastFast};
+  const std::size_t cross_cells = temp_knots.size() * cross_s_knots.size();
+  std::array<std::vector<double>, 3> cross_vals;
+  for (std::vector<double>& v : cross_vals) v.resize(cross_cells);
+  const auto solve_cross_cell = [&](std::size_t cell) {
+    const std::size_t c = cell / cross_cells;
+    const std::size_t k = cell % cross_cells;
+    const std::size_t i = k / cross_s_knots.size();
+    const std::size_t j = k % cross_s_knots.size();
+    const PvCell pv_cell = make_scaled_cell(cross_s_knots[j]);
+    const SwitchedCapRegulator reg;
+    const Processor proc = make_test_chip_at({kCorners[c], temp_knots[i]});
+    const SystemModel model(pv_cell, reg, proc);
+    RegulatorSelector selector(model);
+    cross_vals[c][k] = selector.crossover_irradiance().value_or(0.0);
+  };
 
   // --- Node identity sampling: exactly FleetSimulator's draw order, so the
   // per-node RNG stream continues into the same trace draws afterwards. -----
@@ -351,27 +361,24 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
   // budget (see flat::FlatTrace::coarsen).  Each surviving knot is a step the
   // event-driven loop must take, so this directly buys throughput.
   const double coarsen_budget = sc.trace_coarsen_eps * sc.day_length.value();
-  if (sh.shared_sky) {
+  const auto build_sky = [&] {
     Rng sky_rng = Rng(sc.seed).fork(~0ULL);
     const IrradianceTrace trace = make_trace(sky_rng);
     sh.sky = sc.trace_kind == TraceKind::kConstant
                  ? flatten_constant(sc.constant_g)
                  : flatten_trace(trace, sc.day_length.value());
     if (coarsen_budget > 0.0) sh.sky.coarsen(coarsen_budget);
-  }
+  };
 
   const std::size_t n = static_cast<std::size_t>(sc.nodes);
   sh.samples.resize(n);
   sh.pv.resize(n);
   sh.proc.resize(n);
   sh.crossover_power.resize(n);
-  sh.processors.reserve(n);
+  sh.processors.resize(n);
   if (!sh.shared_sky) sh.traces.resize(n);
 
-  static constexpr ProcessCorner kCorners[] = {ProcessCorner::kSlowSlow,
-                                               ProcessCorner::kTypical,
-                                               ProcessCorner::kFastFast};
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto build_node = [&](std::size_t i) {
     Rng rng = Rng(sc.seed).fork(static_cast<std::uint64_t>(i));
     NodeSample& s = sh.samples[i];
     s.index = static_cast<int>(i);
@@ -399,12 +406,52 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario) {
 
     sh.pv[i] = make_pv_flat(s.pv_scale);
     sh.proc[i] = make_proc_flat(s.conditions.corner, s.conditions.temperature_c);
-    sh.processors.push_back(make_test_chip_at(s.conditions));
+    sh.processors[i].emplace(make_test_chip_at(s.conditions));
+  };
 
+  // --- The work units, longest first so the pool's tail is the short
+  // crossover cells: the shared sky, IV slices, node blocks, MPP rows, then
+  // the crossover cells. ------------------------------------------------------
+  const std::size_t sky_units = sh.shared_sky ? 1 : 0;
+  const std::size_t iv_units = sh.iv.s_knots.size();
+  const std::size_t node_units = (n + kCtorNodeBlock - 1) / kCtorNodeBlock;
+  const std::size_t mpp_units = sh.mpp.s_knots.size();
+  const std::size_t cross_units = cross_vals.size() * cross_cells;
+  const auto run_unit = [&](std::size_t u) {
+    if (u < sky_units) return build_sky();
+    u -= sky_units;
+    if (u < iv_units) return flat::fill_iv_slice(sh.iv, PvCellParams{}, u);
+    u -= iv_units;
+    if (u < node_units) {
+      const std::size_t hi = std::min(n, (u + 1) * kCtorNodeBlock);
+      for (std::size_t i = u * kCtorNodeBlock; i < hi; ++i) build_node(i);
+      return;
+    }
+    u -= node_units;
+    if (u < mpp_units) return flat::fill_mpp_row(sh.mpp, PvCellParams{}, u);
+    solve_cross_cell(u - mpp_units);
+  };
+  const std::size_t units =
+      sky_units + iv_units + node_units + mpp_units + cross_units;
+  if (opts.parallel) {
+    parallel_for(opts.pool != nullptr ? *opts.pool : ThreadPool::shared(),
+                 units, run_unit);
+  } else {
+    for (std::size_t u = 0; u < units; ++u) run_unit(u);
+  }
+
+  // --- Per-node crossover power: reads the finished crossover tables and
+  // MPP surface, so it runs after every unit. -------------------------------
+  std::array<BilinearGrid, 3> cross_grids;
+  for (std::size_t c = 0; c < cross_grids.size(); ++c) {
+    cross_grids[c] = BilinearGrid(temp_knots, cross_s_knots, std::move(cross_vals[c]));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeSample& s = sh.samples[i];
     const int corner_ix = s.conditions.corner == ProcessCorner::kSlowSlow ? 0
                           : s.conditions.corner == ProcessCorner::kTypical ? 1
                                                                            : 2;
-    const double g_cross = (*cross_grids[static_cast<std::size_t>(corner_ix)])(
+    const double g_cross = cross_grids[static_cast<std::size_t>(corner_ix)](
         s.conditions.temperature_c, s.pv_scale);
     sh.crossover_power[i] =
         g_cross >= kCrossMinG ? sh.pmpp_at(s.pv_scale, g_cross) : 0.0;
@@ -797,7 +844,7 @@ struct NodeRunner {
       // Every fleet job is identical, so the exact scheduler runs once per
       // node; plan() only exercises the processor model (no counted solves).
       const SystemModel model(sh.ref_cell, sh.ref_reg,
-                              sh.processors[static_cast<std::size_t>(s.index)]);
+                              *sh.processors[static_cast<std::size_t>(s.index)]);
       SprintScheduler scheduler(model);
       const SprintPlan p =
           // hemp-analyzer: allow(hot-path-purity) — once-per-node plan

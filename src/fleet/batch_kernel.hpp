@@ -37,7 +37,8 @@
 namespace hemp {
 
 struct BatchKernelOptions {
-  /// Pool to shard nodes onto; nullptr uses ThreadPool::shared().
+  /// Pool to shard nodes (and the constructor's work units) onto; nullptr
+  /// uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
   /// false runs the serial loop (results are bit-identical either way).
   bool parallel = true;
@@ -69,7 +70,12 @@ struct BatchComparatorEvent {
 /// and expected here); run() and run_node() never fall back to them.
 class BatchFleetKernel {
  public:
-  explicit BatchFleetKernel(FleetScenario scenario);
+  /// Builds the surfaces, crossover tables and per-node state as independent
+  /// work units on `opts.pool` (only `pool` and `parallel` are read).  The
+  /// kernel is bit-identical however it was built; `{.parallel = false}`
+  /// builds it on the calling thread alone.
+  explicit BatchFleetKernel(FleetScenario scenario,
+                            const BatchKernelOptions& opts = {});
   ~BatchFleetKernel();
 
   BatchFleetKernel(const BatchFleetKernel&) = delete;

@@ -314,9 +314,8 @@ IvSurface::Bound IvSurface::bind(double pv_scale) const {
   return b;
 }
 
-IvSurface build_iv_surface(std::vector<double> s_knots,
-                           const PvCellParams& base, double v_max, int v_knots,
-                           double g_max, int g_knots) {
+IvSurface size_iv_surface(std::vector<double> s_knots, double v_max,
+                          int v_knots, double g_max, int g_knots) {
   HEMP_REQUIRE(!s_knots.empty() && v_knots >= 2 && g_knots >= 2,
                "build_iv_surface: degenerate grid");
   IvSurface iv;
@@ -325,20 +324,30 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
   iv.g_knots = g_knots;
   iv.dv = v_max / (v_knots - 1);
   iv.dg = g_max / (g_knots - 1);
-  const std::size_t slice =
-      static_cast<std::size_t>(v_knots) * static_cast<std::size_t>(g_knots);
-  iv.vals.resize(iv.s_knots.size() * slice);
-  for (std::size_t i = 0; i < iv.s_knots.size(); ++i) {
-    PvCellParams scaled = base;
-    scaled.isc_full_sun = base.isc_full_sun * iv.s_knots[i];
-    const FlatPv flat = make_flat_pv(scaled);
-    double* out = &iv.vals[i * slice];
-    int vi = 0;
-    for (; vi + kIvRowLanes <= v_knots; vi += kIvRowLanes) {
-      solve_iv_rows<kIvRowLanes>(flat, iv, vi, out);
-    }
-    for (; vi < v_knots; ++vi) solve_iv_rows<1>(flat, iv, vi, out);
+  iv.vals.resize(iv.s_knots.size() * static_cast<std::size_t>(v_knots) *
+                 static_cast<std::size_t>(g_knots));
+  return iv;
+}
+
+void fill_iv_slice(IvSurface& iv, const PvCellParams& base, std::size_t slice) {
+  PvCellParams scaled = base;
+  scaled.isc_full_sun = base.isc_full_sun * iv.s_knots[slice];
+  const FlatPv flat = make_flat_pv(scaled);
+  double* out = &iv.vals[slice * static_cast<std::size_t>(iv.v_knots) *
+                         static_cast<std::size_t>(iv.g_knots)];
+  int vi = 0;
+  for (; vi + kIvRowLanes <= iv.v_knots; vi += kIvRowLanes) {
+    solve_iv_rows<kIvRowLanes>(flat, iv, vi, out);
   }
+  for (; vi < iv.v_knots; ++vi) solve_iv_rows<1>(flat, iv, vi, out);
+}
+
+IvSurface build_iv_surface(std::vector<double> s_knots,
+                           const PvCellParams& base, double v_max, int v_knots,
+                           double g_max, int g_knots) {
+  IvSurface iv =
+      size_iv_surface(std::move(s_knots), v_max, v_knots, g_max, g_knots);
+  for (std::size_t i = 0; i < iv.s_knots.size(); ++i) fill_iv_slice(iv, base, i);
   return iv;
 }
 
@@ -346,9 +355,8 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
 // MPP surface.
 // ---------------------------------------------------------------------------
 
-MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
-                             int s_count, double g_min, double g_max,
-                             int g_count) {
+MppSurface size_mpp_surface(double s_lo, double s_hi, int s_count,
+                            double g_min, double g_max, int g_count) {
   HEMP_REQUIRE(s_count >= 2 && g_count >= 2 && g_min > 0.0 && g_max > g_min,
                "build_mpp_surface: degenerate grid");
   MppSurface surf;
@@ -362,20 +370,33 @@ MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
     surf.g_knots[static_cast<std::size_t>(j)] =
         g_min * std::pow(g_max / g_min, static_cast<double>(j) / (g_count - 1));
   }
-  std::vector<double> vmpp_vals(surf.s_knots.size() * surf.g_knots.size());
-  std::vector<double> pmpp_vals(vmpp_vals.size());
-  for (std::size_t i = 0; i < surf.s_knots.size(); ++i) {
-    PvCellParams scaled = base;
-    scaled.isc_full_sun = base.isc_full_sun * surf.s_knots[i];
-    const PvCell cell(scaled);
-    for (std::size_t j = 0; j < surf.g_knots.size(); ++j) {
-      const MaxPowerPoint mpp = find_mpp(cell, surf.g_knots[j]);
-      vmpp_vals[i * surf.g_knots.size() + j] = mpp.voltage.value();
-      pmpp_vals[i * surf.g_knots.size() + j] = mpp.power.value();
-    }
+  const std::size_t cells = surf.s_knots.size() * surf.g_knots.size();
+  surf.vmpp.emplace(surf.s_knots, surf.g_knots, std::vector<double>(cells));
+  surf.pmpp.emplace(surf.s_knots, surf.g_knots, std::vector<double>(cells));
+  return surf;
+}
+
+void fill_mpp_row(MppSurface& surf, const PvCellParams& base, std::size_t row) {
+  PvCellParams scaled = base;
+  scaled.isc_full_sun = base.isc_full_sun * surf.s_knots[row];
+  const PvCell cell(scaled);
+  double* vmpp = surf.vmpp->row(row);
+  double* pmpp = surf.pmpp->row(row);
+  for (std::size_t j = 0; j < surf.g_knots.size(); ++j) {
+    const MaxPowerPoint mpp = find_mpp(cell, surf.g_knots[j]);
+    vmpp[j] = mpp.voltage.value();
+    pmpp[j] = mpp.power.value();
   }
-  surf.vmpp.emplace(surf.s_knots, surf.g_knots, std::move(vmpp_vals));
-  surf.pmpp.emplace(surf.s_knots, surf.g_knots, std::move(pmpp_vals));
+}
+
+MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
+                             int s_count, double g_min, double g_max,
+                             int g_count) {
+  MppSurface surf =
+      size_mpp_surface(s_lo, s_hi, s_count, g_min, g_max, g_count);
+  for (std::size_t i = 0; i < surf.s_knots.size(); ++i) {
+    fill_mpp_row(surf, base, i);
+  }
   return surf;
 }
 

@@ -335,9 +335,19 @@ struct IvSurface {
 /// Sample the fast Newton solve over (v, g) for each pv-scale knot.  `base`
 /// supplies every cell parameter except the short-circuit current, which is
 /// scaled per knot.  `s_knots` must be uniformly spaced (or a single knot).
+/// Equivalent to size_iv_surface followed by fill_iv_slice on every slice.
 IvSurface build_iv_surface(std::vector<double> s_knots,
                            const PvCellParams& base, double v_max, int v_knots,
                            double g_max, int g_knots);
+
+/// The grid of build_iv_surface with `vals` allocated but not yet solved.
+IvSurface size_iv_surface(std::vector<double> s_knots, double v_max,
+                          int v_knots, double g_max, int g_knots);
+
+/// Solve pv-scale slice `slice` of a sized surface in place.  A slice reads
+/// only the grid and writes only its own cells, so slices may be filled in
+/// any order or concurrently, with bit-identical results.
+void fill_iv_slice(IvSurface& iv, const PvCellParams& base, std::size_t slice);
 
 // ---------------------------------------------------------------------------
 // (pv_scale, irradiance) MPP surfaces: exact find_mpp, sampled once.
@@ -364,9 +374,18 @@ struct MppSurface {
 
 /// Exact find_mpp sampled over linear pv-scale knots and log-spaced
 /// irradiance knots (ctor-time only; the stepped loops read bilinearly).
+/// Equivalent to size_mpp_surface followed by fill_mpp_row on every row.
 MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
                              int s_count, double g_min, double g_max,
                              int g_count);
+
+/// The knots and grids of build_mpp_surface, values not yet solved.
+MppSurface size_mpp_surface(double s_lo, double s_hi, int s_count,
+                            double g_min, double g_max, int g_count);
+
+/// Solve pv-scale row `row` of a sized surface in place (independent rows,
+/// like fill_iv_slice's slices).
+void fill_mpp_row(MppSurface& surf, const PvCellParams& base, std::size_t row);
 
 // ---------------------------------------------------------------------------
 // Closed-form stepping primitives.

@@ -86,6 +86,27 @@ TEST(ParallelFor, ZeroWorkerPoolStillCompletes) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
+TEST(ParallelFor, NestedCallFromWorkerCompletes) {
+  // Outer bodies that themselves parallel_for on the same pool: with every
+  // worker inside an outer body, inner helpers queued on the pool would never
+  // run.  Inner loops on a worker run inline, so this finishes.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 64;
+  std::vector<std::atomic<int>> visits(kOuter * kInner);
+  for (int round = 0; round < 20; ++round) {
+    parallel_for(pool, kOuter, [&](std::size_t o) {
+      parallel_for(pool, kInner, [&](std::size_t i) {
+        visits[o * kInner + i].fetch_add(1);
+      });
+    });
+  }
+  for (std::size_t k = 0; k < visits.size(); ++k) {
+    EXPECT_EQ(visits[k].load(), 20) << "index " << k;
+  }
+  EXPECT_FALSE(pool.is_worker_thread());
+}
+
 TEST(ParallelFor, StressManySmallRuns) {
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {

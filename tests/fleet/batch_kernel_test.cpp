@@ -4,11 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/solver_stats.hpp"
+#include "common/thread_pool.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "policy/registry.hpp"
 
 namespace hemp {
 namespace {
@@ -143,6 +149,129 @@ TEST(BatchFleetKernel, SimdLanesBitIdenticalToScalar) {
     EXPECT_EQ(scalar.node_results[i].delivered.value(),
               laned.node_results[i].delivered.value());
   }
+}
+
+// --- Constructor determinism: the work units may run in any order on any
+// number of workers, and the kernel must come out bit-identical. ------------
+
+/// A batch lane that never takes the low-light bypass (no built-in policy
+/// disables it), registered once for the constructor tests.
+class NoBypassPolicy final : public EnergyPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "test_no_bypass"; }
+  [[nodiscard]] std::string description() const override {
+    return "mpp_track without the low-light bypass (tests only)";
+  }
+  [[nodiscard]] std::optional<BatchPolicySpec> batch_spec() const override {
+    return BatchPolicySpec{false, false, 0.9, 1.2};
+  }
+  [[nodiscard]] std::unique_ptr<PolicyController> make_controller(
+      const PolicyContext& /*ctx*/) const override {
+    throw ModelError("test_no_bypass runs on the batch kernel only");
+  }
+};
+
+const std::string& no_bypass_policy() {
+  static const std::string name = [] {
+    auto policy = std::make_unique<NoBypassPolicy>();
+    std::string n = policy->name();
+    PolicyRegistry::global().add(std::move(policy));
+    return n;
+  }();
+  return name;
+}
+
+/// 41 nodes: two full constructor blocks of 16 plus a ragged one.
+FleetScenario ctor_scenario() {
+  FleetScenario s = quick_scenario();
+  s.nodes = 41;
+  s.seed = 7;
+  return s;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_node(const NodeResult& a, const NodeResult& b) {
+  EXPECT_EQ(a.sample.index, b.sample.index);
+  EXPECT_TRUE(same_bits(a.sample.pv_scale, b.sample.pv_scale));
+  EXPECT_TRUE(same_bits(a.sample.solar_capacitance.value(),
+                        b.sample.solar_capacitance.value()));
+  EXPECT_EQ(a.sample.conditions.corner, b.sample.conditions.corner);
+  EXPECT_TRUE(same_bits(a.sample.conditions.temperature_c,
+                        b.sample.conditions.temperature_c));
+  EXPECT_EQ(a.sample.min_energy, b.sample.min_energy);
+  EXPECT_TRUE(same_bits(a.sample.job_phase.value(), b.sample.job_phase.value()));
+  EXPECT_TRUE(same_bits(a.cycles, b.cycles));
+  EXPECT_EQ(a.brownouts, b.brownouts);
+  EXPECT_EQ(a.timing_faults, b.timing_faults);
+  EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
+  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
+  EXPECT_EQ(a.jobs_missed, b.jobs_missed);
+  EXPECT_TRUE(same_bits(a.deadline_hit_rate, b.deadline_hit_rate));
+  EXPECT_TRUE(same_bits(a.mppt_error, b.mppt_error));
+  EXPECT_TRUE(same_bits(a.harvested.value(), b.harvested.value()));
+  EXPECT_TRUE(same_bits(a.delivered.value(), b.delivered.value()));
+  EXPECT_TRUE(same_bits(a.halted.value(), b.halted.value()));
+  EXPECT_TRUE(same_bits(a.energy_per_job.value(), b.energy_per_job.value()));
+}
+
+/// Build `s` serially, on the shared pool and on a private 3-worker pool;
+/// every build must give the same hash and field-identical nodes.
+void expect_ctor_deterministic(const FleetScenario& s) {
+  ThreadPool pool(3);
+  const BatchFleetKernel serial(s, {.parallel = false});
+  const BatchFleetKernel shared(s);
+  const BatchFleetKernel privately(s, {.pool = &pool});
+  const FleetReport want = serial.run({.parallel = false});
+  EXPECT_EQ(want.summary_hash, shared.run({.parallel = false}).summary_hash);
+  EXPECT_EQ(want.summary_hash, privately.run({.parallel = false}).summary_hash);
+  for (int i = 0; i < s.nodes; ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const NodeResult a = serial.run_node(i);
+    expect_same_node(a, shared.run_node(i));
+    expect_same_node(a, privately.run_node(i));
+  }
+}
+
+TEST(BatchFleetKernel, ParallelCtorBitIdenticalPerNodeClouds) {
+  FleetScenario s = ctor_scenario();
+  s.trace_kind = TraceKind::kClouds;
+  s.shared_trace = false;
+  expect_ctor_deterministic(s);
+}
+
+TEST(BatchFleetKernel, ParallelCtorBitIdenticalSharedIndoor) {
+  FleetScenario s = ctor_scenario();
+  s.trace_kind = TraceKind::kIndoor;
+  s.shared_trace = true;
+  s.job_cycles = 0.0;
+  expect_ctor_deterministic(s);
+}
+
+TEST(BatchFleetKernel, ParallelCtorBitIdenticalForcedNoBypass) {
+  FleetScenario s = ctor_scenario();
+  s.trace_kind = TraceKind::kClouds;
+  s.shared_trace = false;
+  s.policy = no_bypass_policy();
+  expect_ctor_deterministic(s);
+}
+
+TEST(BatchFleetKernel, CtorInsidePoolWorkerCompletes) {
+  // Kernels built inside a parallel sweep on the same pool: the constructor's
+  // parallel_for runs inline on each worker (no nested deadlock).
+  ThreadPool pool(2);
+  FleetScenario s = ctor_scenario();
+  s.nodes = 9;
+  const std::uint64_t want =
+      BatchFleetKernel(s, {.parallel = false}).run({.parallel = false}).summary_hash;
+  std::vector<std::uint64_t> hashes(4);
+  parallel_for(pool, hashes.size(), [&](std::size_t k) {
+    const BatchFleetKernel kernel(s, {.pool = &pool});
+    hashes[k] = kernel.run({.pool = &pool}).summary_hash;
+  });
+  for (const std::uint64_t h : hashes) EXPECT_EQ(h, want);
 }
 
 TEST(BatchFleetKernel, RunNodeMatchesRun) {

@@ -76,5 +76,44 @@ TEST(IvSurfaceBuild, ZeroIrradianceColumnIsZero) {
   expect_bitwise_scalar({1.0}, PvCellParams{}, 1.7, 21, 1.0, 2);
 }
 
+TEST(IvSurfaceBuild, SlicesFilledInReverseMatchBuild) {
+  // The batch kernel fills slices as independent work units in whatever
+  // order its workers take them; any order must give build_iv_surface's bits.
+  std::vector<double> s_knots;
+  for (int i = 0; i < 5; ++i) s_knots.push_back(0.5 + 0.25 * i);
+  const flat::IvSurface want =
+      flat::build_iv_surface(s_knots, PvCellParams{}, 1.7, 41, 1.25, 17);
+  flat::IvSurface got = flat::size_iv_surface(s_knots, 1.7, 41, 1.25, 17);
+  for (std::size_t i = s_knots.size(); i-- > 0;) {
+    flat::fill_iv_slice(got, PvCellParams{}, i);
+  }
+  EXPECT_EQ(got.s_knots, want.s_knots);
+  EXPECT_EQ(got.v_knots, want.v_knots);
+  EXPECT_EQ(got.g_knots, want.g_knots);
+  EXPECT_EQ(got.dv, want.dv);
+  EXPECT_EQ(got.dg, want.dg);
+  ASSERT_EQ(got.vals.size(), want.vals.size());
+  EXPECT_EQ(std::memcmp(got.vals.data(), want.vals.data(),
+                        want.vals.size() * sizeof(double)),
+            0);
+}
+
+TEST(MppSurfaceBuild, RowsFilledInReverseMatchBuild) {
+  constexpr int kS = 6;
+  constexpr int kG = 11;
+  flat::MppSurface want =
+      flat::build_mpp_surface(PvCellParams{}, 0.6, 1.4, kS, 0.005, 1.25, kG);
+  flat::MppSurface got = flat::size_mpp_surface(0.6, 1.4, kS, 0.005, 1.25, kG);
+  for (std::size_t i = kS; i-- > 0;) {
+    flat::fill_mpp_row(got, PvCellParams{}, i);
+  }
+  EXPECT_EQ(got.s_knots, want.s_knots);
+  EXPECT_EQ(got.g_knots, want.g_knots);
+  // Rows are contiguous, so row(0) spans every cell of a grid.
+  constexpr std::size_t kBytes = sizeof(double) * kS * kG;
+  EXPECT_EQ(std::memcmp(got.vmpp->row(0), want.vmpp->row(0), kBytes), 0);
+  EXPECT_EQ(std::memcmp(got.pmpp->row(0), want.pmpp->row(0), kBytes), 0);
+}
+
 }  // namespace
 }  // namespace hemp

@@ -5,7 +5,8 @@
 //            [--out DIR] [--no-files]
 //
 // Loads the scenario description, simulates the fleet (parallel by default,
-// `--serial` for the single-threaded loop; both orders are bit-identical),
+// `--serial` for one thread end to end, the batch kernel's construction
+// included; both orders are bit-identical),
 // prints the population aggregates plus the determinism witness
 // (`summary_hash`), and writes
 // <out>/<name>_summary.json and <out>/<name>_nodes.csv.  Two runs with the
@@ -32,6 +33,8 @@ void usage(const char* argv0) {
                "          [--coarsen-eps E] [--serial] [--out DIR] "
                "[--no-files]\n"
                "\n"
+               "--serial runs on the calling thread alone, construction and\n"
+               "run (same summary_hash as the default parallel run).\n"
                "--coarsen-eps overrides the scenario's trace_coarsen_eps\n"
                "(irradiance-trace knot-dropping budget as a day-integral\n"
                "fraction; 0 disables coarsening).\n"
@@ -145,7 +148,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     FleetReport report;
     if (use_batch) {
-      const BatchFleetKernel kernel(scenario);
+      const BatchFleetKernel kernel(scenario, {.parallel = !serial});
       report = kernel.run({.parallel = !serial});
     } else {
       const FleetSimulator sim(scenario);

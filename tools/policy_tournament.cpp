@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
           const auto t0 = std::chrono::steady_clock::now();
           FleetReport report;
           if (batch) {
-            const BatchFleetKernel kernel(sc);
+            const BatchFleetKernel kernel(sc, {.parallel = !serial});
             report = kernel.run({.parallel = !serial});
           } else {
             const FleetSimulator sim(sc);
