@@ -16,8 +16,10 @@
 //
 // Construction (trace flattening, surface builds) is timed separately from
 // run(): the kernel is built once and reused, so the per-run figure is pure
-// stepping throughput.  The day1000 construction is also timed on one thread
-// and on the pool (`batch_build_parallel_speedup`).  Both engines must
+// stepping throughput.  The day1000 construction is also timed cold on one
+// thread and on the pool (`batch_build_parallel_speedup`), and warm, with its
+// pv-range surfaces already in the process-wide cache
+// (`batch_build_warm_speedup`).  Both engines must
 // reproduce their own summary hash across serial/parallel runs, or the bench
 // aborts.
 //
@@ -153,6 +155,7 @@ int main(int argc, char** argv) {
   double day1000_nodes_per_sec = 0.0;
   double day1000_build_serial_s = 0.0;
   double day1000_build_parallel_s = 0.0;
+  double day1000_build_warm_s = 0.0;
   int day1000_nodes = 0;
   std::uint64_t day1000_hash = 0;
   hemp::solver_stats::StepSnapshot day1000_steps{};
@@ -162,26 +165,40 @@ int main(int argc, char** argv) {
     if (quick) day.nodes = 64;
     day.validate();
     day1000_nodes = day.nodes;
-    // Construction on one thread and on the shared pool: its independent
-    // work units (surface slices, crossover cells, node blocks) are what
-    // the parallel build spreads out.
+    // Cold construction on one thread and on the shared pool: its
+    // independent work units (surface slices, crossover cells, node blocks)
+    // are what the parallel build spreads out.  The surfaces are cached per
+    // pv-scale range for the process, so each cold repeat widens the range
+    // by another 1e-9 to miss the cache.
+    int cold_builds = 0;
+    const auto cold_build = [&](bool parallel) {
+      FleetScenario s = day;
+      s.pv_scale_max += 1e-9 * ++cold_builds;
+      const BatchFleetKernel k(s, {.parallel = parallel});
+      microbench::keep(k);
+    };
     const auto build_serial = suite.run(
-        "batch_day1000_build_serial",
-        [&] {
-          const BatchFleetKernel k(day, {.parallel = false});
-          microbench::keep(k);
-        },
+        "batch_day1000_build_serial", [&] { cold_build(false); },
         /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
     const auto build_parallel = suite.run(
-        "batch_day1000_build_parallel",
-        [&] {
-          const BatchFleetKernel k(day);
-          microbench::keep(k);
-        },
+        "batch_day1000_build_parallel", [&] { cold_build(true); },
         /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
     day1000_build_serial_s = build_serial.seconds_per_batch();
     day1000_build_parallel_s = build_parallel.seconds_per_batch();
     const BatchFleetKernel day_kernel(day);
+    // Warm construction on the pool: day_kernel left day's surfaces in the
+    // cache, and each repeat samples a new seed over the same range.
+    std::uint64_t warm_seed = day.seed;
+    const auto build_warm = suite.run(
+        "batch_day1000_build_warm",
+        [&] {
+          FleetScenario s = day;
+          s.seed = ++warm_seed;
+          const BatchFleetKernel k(s);
+          microbench::keep(k);
+        },
+        /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
+    day1000_build_warm_s = build_warm.seconds_per_batch();
     const auto steps_before = hemp::solver_stats::step_snapshot();
     const auto day_run = suite.run(
         "batch_day1000_serial",
@@ -217,6 +234,9 @@ int main(int argc, char** argv) {
     suite.note("batch_day1000_build_parallel_s", day1000_build_parallel_s);
     suite.note("batch_build_parallel_speedup",
                day1000_build_serial_s / day1000_build_parallel_s);
+    suite.note("batch_day1000_build_warm_s", day1000_build_warm_s);
+    suite.note("batch_build_warm_speedup",
+               day1000_build_parallel_s / day1000_build_warm_s);
   }
   // Step-count floor: the event-driven kernel's per-step cost is lean, so
   // throughput is governed by how many steps a node-day takes.  Tracked by

@@ -49,13 +49,15 @@ double bisect_root(const F& f, double lo, double hi, const RootOptions& opts = {
   throw ConvergenceError("bisect_root: iteration cap reached");
 }
 
-/// Brent's method: bisection safety with inverse-quadratic speed.
-/// Same bracketing contract as bisect_root.
+/// brent_root for a caller that has already evaluated the bracket ends:
+/// f_lo = f(lo) and f_hi = f(hi).  Gives brent_root's bits with two fewer
+/// calls of f.
 template <class F>
-double brent_root(const F& f, double lo, double hi, const RootOptions& opts = {}) {
+double brent_root_with_ends(const F& f, double lo, double hi, double f_lo,
+                            double f_hi, const RootOptions& opts = {}) {
   HEMP_REQUIRE(lo < hi, "brent_root: empty bracket");
   double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
+  double fa = f_lo, fb = f_hi;
   if (fa == 0.0) return a;
   if (fb == 0.0) return b;
   HEMP_REQUIRE(std::signbit(fa) != std::signbit(fb),
@@ -109,6 +111,16 @@ double brent_root(const F& f, double lo, double hi, const RootOptions& opts = {}
     }
   }
   throw ConvergenceError("brent_root: iteration cap reached");
+}
+
+/// Brent's method: bisection safety with inverse-quadratic speed.
+/// Same bracketing contract as bisect_root.
+template <class F>
+double brent_root(const F& f, double lo, double hi, const RootOptions& opts = {}) {
+  HEMP_REQUIRE(lo < hi, "brent_root: empty bracket");
+  const double f_lo = f(lo);
+  const double f_hi = f(hi);
+  return brent_root_with_ends(f, lo, hi, f_lo, f_hi, opts);
 }
 
 struct MinimizeOptions {

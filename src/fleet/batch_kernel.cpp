@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -83,7 +86,6 @@ constexpr double kVLow = 0.9;
 constexpr double kTrackerCap = 47e-6;  // the tracker's *assumed* C (Eq. 7)
 constexpr int kLadderSteps = 48;
 constexpr double kVddCeiling = 0.8;
-constexpr double kCompHalfHyst = 0.0025;  // Comparator hysteresis 5 mV -> +-2.5
 constexpr double kSagMargin = 0.05;
 constexpr double kSagEnableTime = 1e-4;
 
@@ -92,6 +94,7 @@ constexpr double kDtMax = flat::kDtMax;
 constexpr double kRailBand = flat::kRailBand;
 constexpr double kRailSettleCap = flat::kRailSettleFactor * kTau;
 constexpr double kBypassDvCap = flat::kBypassDvCap;
+constexpr double kCompHalfHyst = flat::kCompHalfHyst;
 constexpr double kVminHysteresis = flat::kVminHysteresis;
 constexpr double kWatchVFloor = flat::kWatchVFloor;
 
@@ -211,6 +214,89 @@ PvCell make_scaled_cell(double pv_scale) {
   return PvCell(p);
 }
 
+// ---------------------------------------------------------------------------
+// Scenario-level surfaces, built once per process (DESIGN.md Sec. 6k).
+// ---------------------------------------------------------------------------
+
+/// The constructor's exact solves that no node, seed or sky affects.  They
+/// are a pure function of the widened pv-scale range: every other input
+/// (PvCellParams{}, SwitchedCapParams{}, make_test_chip_at, the temperature
+/// knots and the kSurface*/kIv*/kCross* resolution) is a compile-time
+/// default.  A builder that reads another scenario field must add it to
+/// SurfaceKey.
+struct FleetSurfaces {
+  flat::MppSurface mpp;
+  flat::IvSurface iv;
+  /// Low-light crossover irradiance per corner over (temperature, pv_scale);
+  /// 0 = no crossover.
+  std::array<BilinearGrid, 3> cross;
+};
+
+/// Bit patterns of the widened (s_lo, s_hi): hits need identical inputs.
+using SurfaceKey = std::array<std::uint64_t, 2>;
+
+/// Process-wide memo of FleetSurfaces, at most kCapacity entries, least
+/// recently used evicted first.  The mutex guards the entries only: builds
+/// run outside it, so concurrent misses on one key may both build and the
+/// first insert wins (their bits are identical).  Nobody waits on another
+/// thread's build: a constructor running inline on a pool worker must not
+/// block on work queued behind it.
+class SurfaceCache {
+ public:
+  [[nodiscard]] std::shared_ptr<const FleetSurfaces> find(const SurfaceKey& key) {
+    const std::lock_guard lock(mu_);
+    const Entry* e = touch(key);
+    return e != nullptr ? e->value : nullptr;
+  }
+
+  /// Stores `value` unless `key` is already present; returns the entry every
+  /// kernel on `key` now shares.
+  std::shared_ptr<const FleetSurfaces> insert(
+      const SurfaceKey& key, std::shared_ptr<const FleetSurfaces> value) {
+    std::shared_ptr<const FleetSurfaces> evicted;  // freed after unlocking
+    const std::lock_guard lock(mu_);
+    if (const Entry* e = touch(key)) return e->value;
+    if (entries_.size() == kCapacity) {
+      auto lru = std::min_element(
+          entries_.begin(), entries_.end(),
+          [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; });
+      evicted = std::move(lru->value);
+      entries_.erase(lru);
+    }
+    entries_.push_back({key, value, ++clock_});
+    return value;
+  }
+
+ private:
+  /// One entry is ~1.1 MB, almost all of it the IV slices.
+  static constexpr std::size_t kCapacity = 4;
+
+  struct Entry {
+    SurfaceKey key{};
+    std::shared_ptr<const FleetSurfaces> value;
+    std::uint64_t last_use = 0;
+  };
+
+  Entry* touch(const SurfaceKey& key) {
+    for (Entry& e : entries_) {
+      if (e.key == key) {
+        e.last_use = ++clock_;
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+
+  std::mutex mu_;
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+};
+
+SurfaceCache& surface_cache() {
+  static SurfaceCache cache;
+  return cache;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -239,10 +325,9 @@ struct BatchFleetKernel::Shared {
   /// be constructed in place by its own work unit.
   std::vector<std::optional<Processor>> processors;
 
-  // Shared MPP + terminal-current surfaces over (pv_scale, irradiance),
-  // built by the hemp::flat layer (exact solves, ctor only).
-  flat::MppSurface mpp;
-  flat::IvSurface iv;
+  /// Shared MPP + terminal-current surfaces and crossover tables, built by
+  /// the hemp::flat layer (exact solves, ctor only) or found in the cache.
+  std::shared_ptr<const FleetSurfaces> surfaces;
 
   // Exact cell/regulator the sprint scheduler's SystemModel plumbs through
   // (plan() only touches the processor, but the model wants references).
@@ -250,11 +335,11 @@ struct BatchFleetKernel::Shared {
   SwitchedCapRegulator ref_reg;
 
   [[nodiscard]] double vmpp_at(double s, double g) const {
-    return mpp.vmpp_at(s, g);
+    return surfaces->mpp.vmpp_at(s, g);
   }
 
   [[nodiscard]] double pmpp_at(double s, double g) const {
-    return mpp.pmpp_at(s, g);
+    return surfaces->mpp.pmpp_at(s, g);
   }
 };
 
@@ -287,14 +372,23 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   // unit writes its own preallocated slot, so running the units on the pool
   // in any order gives the bits of the serial loop.
 
-  // --- Shared MPP + terminal-current surfaces: exact solves sampled once
-  // for the fleet by the hemp::flat builders, one unit per pv-scale row. ----
+  // --- Scenario-level surfaces (Sec. 6k): a hit in the process-wide cache
+  // skips their units; a miss sizes them here and fills them below.
   const auto [s_lo, s_hi] =
       widen_if_degenerate(sc.pv_scale_min, sc.pv_scale_max);
-  sh.mpp = flat::size_mpp_surface(s_lo, s_hi, kSurfaceSKnots, kSurfaceGMin,
-                                  kSurfaceGMax, kSurfaceGKnots);
-  sh.iv = flat::size_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots), kIvVMax,
-                                kIvVKnots, kSurfaceGMax, kIvGKnots);
+  const SurfaceKey key{std::bit_cast<std::uint64_t>(s_lo),
+                       std::bit_cast<std::uint64_t>(s_hi)};
+  sh.surfaces = surface_cache().find(key);
+  std::shared_ptr<FleetSurfaces> fresh;
+  if (!sh.surfaces) {
+    fresh = std::make_shared<FleetSurfaces>();
+    // Shared MPP + terminal-current surfaces: exact solves sampled once by
+    // the hemp::flat builders, one unit per pv-scale row.
+    fresh->mpp = flat::size_mpp_surface(s_lo, s_hi, kSurfaceSKnots, kSurfaceGMin,
+                                        kSurfaceGMax, kSurfaceGKnots);
+    fresh->iv = flat::size_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
+                                      kIvVMax, kIvVKnots, kSurfaceGMax, kIvGKnots);
+  }
 
   // --- Low-light crossover tables: exact RegulatorSelector bisection per
   // corner over a coarse (temperature, pv_scale) grid, one unit per cell;
@@ -411,16 +505,16 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
 
   // --- The work units, longest first so the pool's tail is the short
   // crossover cells: the shared sky, IV slices, node blocks, MPP rows, then
-  // the crossover cells. ------------------------------------------------------
+  // the crossover cells (the surface units only on a cache miss). -----------
   const std::size_t sky_units = sh.shared_sky ? 1 : 0;
-  const std::size_t iv_units = sh.iv.s_knots.size();
+  const std::size_t iv_units = fresh ? fresh->iv.s_knots.size() : 0;
   const std::size_t node_units = (n + kCtorNodeBlock - 1) / kCtorNodeBlock;
-  const std::size_t mpp_units = sh.mpp.s_knots.size();
-  const std::size_t cross_units = cross_vals.size() * cross_cells;
+  const std::size_t mpp_units = fresh ? fresh->mpp.s_knots.size() : 0;
+  const std::size_t cross_units = fresh ? cross_vals.size() * cross_cells : 0;
   const auto run_unit = [&](std::size_t u) {
     if (u < sky_units) return build_sky();
     u -= sky_units;
-    if (u < iv_units) return flat::fill_iv_slice(sh.iv, PvCellParams{}, u);
+    if (u < iv_units) return flat::fill_iv_slice(fresh->iv, PvCellParams{}, u);
     u -= iv_units;
     if (u < node_units) {
       const std::size_t hi = std::min(n, (u + 1) * kCtorNodeBlock);
@@ -428,7 +522,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
       return;
     }
     u -= node_units;
-    if (u < mpp_units) return flat::fill_mpp_row(sh.mpp, PvCellParams{}, u);
+    if (u < mpp_units) return flat::fill_mpp_row(fresh->mpp, PvCellParams{}, u);
     solve_cross_cell(u - mpp_units);
   };
   const std::size_t units =
@@ -440,18 +534,22 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     for (std::size_t u = 0; u < units; ++u) run_unit(u);
   }
 
+  if (fresh) {
+    for (std::size_t c = 0; c < fresh->cross.size(); ++c) {
+      fresh->cross[c] =
+          BilinearGrid(temp_knots, cross_s_knots, std::move(cross_vals[c]));
+    }
+    sh.surfaces = surface_cache().insert(key, std::move(fresh));
+  }
+
   // --- Per-node crossover power: reads the finished crossover tables and
   // MPP surface, so it runs after every unit. -------------------------------
-  std::array<BilinearGrid, 3> cross_grids;
-  for (std::size_t c = 0; c < cross_grids.size(); ++c) {
-    cross_grids[c] = BilinearGrid(temp_knots, cross_s_knots, std::move(cross_vals[c]));
-  }
   for (std::size_t i = 0; i < n; ++i) {
     const NodeSample& s = sh.samples[i];
     const int corner_ix = s.conditions.corner == ProcessCorner::kSlowSlow ? 0
                           : s.conditions.corner == ProcessCorner::kTypical ? 1
                                                                            : 2;
-    const double g_cross = cross_grids[static_cast<std::size_t>(corner_ix)](
+    const double g_cross = sh.surfaces->cross[static_cast<std::size_t>(corner_ix)](
         s.conditions.temperature_c, s.pv_scale);
     sh.crossover_power[i] =
         g_cross >= kCrossMinG ? sh.pmpp_at(s.pv_scale, g_cross) : 0.0;
@@ -640,7 +738,7 @@ struct NodeRunner {
   }
 
   void on_start() {
-    iv = sh.iv.bind(s.pv_scale);
+    iv = sh.surfaces->iv.bind(s.pv_scale);
     build_ladder();
     build_lut();
     next_submit = s.job_phase.value();

@@ -59,18 +59,21 @@ Amps PvCell::current(Volts v, double g) const {
     return iph - i0_.value() * std::expm1(vj / nvt) - vj / rsh - i;
   };
   // I is bracketed by [something <= actual, Iph]: f is strictly decreasing in I.
-  double lo = -iph;  // allow slightly negative internal solutions near Voc
-  double hi = iph;
-  if (f(hi) > 0.0) {
+  const double lo = -iph;  // allow slightly negative internal solutions near Voc
+  const double hi = iph;
+  const double f_hi = f(hi);
+  if (f_hi > 0.0) {
     // Numerically possible at V = 0 with Rsh loss ~ 0; current is just Iph.
     return Amps(iph);
   }
-  if (f(lo) < 0.0) {
+  const double f_lo = f(lo);
+  if (f_lo < 0.0) {
     // Deeply forward-biased: terminal current would be negative; the front-end
     // ideal diode blocks it.
     return Amps(0.0);
   }
-  const double i = numeric::brent_root(f, lo, hi, {.x_tol = 1e-12});
+  const double i =
+      numeric::brent_root_with_ends(f, lo, hi, f_lo, f_hi, {.x_tol = 1e-12});
   return Amps(std::max(i, 0.0));
 }
 
@@ -81,16 +84,16 @@ Volts PvCell::open_circuit_voltage(double g) const {
   // Find V where terminal current hits zero.  Search up to a little past the
   // full-sun Voc (Voc grows logarithmically with G but we cap G at 1.5).
   const double vmax = params_.voc_full_sun.value() * 1.2;
-  auto f = [&](double v) { return current(Volts(v), g).value(); };
-  // current() clamps at zero, so bisect on a shifted function instead: use the
-  // unclamped diode equation at I = 0.
+  // current() clamps at zero, so solve the unclamped diode equation at I = 0
+  // instead.
   const double iph = photocurrent(g).value();
   const double rsh = params_.shunt_resistance.value();
   const double nvt = stack_vt().value();
   auto f_oc = [&](double v) { return iph - i0_.value() * std::expm1(v / nvt) - v / rsh; };
-  if (f_oc(vmax) > 0.0) return Volts(vmax);
-  (void)f;
-  return Volts(numeric::brent_root(f_oc, 0.0, vmax, {.x_tol = 1e-9}));
+  const double f_vmax = f_oc(vmax);
+  if (f_vmax > 0.0) return Volts(vmax);
+  return Volts(numeric::brent_root_with_ends(f_oc, 0.0, vmax, f_oc(0.0), f_vmax,
+                                             {.x_tol = 1e-9}));
 }
 
 Amps PvCell::short_circuit_current(double g) const { return current(Volts(0.0), g); }

@@ -50,11 +50,6 @@ bool SocSystem::fast_eligible() const {
 
 namespace {
 
-/// Half of the ComparatorBank's default 5 mV hysteresis band: crossings must
-/// be detected before the node leaves the band, so this is both the watch
-/// overshoot allowance and the threshold offset for direction resolution.
-constexpr double kCompHalfHyst = 0.0025;
-
 /// Above this solar-to-rail gap the bypass switch is still slewing the rail
 /// through its R_on (tau_RC ~ R_on * C_parallel, a few tens of us): the
 /// quasi-steady merged closed form does not apply yet, and — critically — the
@@ -198,8 +193,8 @@ struct FastEngine {
     // Comparator bank levels, direction-resolved by the latched outputs.
     for (std::size_t i = 0; i < comparators->size(); ++i) {
       const double th = comparators->thresholds()[i].value();
-      ws.level(v_s, comparators->output(i) ? th - kCompHalfHyst
-                                           : th + kCompHalfHyst);
+      ws.level(v_s, comparators->output(i) ? th - flat::kCompHalfHyst
+                                           : th + flat::kCompHalfHyst);
     }
     for (std::size_t i = 0; i < hint.solar_watch_count; ++i) {
       ws.level(v_s, hint.solar_watch[i]);
@@ -224,7 +219,7 @@ struct FastEngine {
 
     flat::WatchBoundIn wb;
     wb.dt = dt;
-    wb.half_hyst = kCompHalfHyst;
+    wb.half_hyst = flat::kCompHalfHyst;
     wb.v_floor = flat::kWatchVFloor;
     wb.v_s = v_s;
     wb.v_d = v_d;

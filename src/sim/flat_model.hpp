@@ -69,6 +69,10 @@ inline constexpr double kRailSettleFactor = 2.0;  ///< ... caps dt at this * tau
 inline constexpr double kBypassDvCap = 16e-3;  ///< max rail swing/step in bypass
 inline constexpr double kVminHysteresis = 5e-3;  ///< re-enable band above Vmin
 inline constexpr double kWatchVFloor = 0.05;  ///< discharge-current bound floor
+/// Half of the ComparatorBank's default 5 mV hysteresis band: crossings must
+/// be detected before the node leaves the band, so this is both the watch
+/// overshoot allowance and the threshold offset for direction resolution.
+inline constexpr double kCompHalfHyst = 0.0025;
 inline constexpr double kWatchDeadband = 1e-3;  ///< keeps dt finite at
                                                 ///< equilibria; must stay under
                                                 ///< the comparator half-

@@ -274,6 +274,69 @@ TEST(BatchFleetKernel, CtorInsidePoolWorkerCompletes) {
   for (const std::uint64_t h : hashes) EXPECT_EQ(h, want);
 }
 
+// --- The process-wide surface cache (DESIGN.md Sec. 6k).  Kernels built on
+// one pv-scale range share one set of IV slices, MPP rows and crossover
+// tables, so a warm build must give exactly the bits of a cold one.  The
+// hashes were recorded from a build without the cache, on x86-64 without FMA
+// (the same targets as tests/fleet/hash_pin_test.cpp).
+#if defined(__x86_64__) && !defined(__FMA__)
+constexpr bool kPinnedTarget = true;
+#else
+constexpr bool kPinnedTarget = false;
+#endif
+
+/// quick_scenario over the pv-scale range [lo, hi].
+FleetScenario ranged_scenario(double lo, double hi) {
+  FleetScenario s = quick_scenario();
+  s.pv_scale_min = lo;
+  s.pv_scale_max = hi;
+  return s;
+}
+
+std::uint64_t build_hash(const FleetScenario& s, const BatchKernelOptions& opts = {}) {
+  return BatchFleetKernel(s, opts).run({.parallel = false}).summary_hash;
+}
+
+// Two ranges sharing their lower end, so a key that dropped the upper end
+// would alias them.
+const FleetScenario kRangeA = ranged_scenario(0.5, 1.5);
+const FleetScenario kRangeB = ranged_scenario(0.5, 1.25);
+constexpr std::uint64_t kHashA = 0x65fcf6849b978ac0ULL;
+constexpr std::uint64_t kHashB = 0xaae928ec500ff8e4ULL;
+
+TEST(BatchFleetKernel, SurfaceCacheKeepsRangesApart) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hashes are recorded for x86-64 without FMA";
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(build_hash(kRangeA), kHashA);
+    EXPECT_EQ(build_hash(kRangeB), kHashB);
+  }
+}
+
+TEST(BatchFleetKernel, SurfaceCacheConcurrentBuildsMatchSerial) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hashes are recorded for x86-64 without FMA";
+  // Each constructor runs inline on a worker of this pool, so up to three
+  // builds of one key race on a cold cache.
+  ThreadPool pool(3);
+  std::vector<std::uint64_t> hashes(8);
+  parallel_for(pool, hashes.size(), [&](std::size_t k) {
+    hashes[k] = build_hash(k % 2 == 0 ? kRangeA : kRangeB, {.pool = &pool});
+  });
+  for (std::size_t k = 0; k < hashes.size(); ++k) {
+    EXPECT_EQ(hashes[k], k % 2 == 0 ? kHashA : kHashB) << "build " << k;
+  }
+}
+
+TEST(BatchFleetKernel, SurfaceCacheEvictionRebuildsSameBits) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hashes are recorded for x86-64 without FMA";
+  // Six distinct lower ends: more ranges than the cache holds, so the first
+  // range is evicted before it is built again.
+  constexpr std::uint64_t kHashFirst = 0x5c8faeba5841cf9fULL;
+  EXPECT_EQ(build_hash(ranged_scenario(0.40, 1.45)), kHashFirst);
+  for (int k = 1; k < 6; ++k) (void)build_hash(ranged_scenario(0.40 + 0.02 * k, 1.45));
+  EXPECT_EQ(build_hash(ranged_scenario(0.40, 1.45)), kHashFirst);
+}
+
 TEST(BatchFleetKernel, RunNodeMatchesRun) {
   const BatchFleetKernel kernel(quick_scenario());
   const FleetReport report = kernel.run();

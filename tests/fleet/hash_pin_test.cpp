@@ -9,6 +9,7 @@
 // that is meant to move results, and say why where the change is recorded.
 #include <gtest/gtest.h>
 
+#include "common/audit.hpp"
 #include "fleet/batch_kernel.hpp"
 #include "fleet/fleet_sim.hpp"
 
@@ -44,11 +45,15 @@ constexpr bool kPinnedTarget = false;
 TEST(HashPin, FleetSimulatorGreedyMpp) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
   // greedy_mpp runs each node on the fast_soc event engine, so this pins the
-  // per-node controller tables and IV surfaces as well as the stepping.
+  // per-node controller tables and IV surfaces as well as the stepping.  An
+  // audit build (HEMP_AUDIT=ON) defaults SocConfig::audit to true, which
+  // deliberately routes every node through the dense tick loop instead
+  // (tests/sim/fast_soc_test.cpp), so that build pins the dense loop's bits.
   FleetScenario s = pin_scenario();
   s.policy = "greedy_mpp";
   const FleetReport r = FleetSimulator(s).run({.parallel = false});
-  EXPECT_EQ(r.summary_hash, 0xc4a2df54fc392363ULL);
+  EXPECT_EQ(r.summary_hash, audit_compiled_in() ? 0xff43b3ab06a4d4b4ULL
+                                                : 0xc4a2df54fc392363ULL);
 }
 
 TEST(HashPin, FleetSimulatorDefaultMix) {
@@ -62,6 +67,19 @@ TEST(HashPin, BatchFleetKernel) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
   FleetScenario s = pin_scenario();
   s.nodes = 32;
+  const FleetReport r = BatchFleetKernel(s).run({.parallel = false});
+  EXPECT_EQ(r.summary_hash, 0x54da0addaa98ab59ULL);
+}
+
+TEST(HashPin, BatchFleetKernelWarmSurfaces) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // Another seed over the same pv-scale range builds the shared surfaces
+  // first, so the pinned kernel below is built from the process-wide cache.
+  FleetScenario s = pin_scenario();
+  s.nodes = 32;
+  FleetScenario other = s;
+  other.seed = s.seed + 1;
+  (void)BatchFleetKernel(other);
   const FleetReport r = BatchFleetKernel(s).run({.parallel = false});
   EXPECT_EQ(r.summary_hash, 0x54da0addaa98ab59ULL);
 }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/numeric.hpp"
 
 namespace hemp {
 namespace {
@@ -123,6 +129,82 @@ TEST(PvCellTemperature, ColdPanelGainsVoc) {
 TEST(PvCellTemperature, RejectsSillyTemperatures) {
   EXPECT_THROW(make_ixys_kxob22_cell_at(200.0), ModelError);
   EXPECT_THROW(make_ixys_kxob22_cell_at(-60.0), ModelError);
+}
+
+/// Verbatim copy of PvCell's solves as they stood before they handed Brent
+/// the bracket values they had already evaluated: the reference the exact
+/// cell model must keep matching bit for bit.
+struct ReferenceCell {
+  PvCellParams p;
+  double nvt = 0.0;
+  double i0 = 0.0;
+
+  explicit ReferenceCell(const PvCellParams& params) : p(params) {
+    nvt = p.series_junctions * p.ideality * p.thermal_voltage.value();
+    const double voc = p.voc_full_sun.value();
+    const double iph = p.isc_full_sun.value();
+    const double denom = std::expm1(voc / nvt);
+    const double shunt_leak = voc / p.shunt_resistance.value();
+    i0 = (iph - shunt_leak) / denom;
+  }
+
+  [[nodiscard]] double current(double v, double g) const {
+    const double iph = p.isc_full_sun.value() * g;
+    if (iph == 0.0) return 0.0;
+    const double rs = p.series_resistance.value();
+    const double rsh = p.shunt_resistance.value();
+    auto f = [&](double i) {
+      const double vj = v + i * rs;
+      return iph - i0 * std::expm1(vj / nvt) - vj / rsh - i;
+    };
+    double lo = -iph;
+    double hi = iph;
+    if (f(hi) > 0.0) return iph;
+    if (f(lo) < 0.0) return 0.0;
+    const double i = numeric::brent_root(f, lo, hi, {.x_tol = 1e-12});
+    return std::max(i, 0.0);
+  }
+
+  [[nodiscard]] double open_circuit_voltage(double g) const {
+    if (g <= 0.0) return 0.0;
+    const double vmax = p.voc_full_sun.value() * 1.2;
+    const double iph = p.isc_full_sun.value() * g;
+    const double rsh = p.shunt_resistance.value();
+    auto f_oc = [&](double v) { return iph - i0 * std::expm1(v / nvt) - v / rsh; };
+    if (f_oc(vmax) > 0.0) return vmax;
+    return numeric::brent_root(f_oc, 0.0, vmax, {.x_tol = 1e-9});
+  }
+};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(PvCell, SolvesMatchReferenceFormulasBitwise) {
+  // The fleet's default cell and the KXOB22 across its temperature range,
+  // each at several pv scales; voltages run past every open-circuit point.
+  std::vector<PvCellParams> bases{PvCellParams{}};
+  for (const double t : {-20.0, 25.0, 85.0}) {
+    bases.push_back(make_ixys_kxob22_cell_at(t).params());
+  }
+  const double gs[] = {0.0, 1e-4, 0.003, 0.02, 0.05, 0.1, 0.2, 0.35,
+                       0.5, 0.75, 1.0, 1.25, 1.5};
+  for (const PvCellParams& base : bases) {
+    for (const double scale : {0.5, 1.0, 1.4}) {
+      PvCellParams params = base;
+      params.isc_full_sun = params.isc_full_sun * scale;
+      const PvCell cell(params);
+      const ReferenceCell ref(params);
+      for (const double g : gs) {
+        EXPECT_TRUE(same_bits(cell.open_circuit_voltage(g).value(),
+                              ref.open_circuit_voltage(g)))
+            << "scale " << scale << " g " << g;
+        for (int k = 0; k <= 90; ++k) {
+          const double v = 0.02 * k;
+          ASSERT_TRUE(same_bits(cell.current(Volts(v), g).value(), ref.current(v, g)))
+              << "scale " << scale << " g " << g << " v " << v;
+        }
+      }
+    }
+  }
 }
 
 // Property sweep: power is non-negative and bounded by Voc * Isc everywhere.

@@ -51,8 +51,8 @@ SINKS = {
         "holistic", "crossover_irradiance",
     },
     "iterative-solver": {
-        "brent_root", "grid_refine_minimize", "golden_section_minimize",
-        "bisect", "newton_raphson",
+        "brent_root", "brent_root_with_ends", "grid_refine_minimize",
+        "golden_section_minimize", "bisect", "newton_raphson",
     },
     "alloc": {
         "malloc", "calloc", "realloc", "free", "aligned_alloc",
