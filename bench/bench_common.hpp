@@ -76,6 +76,7 @@ inline void write_series_csv(const std::string& filename,
                              const std::vector<std::vector<double>>& rows) {
   CsvWriter csv(output_path(filename), std::move(columns));
   for (const auto& row : rows) csv.row(row);
+  csv.close();
   std::printf("\n  series written to out/%s (%zu rows)\n", filename.c_str(),
               csv.rows_written());
 }

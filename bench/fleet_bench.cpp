@@ -19,7 +19,10 @@
 // stepping throughput.  The day1000 construction is also timed cold on one
 // thread and on the pool (`batch_build_parallel_speedup`), and warm, with its
 // pv-range surfaces already in the process-wide cache
-// (`batch_build_warm_speedup`).  Both engines must
+// (`batch_build_warm_speedup`).  Two non-stepping costs of a day1000 job are
+// noted beside them: a serial coarsen of its cloud deck's flattened traces
+// (`flat_coarsen_us_per_node`) and writing its report's summary JSON and
+// node CSV (`batch_day1000_report_write_s`).  Both engines must
 // reproduce their own summary hash across serial/parallel runs, or the bench
 // aborts.
 //
@@ -27,18 +30,23 @@
 //   --quick    fewer nodes / fewer repeats (CI smoke job)
 //   --out      JSON output path (default: BENCH_perf.json in the cwd)
 //   --day1000  day1000 scenario path (default: scenarios/day1000.scn)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "common/rng.hpp"
 #include "common/solver_stats.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/batch_kernel.hpp"
 #include "fleet/fleet_sim.hpp"
 #include "microbench.hpp"
+#include "sim/flat_model.hpp"
+#include "trace/generators.hpp"
 
 namespace {
 
@@ -55,6 +63,24 @@ hemp::FleetScenario bench_scenario(bool quick) {
   s.job_period = hemp::Seconds(10e-3);
   s.job_deadline = hemp::Seconds(4e-3);
   return s;
+}
+
+/// Median wall time of `repeats` serial coarsens of `traces` (each repeat
+/// coarsens a fresh, untimed copy), in microseconds per trace.
+double coarsen_us_per_trace(const std::vector<hemp::flat::FlatTrace>& traces,
+                            double budget, int repeats) {
+  std::vector<double> secs;
+  for (int r = 0; r < repeats; ++r) {
+    std::vector<hemp::flat::FlatTrace> work = traces;
+    const auto start = std::chrono::steady_clock::now();
+    for (hemp::flat::FlatTrace& ft : work) ft.coarsen(budget);
+    secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+    hemp::microbench::keep(work.back().ts.size());
+  }
+  std::sort(secs.begin(), secs.end());
+  return 1e6 * secs[secs.size() / 2] / static_cast<double>(traces.size());
 }
 
 bool check_hash(const char* what, std::uint64_t a, std::uint64_t b) {
@@ -156,6 +182,8 @@ int main(int argc, char** argv) {
   double day1000_build_serial_s = 0.0;
   double day1000_build_parallel_s = 0.0;
   double day1000_build_warm_s = 0.0;
+  double day1000_coarsen_us = 0.0;
+  double day1000_write_s = 0.0;
   int day1000_nodes = 0;
   std::uint64_t day1000_hash = 0;
   hemp::solver_stats::StepSnapshot day1000_steps{};
@@ -211,6 +239,37 @@ int main(int argc, char** argv) {
         /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
     day1000_nodes_per_sec = day.nodes / day_run.seconds_per_batch();
     day1000_steps = hemp::solver_stats::step_delta_since(steps_before);
+
+    // The report a fleetsim day1000 job ends with.
+    const FleetReport day_report = day_kernel.run();
+    const std::string stem = output_path("fleet_bench_day1000");
+    const auto write = suite.run(
+        "batch_day1000_report_write",
+        [&] {
+          write_summary_json(day_report, stem + "_summary.json");
+          write_node_csv(day_report, stem + "_nodes.csv");
+        },
+        /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
+    day1000_write_s = write.seconds_per_batch();
+
+    // The cloud deck's per-node traces on day1000's timeline (one RNG fork
+    // per node), flattened untimed and coarsened under the kernel's budget.
+    if (day.trace_kind == TraceKind::kClouds) {
+      CloudFieldParams deck;
+      deck.day.day_length = day.day_length;
+      const double stretch = day.day_length.value() / 0.25;
+      deck.mean_gap = Seconds(0.03 * stretch);
+      deck.mean_duration = Seconds(0.01 * stretch);
+      std::vector<flat::FlatTrace> traces;
+      traces.reserve(static_cast<std::size_t>(day.nodes));
+      for (int i = 0; i < day.nodes; ++i) {
+        Rng rng = Rng(day.seed).fork(static_cast<std::uint64_t>(i));
+        traces.push_back(flat::flatten_trace(cloud_field(rng, deck),
+                                             day.day_length.value()));
+      }
+      day1000_coarsen_us = coarsen_us_per_trace(
+          traces, day.trace_coarsen_eps * day.day_length.value(), repeats);
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr,
                  "fleet_bench: skipping day1000 (%s): %s\n"
@@ -237,6 +296,12 @@ int main(int argc, char** argv) {
     suite.note("batch_day1000_build_warm_s", day1000_build_warm_s);
     suite.note("batch_build_warm_speedup",
                day1000_build_parallel_s / day1000_build_warm_s);
+  }
+  if (day1000_write_s > 0.0) {
+    suite.note("batch_day1000_report_write_s", day1000_write_s);
+  }
+  if (day1000_coarsen_us > 0.0) {
+    suite.note("flat_coarsen_us_per_node", day1000_coarsen_us);
   }
   // Step-count floor: the event-driven kernel's per-step cost is lean, so
   // throughput is governed by how many steps a node-day takes.  Tracked by

@@ -1,8 +1,9 @@
 #include "common/csv.hpp"
 
+#include <array>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 
@@ -30,13 +31,30 @@ CsvWriter::CsvWriter(std::string path, std::vector<std::string> columns)
 
 void CsvWriter::row(const std::vector<double>& values) {
   HEMP_REQUIRE(values.size() == width_, "CsvWriter: row width mismatch");
-  out_ << std::setprecision(9);
+  // Each cell is "%.9g", the text `ostream << setprecision(9)` writes, built
+  // in a stack buffer and handed to the stream in one write per row (one per
+  // buffer-full for rows too wide to fit).
+  constexpr std::size_t kCellMax = 32;  // ",-1.23456789e-308" is 17 chars
+  std::array<char, 4096> buf;
+  std::size_t len = 0;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << values[i];
+    if (buf.size() - len < kCellMax) {
+      out_.write(buf.data(), static_cast<std::streamsize>(len));
+      len = 0;
+    }
+    if (i) buf[len++] = ',';
+    const auto res = std::to_chars(buf.data() + len, buf.data() + buf.size(),
+                                   values[i], std::chars_format::general, 9);
+    len = static_cast<std::size_t>(res.ptr - buf.data());
   }
-  out_ << '\n';
+  buf[len++] = '\n';
+  out_.write(buf.data(), static_cast<std::streamsize>(len));
   ++rows_;
+}
+
+void CsvWriter::close() {
+  if (out_.is_open()) out_.close();
+  if (out_.fail()) throw ModelError("CsvWriter: write failed for " + path_);
 }
 
 namespace {

@@ -20,8 +20,13 @@ class CsvWriter {
   /// Opens `path` for writing and emits the header row.  Throws on I/O error.
   CsvWriter(std::string path, std::vector<std::string> columns);
 
-  /// Append one row; must match the header width.
+  /// Append one row; must match the header width.  Values are written as
+  /// "%.9g".
   void row(const std::vector<double>& values);
+
+  /// Flush and close the file; throws ModelError if any write failed (a
+  /// full disk, say).  Without it the destructor closes silently.
+  void close();
 
   [[nodiscard]] std::size_t rows_written() const { return rows_; }
   [[nodiscard]] const std::string& path() const { return path_; }

@@ -569,7 +569,7 @@ const FleetScenario& BatchFleetKernel::scenario() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-node lane: the full controller + physics state, integrated to
+// Per-node runner: the full controller + physics state, integrated to
 // completion one node at a time (everything lives in registers / L1).
 // ---------------------------------------------------------------------------
 
@@ -664,6 +664,12 @@ struct NodeRunner {
   double pload_key_v = std::numeric_limits<double>::quiet_NaN();
   double pload_key_f = 0.0;
   double pload_val = 0.0;
+  /// mppt_vmpp's memo, indexed by k = round(g0 * 100); NaN = not yet read.
+  std::array<double, 160> vmpp_memo = [] {
+    std::array<double, 160> m;
+    m.fill(std::numeric_limits<double>::quiet_NaN());
+    return m;
+  }();
   bool fault_latch = false;
   bool vmin_latch = false;
 
@@ -1296,43 +1302,23 @@ struct NodeRunner {
   // ---------------------------------------------------------------------
   // Physics integration (shared hemp::flat primitives: implicit midpoint on
   // the stiff solar node, exact closed-form regulated rail).
-  //
-  // The step is split into a prologue (controller, dt selection, and
-  // everything of the integration except the solar-node Newton solve) and
-  // an epilogue (rail update, metrics, time advance) so a lane driver can
-  // batch the solve across nodes via flat::integrate_solar_lane.  Steps the
-  // lane cannot express — the conducting-bypass merged two-node solve —
-  // integrate scalar inside the prologue and skip the lane entirely, so the
-  // per-node arithmetic is identical either way.
   // ---------------------------------------------------------------------
 
-  struct StepPlan {
-    double g0 = 0.0;
-    double dt = 0.0;
-    double g_mid = 0.0;
-    double p_load = 0.0;
-    bool solar_solve = false;  ///< step needs an integrate_solar solve
-    double p_in = 0.0;         ///< regulator source-side draw for the solve
-    double p_out = 0.0;        ///< regulator output power for the rail update
-  };
-
-  HEMP_HOT void integrate_pre(StepPlan& pl) {
-    pl.solar_solve = true;
-    pl.p_in = 0.0;
-    pl.p_out = 0.0;
+  /// Advance both nodes over [t, t + dt] under the step's load.
+  HEMP_HOT void integrate(double dt, double g_mid, double p_load) {
+    double p_in = 0.0;   // regulator source-side draw for the solar solve
+    double p_out = 0.0;  // regulator output power for the rail update
     if (cmd_path == PowerPath::kRegulated) {
-      if (!step_sc_ok) return;
-      {
+      if (step_sc_ok) {
         // Closed-form restoration matching the reference tick map exactly
         // (see flat::rail_regulated_step for the 3-regime derivation).  The
         // steady rail rides at sqrt(vt^2 + 2*p_load*dt_ref/C), which keeps
         // the commanded frequency off the f_max clamp.
         const double e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd +
-                           pl.p_load * dt_min;
+                           p_load * dt_min;
         const double e_0 = 0.5 * c_vdd * v_d * v_d;
         const flat::RailEpisode ep = flat::rail_regulated_episode(
-            e_0, e_t, pl.dt, dt_min, kTau, pl.p_load, kScFlat.rated,
-            &pow_memo);
+            e_0, e_t, dt, dt_min, kTau, p_load, kScFlat.rated, &pow_memo);
         // Conversion losses priced per regime: the ramp pins p_out at rated,
         // the drain pins it at zero, and the geometric phase transfers its
         // own average — so a one-step settle episode sees the same eta
@@ -1350,7 +1336,7 @@ struct NodeRunner {
         if (ep.t_decay > 0.0) {
           const double p_restore = (ep.e_end - ep.e_decay_0) / ep.t_decay;
           const double p_dec =
-              std::clamp(pl.p_load + p_restore, 0.0, kScFlat.rated);
+              std::clamp(p_load + p_restore, 0.0, kScFlat.rated);
           if (p_dec > 0.0) {
             const double eta = sc_efficiency(v_s, cmd_vdd, p_dec);
             if (eta > 0.0) {
@@ -1359,27 +1345,41 @@ struct NodeRunner {
             }
           }
         }
-        pl.p_out = e_out / pl.dt;
-        pl.p_in = e_in / pl.dt;
+        p_out = e_out / dt;
+        p_in = e_in / dt;
       }
-      return;
-    }
-
-    // Bypass (and kOff, which the manager never commands): the switch
-    // conducts solar -> rail when v_s > v_d.  The discrete reference update
-    // rings at tau_RC ~ R*C_parallel ~ 8 us; the kernel integrates the
-    // merged quasi-steady limit instead (charge-conserving, same energy).
-    if (cmd_path == PowerPath::kBypass && v_s > v_d) {
+    } else if (cmd_path == PowerPath::kBypass && v_s > v_d) {
+      // Bypass (and kOff, which the manager never commands): the switch
+      // conducts solar -> rail when v_s > v_d.  The discrete reference
+      // update rings at tau_RC ~ R*C_parallel ~ 8 us; the kernel integrates
+      // the merged quasi-steady limit instead (charge-conserving, same
+      // energy).
       const flat::BypassStepResult r = flat::integrate_bypass_merged(
-          iv, c_solar, c_vdd, kBypassR, v_s, v_d, pl.dt, pl.g_mid, pl.p_load,
+          iv, c_solar, c_vdd, kBypassR, v_s, v_d, dt, g_mid, p_load,
           kWatchVFloor);
       if (r.conducted) {
-        harvested += pl.dt * r.p_harvest_avg;
-        pl.solar_solve = false;  // merged solve integrated both nodes
-        return;
+        harvested += dt * r.p_harvest_avg;
+        return;  // the merged solve integrated both nodes
       }
       // Diode would block: treat as detached for this step (p_in stays 0).
     }
+
+    const double p_avg =
+        flat::integrate_solar(iv, c_solar, v_s, dt, g_mid, p_in);
+    harvested += dt * p_avg;
+    double e_d = 0.5 * c_vdd * v_d * v_d + (p_out - p_load) * dt;
+    if (e_d < 0.0) e_d = 0.0;
+    v_d = std::sqrt(2.0 * e_d / c_vdd);
+  }
+
+  /// Vmpp at the quantized irradiance g_q = k / 100 of the MPPT-error
+  /// metric.  Exact-key memo (the PowMemo rule): a hit returns the bits a
+  /// fresh sh.vmpp_at call would, so results never change.
+  HEMP_HOT double mppt_vmpp(std::size_t k, double g_q) {
+    if (k >= vmpp_memo.size()) return sh.vmpp_at(s.pv_scale, g_q);
+    double& v = vmpp_memo[k];
+    if (std::isnan(v)) v = sh.vmpp_at(s.pv_scale, g_q);
+    return v;
   }
 
   // ---------------------------------------------------------------------
@@ -1388,93 +1388,78 @@ struct NodeRunner {
 
   bool done() const { return t >= day - 1e-15; }
 
-  /// Controller + dt selection + integration pre-pass for one step.
-  HEMP_HOT void step_prologue(StepPlan& pl) {
-    {
-      const double g0 = trace.at(t, cur);
-      pl.g0 = g0;
-      controller_eval();
+  /// One event-driven step: controller, load, dt selection, integration,
+  /// per-step metrics and time advance.
+  HEMP_HOT void step() {
+    const double g0 = trace.at(t, cur);
+    controller_eval();
 
-      // Load for this step (reference tick semantics: rail voltage gates the
-      // clock; commanded frequency clamps at f_max(v_dd)).
-      if (v_d < kVminProc) {
-        vmin_latch = true;
-      } else if (v_d >= kVminProc + (cmd_path == PowerPath::kBypass
-                                         ? kVminHysteresis
-                                         : 0.0)) {
-        vmin_latch = false;
-      }
-      can_run = cmd_run && !vmin_latch && v_d <= kVmaxProc;
-      double p_load = 0.0;
-      f_eff = 0.0;
-      if (can_run) {
-        const double v_fm = std::clamp(v_d, kVminProc, kVmaxProc);
-        if (v_fm != fmax_key) {
-          fmax_key = v_fm;
-          fmax_val = proc_fmax(pc, v_fm);
-        }
-        const double fmax_now = fmax_val;
-        f_eff = cmd_freq;
-        bool clamped = false;
-        if (f_eff > fmax_now) {
-          clamped = true;
-          f_eff = fmax_now;
-        }
-        // The reference counts clamped *ticks*; the kernel counts clamp
-        // episodes (transitions into the clamped condition).
-        if (clamped && !fault_latch) ++timing_faults;
-        fault_latch = clamped;
-        if (v_d != pload_key_v || f_eff != pload_key_f) {
-          pload_key_v = v_d;
-          pload_key_f = f_eff;
-          pload_val = proc_power(pc, v_d, f_eff);
-        }
-        p_load = pload_val;
-      } else {
-        fault_latch = false;
-        if (was_running && cmd_run) ++brownouts;
-      }
-      was_running = can_run;
-      pl.p_load = p_load;
-      pl.dt = choose_dt(g0, p_load);
+    // Load for this step (reference tick semantics: rail voltage gates the
+    // clock; commanded frequency clamps at f_max(v_dd)).
+    if (v_d < kVminProc) {
+      vmin_latch = true;
+    } else if (v_d >= kVminProc + (cmd_path == PowerPath::kBypass
+                                       ? kVminHysteresis
+                                       : 0.0)) {
+      vmin_latch = false;
     }
+    can_run = cmd_run && !vmin_latch && v_d <= kVmaxProc;
+    double p_load = 0.0;
+    f_eff = 0.0;
+    if (can_run) {
+      const double v_fm = std::clamp(v_d, kVminProc, kVmaxProc);
+      if (v_fm != fmax_key) {
+        fmax_key = v_fm;
+        fmax_val = proc_fmax(pc, v_fm);
+      }
+      const double fmax_now = fmax_val;
+      f_eff = cmd_freq;
+      bool clamped = false;
+      if (f_eff > fmax_now) {
+        clamped = true;
+        f_eff = fmax_now;
+      }
+      // The reference counts clamped *ticks*; the kernel counts clamp
+      // episodes (transitions into the clamped condition).
+      if (clamped && !fault_latch) ++timing_faults;
+      fault_latch = clamped;
+      if (v_d != pload_key_v || f_eff != pload_key_f) {
+        pload_key_v = v_d;
+        pload_key_f = f_eff;
+        pload_val = proc_power(pc, v_d, f_eff);
+      }
+      p_load = pload_val;
+    } else {
+      fault_latch = false;
+      if (was_running && cmd_run) ++brownouts;
+    }
+    was_running = can_run;
+    const double dt = choose_dt(g0, p_load);
     ++step_counts[static_cast<int>(step_cause)];
-    pl.g_mid = trace.at(t + 0.5 * pl.dt, cur);
-    integrate_pre(pl);
-  }
-
-  /// Rail update + per-step metrics + time advance.  `p_avg` is the solar
-  /// Newton solve's average harvested power (ignored when the prologue
-  /// already integrated the step via the merged bypass solve).
-  HEMP_HOT void step_epilogue(const StepPlan& pl, double p_avg) {
-    if (pl.solar_solve) {
-      harvested += pl.dt * p_avg;
-      double e_d = 0.5 * c_vdd * v_d * v_d + (pl.p_out - pl.p_load) * pl.dt;
-      if (e_d < 0.0) e_d = 0.0;
-      v_d = std::sqrt(2.0 * e_d / c_vdd);
-    }
+    integrate(dt, trace.at(t + 0.5 * dt, cur), p_load);
 
     // Metrics over the step.
     if (can_run) {
-      cycles += f_eff * pl.dt;
-      delivered += pl.p_load * pl.dt;
+      cycles += f_eff * dt;
+      delivered += p_load * dt;
     } else if (cmd_run) {
-      halted += pl.dt;
+      halted += dt;
     }
     // MPPT tracking error, dt-weighted (the reference averages uniform
     // waveform samples under the same predicate).
-    if (cmd_path == PowerPath::kRegulated && f_eff > 0.0 && pl.g0 >= 0.05) {
-      const double g_q = std::round(pl.g0 * 100.0) / 100.0;
+    if (cmd_path == PowerPath::kRegulated && f_eff > 0.0 && g0 >= 0.05) {
+      const double k = std::round(g0 * 100.0);
+      const double g_q = k / 100.0;
       if (g_q >= 0.05) {
-        const double vmpp = sh.vmpp_at(s.pv_scale, g_q);
+        const double vmpp = mppt_vmpp(static_cast<std::size_t>(k), g_q);
         if (vmpp > 0.0) {
-          mppt_num += pl.dt * std::fabs(v_s - vmpp) / vmpp;
-          mppt_den += pl.dt;
+          mppt_num += dt * std::fabs(v_s - vmpp) / vmpp;
+          mppt_den += dt;
         }
       }
     }
-    p_processor = pl.p_load;
-    t += pl.dt;
+    p_processor = p_load;
+    t += dt;
   }
 
   /// Day-end flush: comparator-bank edges, step accounting, result build.
@@ -1506,115 +1491,14 @@ struct NodeRunner {
     return out;
   }
 
-  /// Scalar driver: the reference arrangement of the split step, used by
-  /// run_node() / traced runs and as the bit-identity baseline for the lane
-  /// driver below.
   HEMP_HOT NodeResult run() {
     // One-time setup before the stepped loop (builds LUT/ladder buffers).
     // hemp-analyzer: allow(hot-path-purity) — setup edge, not per-step
     on_start();
-    StepPlan pl;
-    while (!done()) {
-      step_prologue(pl);
-      double p_avg = 0.0;
-      if (pl.solar_solve) {
-        p_avg =
-            flat::integrate_solar(iv, c_solar, v_s, pl.dt, pl.g_mid, pl.p_in);
-      }
-      step_epilogue(pl, p_avg);
-    }
+    while (!done()) step();
     return finish();
   }
 };
-
-/// Lane driver: advances up to flat::kSolarLaneWidth node runners
-/// concurrently so their solar-node Newton solves share one vectorizable
-/// flat::integrate_solar_lane call per round.  Nodes advance at independent
-/// times — there is nothing to synchronize; grouping is by concurrent
-/// stepping, not trace identity — and a slot whose day completes is refilled
-/// with the next pending node, so short-lived lanes never idle the loop.
-/// Steps the lane cannot express (the conducting-bypass merged solve)
-/// integrate scalar inside the prologue and simply skip the gather.  Lane
-/// elements converge and freeze independently inside integrate_solar_lane,
-/// so every node executes exactly the scalar step sequence and the results
-/// written to `out` are bit-identical to run_node() per node.
-void run_nodes_laned(const BatchFleetKernel::Shared& sh, int lo, int hi,
-                     NodeResult* out) {
-  constexpr int kW = flat::kSolarLaneWidth;
-  std::array<std::optional<NodeRunner>, kW> slot;
-  std::array<int, kW> node_of{};
-  std::array<NodeRunner::StepPlan, kW> plan{};
-  int next = lo;
-  int active = 0;
-
-  const auto fill = [&](int w) {
-    const std::size_t i = static_cast<std::size_t>(next);
-    slot[static_cast<std::size_t>(w)].emplace(
-        NodeRunner{sh,
-                   sh.samples[i],
-                   sh.pv[i],
-                   sh.proc[i],
-                   sh.shared_sky ? sh.sky : sh.traces[i],
-                   sh.samples[i].solar_capacitance.value(),
-                   sh.scenario.vdd_cap.value(),
-                   sh.scenario.day_length.value(),
-                   sh.scenario.time_step.value(),
-                   sh.crossover_power[i]});
-    node_of[static_cast<std::size_t>(w)] = next++;
-    slot[static_cast<std::size_t>(w)]->on_start();
-    ++active;
-  };
-  for (int w = 0; w < kW && next < hi; ++w) fill(w);
-
-  // Gather buffers for the lane call (element order = ascending slot).
-  std::array<flat::IvSurface::Bound, kW> iv_g{};
-  std::array<double, kW> c_g{}, v_g{}, dt_g{}, gm_g{}, pin_g{}, pavg_g{};
-
-  while (active > 0) {
-    int n_lane = 0;
-    for (int w = 0; w < kW; ++w) {
-      auto& r = slot[static_cast<std::size_t>(w)];
-      if (!r) continue;
-      auto& pl = plan[static_cast<std::size_t>(w)];
-      r->step_prologue(pl);
-      if (pl.solar_solve) {
-        const auto e = static_cast<std::size_t>(n_lane);
-        iv_g[e] = r->iv;
-        c_g[e] = r->c_solar;
-        v_g[e] = r->v_s;
-        dt_g[e] = pl.dt;
-        gm_g[e] = pl.g_mid;
-        pin_g[e] = pl.p_in;
-        ++n_lane;
-      }
-    }
-    if (n_lane > 0) {
-      flat::integrate_solar_lane(iv_g.data(), c_g.data(), v_g.data(),
-                                 dt_g.data(), gm_g.data(), pin_g.data(),
-                                 pavg_g.data(), n_lane);
-    }
-    int e = 0;
-    for (int w = 0; w < kW; ++w) {
-      auto& r = slot[static_cast<std::size_t>(w)];
-      if (!r) continue;
-      const auto& pl = plan[static_cast<std::size_t>(w)];
-      double p_avg = 0.0;
-      if (pl.solar_solve) {
-        const auto ei = static_cast<std::size_t>(e);
-        r->v_s = v_g[ei];
-        p_avg = pavg_g[ei];
-        ++e;
-      }
-      r->step_epilogue(pl, p_avg);
-      if (r->done()) {
-        out[node_of[static_cast<std::size_t>(w)]] = r->finish();
-        r.reset();
-        --active;
-        if (next < hi) fill(w);
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -1663,12 +1547,8 @@ FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
   std::vector<NodeResult> results(static_cast<std::size_t>(n));
   const int block = std::max(1, opts.block_size);
   if (!opts.parallel || n <= block) {
-    if (opts.simd_lanes) {
-      run_nodes_laned(sh, 0, n, results.data());
-    } else {
-      for (int i = 0; i < n; ++i) {
-        results[static_cast<std::size_t>(i)] = run_node(i);
-      }
+    for (int i = 0; i < n; ++i) {
+      results[static_cast<std::size_t>(i)] = run_node(i);
     }
   } else {
     const std::size_t blocks =
@@ -1678,12 +1558,8 @@ FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
     parallel_for(pool, blocks, [&](std::size_t b) {
       const int lo = static_cast<int>(b) * block;
       const int hi = std::min(lo + block, n);
-      if (opts.simd_lanes) {
-        run_nodes_laned(sh, lo, hi, results.data());
-      } else {
-        for (int i = lo; i < hi; ++i) {
-          results[static_cast<std::size_t>(i)] = run_node(i);
-        }
+      for (int i = lo; i < hi; ++i) {
+        results[static_cast<std::size_t>(i)] = run_node(i);
       }
     });
   }

@@ -48,12 +48,10 @@ struct BatchKernelOptions {
   /// from common/solver_stats.hpp).  The check is process-wide, so callers
   /// running concurrent exact solves elsewhere should disable it.
   bool check_no_exact_solves = false;
-  /// Advance up to flat::kSolarLaneWidth nodes concurrently so their
-  /// per-step solar Newton solves share one vectorizable lane call
-  /// (flat::integrate_solar_lane).  Lane elements converge and freeze
-  /// independently, so every node sees exactly the scalar step sequence:
-  /// results are bit-identical with the flag on or off (asserted in
-  /// tests/fleet/batch_kernel_test.cpp) and this is a pure throughput knob.
+  /// Ignored.  The SIMD lane driver it selected measured slower than the
+  /// scalar loop and was deleted (DESIGN.md Sec. 6h); the field stays only
+  /// because the fleet benchmark's harness still names it, and goes with the
+  /// next change to that benchmark.
   bool simd_lanes = true;
 };
 

@@ -168,6 +168,7 @@ void write_summary_json(const FleetReport& report, const std::string& path) {
   write_metric(out, "mppt_error", report.mppt_error);
   write_metric(out, "energy_per_job_j", report.energy_per_job, /*last=*/true);
   out << "  }\n}\n";
+  out.close();  // flush before the check, so a failed final write is seen
   if (!out) throw ModelError("write_summary_json: write failed for " + path);
 }
 
@@ -192,6 +193,7 @@ void write_node_csv(const FleetReport& report, const std::string& path) {
              r.mppt_error, r.harvested.value(), r.delivered.value(),
              r.halted.value(), r.energy_per_job.value()});
   }
+  csv.close();
 }
 
 }  // namespace hemp

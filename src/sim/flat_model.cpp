@@ -1,7 +1,6 @@
 #include "sim/flat_model.hpp"
 
 #include <cmath>
-#include <queue>
 #include <utility>
 
 #include "common/error.hpp"
@@ -221,60 +220,91 @@ FlatTrace flatten_trace(const IrradianceTrace& trace, double t_end) {
 void FlatTrace::coarsen(double eps) {
   if (constant || eps <= 0.0 || ts.size() <= 2) return;
   const std::size_t n = ts.size();
-  // Doubly linked list over the knot indices; interior knots carry the
-  // triangle area their removal would sweep (the L1 distance between the
-  // current polyline and the one with the knot dropped).
-  std::vector<std::size_t> prev(n), next(n);
-  std::vector<double> area(n, std::numeric_limits<double>::infinity());
-  std::vector<bool> alive(n, true);
   const auto tri = [&](std::size_t p, std::size_t i, std::size_t q) {
     return 0.5 * std::fabs((ts[q] - ts[p]) * (gs[i] - gs[p]) -
                            (ts[i] - ts[p]) * (gs[q] - gs[p]));
   };
+  // Doubly linked list over the knot indices (n = none), plus each interior
+  // knot's slot in the heap below.
+  struct Link {
+    std::size_t prev, next, slot;
+  };
+  // Indexed binary min-heap over the live interior knots, keyed on the
+  // triangle area a knot's removal would sweep (the L1 distance between the
+  // current polyline and the one with the knot dropped) and then its index.
+  // Keys sit inline and Link::slot tracks each knot, so a neighbour whose
+  // area changes is re-keyed in place.  Ties break on the lower index, so the
+  // removal sequence — and with it the eps-monotone prefix property — is
+  // fully deterministic.
+  struct Key {
+    double area;
+    std::size_t knot;
+    bool operator<(const Key& o) const {
+      return area < o.area || (area == o.area && knot < o.knot);
+    }
+  };
+  std::vector<Link> link(n);
+  std::vector<Key> heap(n - 2);
   for (std::size_t i = 0; i < n; ++i) {
-    prev[i] = i == 0 ? n : i - 1;
-    next[i] = i + 1 == n ? n : i + 1;
-    if (i > 0 && i + 1 < n) area[i] = tri(i - 1, i, i + 1);
+    link[i] = {i == 0 ? n : i - 1, i + 1, i - 1};
+    if (i > 0 && i + 1 < n) heap[i - 1] = {tri(i - 1, i, i + 1), i};
   }
-  // Min-heap of (area, index) with lazy invalidation: stale entries (the
-  // area changed after a neighbour was removed) are skipped on pop.  Ties
-  // break on the lower index, so the removal sequence — and with it the
-  // eps-monotone prefix property — is fully deterministic.
-  using Entry = std::pair<double, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::size_t i = 1; i + 1 < n; ++i) heap.emplace(area[i], i);
+  const auto place = [&](std::size_t k, const Key& key) {
+    heap[k] = key;
+    link[key.knot].slot = k;
+  };
+  const auto sift_up = [&](std::size_t k) {
+    const Key key = heap[k];
+    while (k > 0 && key < heap[(k - 1) / 2]) {
+      place(k, heap[(k - 1) / 2]);
+      k = (k - 1) / 2;
+    }
+    place(k, key);
+  };
+  const auto sift_down = [&](std::size_t k) {
+    const Key key = heap[k];
+    for (std::size_t c; (c = 2 * k + 1) < heap.size(); k = c) {
+      if (c + 1 < heap.size() && heap[c + 1] < heap[c]) ++c;
+      if (!(heap[c] < key)) break;
+      place(k, heap[c]);
+    }
+    place(k, key);
+  };
+  const auto rekey = [&](std::size_t i, double area) {
+    const std::size_t k = link[i].slot;
+    const Key old = heap[k];
+    heap[k].area = area;
+    if (heap[k] < old) {
+      sift_up(k);
+    } else {
+      sift_down(k);
+    }
+  };
+  for (std::size_t k = heap.size() / 2; k-- > 0;) sift_down(k);
+
   double spent = 0.0;
-  std::size_t removed = 0;
   while (!heap.empty()) {
-    const auto [a, i] = heap.top();
-    heap.pop();
-    if (!alive[i] || a != area[i]) continue;  // stale entry
-    if (spent + a > eps) break;               // budget exhausted
+    const auto [a, i] = heap.front();
+    if (spent + a > eps) break;  // budget exhausted
     spent += a;
-    ++removed;
-    alive[i] = false;
-    const std::size_t p = prev[i];
-    const std::size_t q = next[i];
-    next[p] = q;
-    prev[q] = p;
-    if (prev[p] != n) {
-      area[p] = tri(prev[p], p, q);
-      heap.emplace(area[p], p);
-    }
-    if (next[q] != n) {
-      area[q] = tri(p, q, next[q]);
-      heap.emplace(area[q], q);
-    }
+    heap.front() = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) sift_down(0);
+    const std::size_t p = link[i].prev;
+    const std::size_t q = link[i].next;
+    link[p].next = q;
+    link[q].prev = p;
+    if (link[p].prev != n) rekey(p, tri(link[p].prev, p, q));
+    if (link[q].next != n) rekey(q, tri(p, q, link[q].next));
   }
-  if (removed == 0) return;
+  const std::size_t kept = heap.size() + 2;
+  if (kept == n) return;
   std::vector<double> ts2, gs2;
-  ts2.reserve(n - removed);
-  gs2.reserve(n - removed);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (alive[i]) {
-      ts2.push_back(ts[i]);
-      gs2.push_back(gs[i]);
-    }
+  ts2.reserve(kept);
+  gs2.reserve(kept);
+  for (std::size_t i = 0; i != n; i = link[i].next) {
+    ts2.push_back(ts[i]);
+    gs2.push_back(gs[i]);
   }
   ts = std::move(ts2);
   gs = std::move(gs2);
@@ -528,54 +558,6 @@ double integrate_solar(const IvSurface::Bound& iv, double c_solar, double& v_s,
   if (v1 < 0.0) v1 = 0.0;
   v_s = v1;
   return vm * i;
-}
-
-void integrate_solar_lane(const IvSurface::Bound* iv, const double* c_solar,
-                          double* v_s, const double* dt, const double* g_mid,
-                          const double* p_in, double* p_avg, int n) {
-  // Mirrors integrate_solar op for op: each element runs the same safeguarded
-  // implicit-midpoint Newton, but instead of breaking out on convergence it
-  // freezes (stops updating) while the rest of the lane finishes.  A frozen
-  // element's state never changes again, so the per-element results are
-  // bit-identical to n scalar calls — lane batching is a pure layout change.
-  double v0[kSolarLaneWidth], v1[kSolarLaneWidth], vm[kSolarLaneWidth];
-  double cur[kSolarLaneWidth];
-  bool done[kSolarLaneWidth];
-  IvSurface::Bound::RowCursor rc[kSolarLaneWidth];
-  for (int j = 0; j < n; ++j) {
-    v0[j] = v_s[j];
-    v1[j] = v0[j];
-    vm[j] = v0[j];
-    cur[j] = 0.0;
-    done[j] = false;
-    rc[j] = iv[j].bind_row(g_mid[j]);
-  }
-  for (int iter = 0; iter < 40; ++iter) {
-    bool any = false;
-    for (int j = 0; j < n; ++j) any = any || !done[j];
-    if (!any) break;
-    for (int j = 0; j < n; ++j) {
-      if (done[j]) continue;
-      double m = 0.5 * (v0[j] + v1[j]);
-      if (m < 0.0) m = 0.0;
-      vm[j] = m;
-      double didv = 0.0;
-      const double i = iv[j].cell_i_row(m, rc[j], &didv);
-      cur[j] = i;
-      const double F = 0.5 * c_solar[j] * (v1[j] * v1[j] - v0[j] * v0[j]) -
-                       dt[j] * (m * i - p_in[j]);
-      double dF = c_solar[j] * v1[j] - dt[j] * 0.5 * (i + m * didv);
-      if (dF < 1e-12) dF = 1e-12;
-      const double step = F / dF;
-      v1[j] -= step;
-      if (std::fabs(step) < 1e-10) done[j] = true;
-    }
-  }
-  for (int j = 0; j < n; ++j) {
-    if (v1[j] < 0.0) v1[j] = 0.0;
-    v_s[j] = v1[j];
-    p_avg[j] = vm[j] * cur[j];
-  }
 }
 
 BypassStepResult integrate_bypass_merged(const IvSurface::Bound& iv,

@@ -473,22 +473,6 @@ RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
 double integrate_solar(const IvSurface::Bound& iv, double c_solar, double& v_s,
                        double dt, double g_mid, double p_in);
 
-/// Lane width for the batched solar integrator (nodes sharing a trace step
-/// their independent Newton solves side by side through the IV surface).
-inline constexpr int kSolarLaneWidth = 8;
-
-/// Lane-batched integrate_solar: `n` independent solar nodes (n <=
-/// kSolarLaneWidth), each with its own surface view, capacitance, dt,
-/// midpoint irradiance, and draw, advanced together through a masked
-/// vectorizable Newton loop.  Per element the arithmetic is the *identical*
-/// sequence of operations integrate_solar performs — converged elements
-/// freeze instead of breaking out — so each v_s[j] / p_avg[j] is
-/// bit-identical to a scalar call, and lane batching can never perturb the
-/// fleet summary hash.
-void integrate_solar_lane(const IvSurface::Bound* iv, const double* c_solar,
-                          double* v_s, const double* dt, const double* g_mid,
-                          const double* p_in, double* p_avg, int n);
-
 /// One step of the conducting-bypass merged-node quasi-steady limit.  When
 /// the diode would block (i_r < 0) nothing is mutated and the caller should
 /// integrate the nodes detached.  Returns the average harvested power and

@@ -155,6 +155,7 @@ void Waveform::write_csv(const std::string& path) const {
     for (std::size_t c = 0; c < channels_.size(); ++c) row[c + 1] = data_[c][i];
     out.row(row);
   }
+  out.close();
 }
 
 }  // namespace hemp

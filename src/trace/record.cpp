@@ -25,6 +25,7 @@ std::size_t write_trace_csv(const IrradianceTrace& trace, Seconds duration,
     last_t = t;
     if (t >= duration.value()) break;
   }
+  csv.close();
   return csv.rows_written();
 }
 

@@ -125,29 +125,30 @@ TEST(BatchFleetKernel, ParallelBitIdenticalToSerial) {
   EXPECT_EQ(serial.total_cycles, parallel.total_cycles);
 }
 
-TEST(BatchFleetKernel, SimdLanesBitIdenticalToScalar) {
-  // The lane driver interleaves up to kSolarLaneWidth nodes so their solar
-  // Newton solves share one lane call, but each node must still see exactly
-  // the scalar step sequence.  Exercise a trace with per-node phase jitter so
-  // lanes hold nodes at genuinely different step cadences.
+TEST(BatchFleetKernel, CloudsParallelBitIdenticalAcrossBlockSizes) {
+  // Per-node cloudy skies step each node at its own cadence; however the 19
+  // nodes are cut into blocks (19 of one, six of three plus one of one, or
+  // one of sixteen plus one of three), every node must see exactly its
+  // serial step sequence.
   FleetScenario s = quick_scenario();
-  s.nodes = 19;  // not a multiple of the lane width: exercises ragged refill
+  s.nodes = 19;
   s.trace_kind = TraceKind::kClouds;
   const BatchFleetKernel kernel(s);
-  const FleetReport scalar =
-      kernel.run({.parallel = false, .simd_lanes = false});
-  const FleetReport laned = kernel.run({.parallel = false, .simd_lanes = true});
-  const FleetReport laned_par =
-      kernel.run({.parallel = true, .block_size = 3, .simd_lanes = true});
-  EXPECT_EQ(scalar.summary_hash, laned.summary_hash);
-  EXPECT_EQ(scalar.summary_hash, laned_par.summary_hash);
-  ASSERT_EQ(scalar.node_results.size(), laned.node_results.size());
-  for (std::size_t i = 0; i < scalar.node_results.size(); ++i) {
-    EXPECT_EQ(scalar.node_results[i].cycles, laned.node_results[i].cycles);
-    EXPECT_EQ(scalar.node_results[i].harvested.value(),
-              laned.node_results[i].harvested.value());
-    EXPECT_EQ(scalar.node_results[i].delivered.value(),
-              laned.node_results[i].delivered.value());
+  const FleetReport serial = kernel.run({.parallel = false});
+  for (const int block : {1, 3, 16}) {
+    const FleetReport par = kernel.run({.parallel = true, .block_size = block});
+    EXPECT_EQ(serial.summary_hash, par.summary_hash) << "block " << block;
+    ASSERT_EQ(serial.node_results.size(), par.node_results.size());
+    for (std::size_t i = 0; i < serial.node_results.size(); ++i) {
+      EXPECT_EQ(serial.node_results[i].cycles, par.node_results[i].cycles)
+          << "block " << block << " node " << i;
+      EXPECT_EQ(serial.node_results[i].harvested.value(),
+                par.node_results[i].harvested.value())
+          << "block " << block << " node " << i;
+      EXPECT_EQ(serial.node_results[i].delivered.value(),
+                par.node_results[i].delivered.value())
+          << "block " << block << " node " << i;
+    }
   }
 }
 

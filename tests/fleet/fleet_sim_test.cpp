@@ -142,5 +142,13 @@ TEST(FleetSimulator, AggregateTotalsMatchNodeSums) {
   EXPECT_EQ(report.summary_hash, fleet_hash(report.node_results));
 }
 
+TEST(FleetReportWriters, ThrowOnFullDisk) {
+  // Both files fit in the stream buffer, so only a checked close sees the
+  // ENOSPC that /dev/full returns.
+  const FleetReport report = FleetSimulator(quick_scenario()).run();
+  EXPECT_THROW(write_summary_json(report, "/dev/full"), ModelError);
+  EXPECT_THROW(write_node_csv(report, "/dev/full"), ModelError);
+}
+
 }  // namespace
 }  // namespace hemp

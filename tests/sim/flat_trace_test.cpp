@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -65,6 +70,70 @@ std::vector<flat::FlatTrace> generator_cases() {
     }
   }
   return cases;
+}
+
+/// The lazy-invalidation priority-queue coarsen that the indexed heap in
+/// FlatTrace::coarsen replaced, kept verbatim as the bit-identity oracle.
+void lazy_heap_coarsen(flat::FlatTrace& tr, double eps) {
+  std::vector<double>& ts = tr.ts;
+  std::vector<double>& gs = tr.gs;
+  if (tr.constant || eps <= 0.0 || ts.size() <= 2) return;
+  const std::size_t n = ts.size();
+  std::vector<std::size_t> prev(n), next(n);
+  std::vector<double> area(n, std::numeric_limits<double>::infinity());
+  std::vector<bool> alive(n, true);
+  const auto tri = [&](std::size_t p, std::size_t i, std::size_t q) {
+    return 0.5 * std::fabs((ts[q] - ts[p]) * (gs[i] - gs[p]) -
+                           (ts[i] - ts[p]) * (gs[q] - gs[p]));
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    prev[i] = i == 0 ? n : i - 1;
+    next[i] = i + 1 == n ? n : i + 1;
+    if (i > 0 && i + 1 < n) area[i] = tri(i - 1, i, i + 1);
+  }
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (std::size_t i = 1; i + 1 < n; ++i) heap.emplace(area[i], i);
+  double spent = 0.0;
+  std::size_t removed = 0;
+  while (!heap.empty()) {
+    const auto [a, i] = heap.top();
+    heap.pop();
+    if (!alive[i] || a != area[i]) continue;  // stale entry
+    if (spent + a > eps) break;               // budget exhausted
+    spent += a;
+    ++removed;
+    alive[i] = false;
+    const std::size_t p = prev[i];
+    const std::size_t q = next[i];
+    next[p] = q;
+    prev[q] = p;
+    if (prev[p] != n) {
+      area[p] = tri(prev[p], p, q);
+      heap.emplace(area[p], p);
+    }
+    if (next[q] != n) {
+      area[q] = tri(p, q, next[q]);
+      heap.emplace(area[q], q);
+    }
+  }
+  if (removed == 0) return;
+  std::vector<double> ts2, gs2;
+  ts2.reserve(n - removed);
+  gs2.reserve(n - removed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (alive[i]) {
+      ts2.push_back(ts[i]);
+      gs2.push_back(gs[i]);
+    }
+  }
+  ts = std::move(ts2);
+  gs = std::move(gs2);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(FlattenTrace, MergesNearDuplicateKnots) {
@@ -155,6 +224,55 @@ TEST(CoarsenTrace, LargerBudgetsRemovePrefixOfSameSequence) {
     ASSERT_LT(j, small.ts.size());
     EXPECT_EQ(small.ts[j], t);
   }
+}
+
+TEST(CoarsenTrace, IndexedHeapBitIdenticalToLazyHeap) {
+  // The indexed heap must remove exactly the knots the lazy heap removed, in
+  // the same order, ties included: indoor traces' flat segments give runs of
+  // exact zero-area knots, so the index tie-break decides which survive.
+  std::size_t coarsened = 0;
+  for (const double day : {0.25, 1.0}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      std::vector<flat::FlatTrace> traces;
+      {
+        Rng rng(seed);
+        DiurnalArcParams p;
+        p.day_length = Seconds(day);
+        traces.push_back(flat::flatten_trace(diurnal_arc(rng, p), day));
+      }
+      {
+        Rng rng(seed);
+        CloudFieldParams p;
+        p.day.day_length = Seconds(day);
+        traces.push_back(flat::flatten_trace(cloud_field(rng, p), day));
+      }
+      {
+        Rng rng(seed);
+        IndoorDutyParams p;
+        p.duration = Seconds(day);
+        traces.push_back(flat::flatten_trace(indoor_duty(rng, p), day));
+      }
+      for (const flat::FlatTrace& original : traces) {
+        for (const double eps : {0.0, 1e-6, 1e-4, 1e-3, 1e-2, 1.0}) {
+          flat::FlatTrace expect = original;
+          lazy_heap_coarsen(expect, eps);
+          flat::FlatTrace got = original;
+          got.coarsen(eps);
+          EXPECT_TRUE(same_bits(got.ts, expect.ts))
+              << "day=" << day << " seed=" << seed << " eps=" << eps;
+          EXPECT_TRUE(same_bits(got.gs, expect.gs))
+              << "day=" << day << " seed=" << seed << " eps=" << eps;
+          if (got.ts.size() < original.ts.size()) {
+            ++coarsened;
+            // Survivors live in right-sized storage, not the original's.
+            EXPECT_LE(got.ts.capacity(), got.ts.size());
+            EXPECT_LE(got.gs.capacity(), got.gs.size());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(coarsened, 0u);
 }
 
 }  // namespace

@@ -69,6 +69,10 @@ TEST(Waveform, RejectsWidthMismatchAndTimeTravel) {
   EXPECT_THROW(w.sample(0.5_ms, {1.0}), RangeError);
 }
 
+TEST(Waveform, CsvDumpThrowsOnFullDisk) {
+  EXPECT_THROW(make_ramp_record().write_csv("/dev/full"), ModelError);
+}
+
 TEST(Waveform, CsvDumpRoundTrip) {
   const Waveform w = make_ramp_record();
   const std::string path = std::string(::testing::TempDir()) + "/wave.csv";

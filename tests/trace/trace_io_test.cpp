@@ -127,6 +127,12 @@ TEST(RecordCsv, ClampsFinalSampleOntoDuration) {
   std::remove(path.c_str());
 }
 
+TEST(RecordCsv, ThrowsOnFullDisk) {
+  const IrradianceTrace trace = IrradianceTrace::constant(0.5);
+  EXPECT_THROW(write_trace_csv(trace, Seconds(1.0), Seconds(0.1), "/dev/full"),
+               ModelError);
+}
+
 TEST(RecordCsv, ValidatesArguments) {
   const IrradianceTrace trace = IrradianceTrace::constant(0.5);
   EXPECT_THROW(
