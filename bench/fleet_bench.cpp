@@ -315,6 +315,8 @@ int main(int argc, char** argv) {
                static_cast<double>(day1000_steps.trace_knot()) / node_days);
     suite.note("steps_deadline",
                static_cast<double>(day1000_steps.deadline()) / node_days);
+    suite.note("steps_dt_cap",
+               static_cast<double>(day1000_steps.dt_cap()) / node_days);
     suite.note("steps_watch_bound",
                static_cast<double>(day1000_steps.watch_bound()) / node_days);
     suite.note("steps_settle",

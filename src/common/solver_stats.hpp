@@ -75,13 +75,14 @@ inline void count_exact_regulated_solve() {
 /// Which constraint decided a step's length.
 enum class StepCause : int {
   kDeadline = 0,   ///< timed controller event (control/reassess cadence, job
-                   ///< submit, sprint phase, day end, dt_max ceiling)
+                   ///< submit, sprint phase, waveform sample) or day end
   kTraceKnot = 1,  ///< irradiance-trace knot boundary
   kWatchBound = 2,  ///< analytic watch-level bound or bypass rail-swing cap
   kSettle = 3,      ///< regulated-rail settle episode endpoint
+  kDtCap = 4,       ///< step ceiling (flat::kRunDtCap running, kDtMax gated)
 };
 
-inline constexpr int kStepCauseCount = 4;
+inline constexpr int kStepCauseCount = 5;
 
 inline std::atomic<std::uint64_t>& step_counter(StepCause cause) {
   static std::atomic<std::uint64_t> counts[kStepCauseCount]{};
@@ -109,6 +110,9 @@ struct StepSnapshot {
   }
   [[nodiscard]] std::uint64_t settle() const {
     return by_cause[static_cast<int>(StepCause::kSettle)];
+  }
+  [[nodiscard]] std::uint64_t dt_cap() const {
+    return by_cause[static_cast<int>(StepCause::kDtCap)];
   }
 };
 

@@ -254,8 +254,8 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
   cmd.frequency = op.frequency;
 
   const bool no_headroom = !model_->regulator().supports(state.v_solar, op.vdd);
-  const bool sagging = state.v_dd.value() < op.vdd.value() - 0.05 &&
-                       elapsed.value() > 1e-4;
+  const bool sagging = state.v_dd.value() < op.vdd.value() - kSprintSagMargin &&
+                       elapsed.value() > kSprintSagArmTime;
   if (no_headroom || sagging) {
     s.bypassed = true;
     cmd.path = PowerPath::kBypass;
@@ -292,11 +292,11 @@ void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
       hint.deadline((s.started + s.plan.deadline * 1.5).value());
       if (!s.bypassed) {
         hint.deadline((s.started + s.plan.phase_time).value());
-        hint.deadline(s.started.value() + 1e-4);  // sag check arms after 100 us
+        hint.deadline(s.started.value() + kSprintSagArmTime);  // sag check arms then
         const Seconds elapsed = state.time - s.started;
         const OperatingPoint& op =
             elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
-        hint.watch_rail(op.vdd.value() - 0.05);  // rail-sag bypass trigger
+        hint.watch_rail(op.vdd.value() - kSprintSagMargin);  // rail-sag bypass trigger
       }
       if (state.frequency.value() > 0.0) {
         const double remaining =

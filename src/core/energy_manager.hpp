@@ -36,6 +36,12 @@ enum class QueueDiscipline {
   kEdf,   ///< earliest absolute deadline first, stale jobs dropped as missed
 };
 
+/// Sprint rail-sag rule: a regulated sprint falls back to the bypass once
+/// the rail sags this far (V) under its operating point, a check that arms
+/// only after the sprint has run this long (s).
+inline constexpr double kSprintSagMargin = 0.05;
+inline constexpr double kSprintSagArmTime = 1e-4;
+
 struct EnergyManagerParams {
   ManagerMode mode = ManagerMode::kMaxPerformance;
   MppTrackerParams tracker{};

@@ -18,6 +18,8 @@
 #include "common/numeric.hpp"
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
+#include "core/energy_manager.hpp"
+#include "core/mpp_tracker.hpp"
 #include "core/regulator_selector.hpp"
 #include "core/sprint_scheduler.hpp"
 #include "core/system_model.hpp"
@@ -28,6 +30,7 @@
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/flat_model.hpp"
+#include "sim/flat_step.hpp"
 #include "sim/soc_system.hpp"
 #include "trace/generators.hpp"
 
@@ -36,67 +39,27 @@ namespace hemp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Flattened model constants.  Every value mirrors the corresponding component
-// default (SpeedModelParams, PowerModelParams, SocConfig, EnergyManagerParams,
-// MppTrackerParams); the batch kernel is an integrator over the shared
-// hemp::flat closed forms, so the constants must stay in sync with those
-// structs.  The fleet never overrides them (fleet_sim.cpp builds every node
-// from the defaults plus the sampled scale factors).  PV, switched-cap, and
-// trace flattening live in sim/flat_model.{hpp,cpp} now, shared with the
-// single-node fast path.
+// Model constants come from the component parameter defaults: the fleet
+// builds every node from SocConfig{}, EnergyManagerParams{},
+// MppTrackerParams{}, SwitchedCapParams{} and PvCellParams{} plus the sampled
+// scale factors, and each node's processor from make_test_chip_at.  The step
+// physics is the shared flat::StepCore (sim/flat_step.hpp).
 // ---------------------------------------------------------------------------
 
 using flat::FlatTrace;
 using flat::flatten_constant;
 using flat::flatten_trace;
 using PvFlat = flat::FlatPv;
-using ProcFlat = flat::FlatProc;
 using WatchAccum = flat::WatchAccum;
 
-// Processor speed/power model (typical corner; corners shift copies).
-constexpr double kAlpha = 1.05;
-constexpr double kVref = 1.0;
-constexpr double kFref = 1.2e9;
-constexpr double kVthBase = 0.30;
-constexpr double kNearThMargin = 0.06;
-constexpr double kSubSlope = 0.05;
-constexpr double kVminProc = 0.20;
-constexpr double kVmaxProc = 1.2;
-constexpr double kCeff = 45e-12;
-constexpr double kLeakBase = 0.38e-3;
-constexpr double kDibl = 0.4;
+const SocConfig kSoc{};
+const EnergyManagerParams kMgr{};
+const MppTrackerParams kTrk{};
 
-// SoC node and power-path physics.
-constexpr double kVSolarStart = 1.2;
-constexpr double kVddStart = 0.5;
-constexpr double kTau = 50e-6;      // regulation_time_constant
-constexpr double kBypassR = 1.0;    // BypassParams::on_resistance
-
-// Energy manager / MPP tracker policy constants.
-constexpr double kRecoverV = 1.05;
-constexpr double kBypassEnterRatio = 0.9;
-constexpr double kBypassExitRatio = 1.2;
-constexpr double kReassessPeriod = 2e-3;
-constexpr double kSprintFactor = 0.2;
-constexpr double kControlPeriod = 500e-6;
-constexpr double kDeadband = 0.02;
-constexpr double kSlewTol = 0.002;
-constexpr double kVHigh = 1.0;
-constexpr double kVLow = 0.9;
-constexpr double kTrackerCap = 47e-6;  // the tracker's *assumed* C (Eq. 7)
+// The DVFS ladder length sizes per-node arrays, so it stays a compile-time
+// constant, checked against the tracker's default.
 constexpr int kLadderSteps = 48;
-constexpr double kVddCeiling = 0.8;
-constexpr double kSagMargin = 0.05;
-constexpr double kSagEnableTime = 1e-4;
-
-// Event-driven stepping knobs (shared defaults; see flat_model.hpp).
-constexpr double kDtMax = flat::kDtMax;
-constexpr double kRailBand = flat::kRailBand;
-constexpr double kRailSettleCap = flat::kRailSettleFactor * kTau;
-constexpr double kBypassDvCap = flat::kBypassDvCap;
-constexpr double kCompHalfHyst = flat::kCompHalfHyst;
-constexpr double kVminHysteresis = flat::kVminHysteresis;
-constexpr double kWatchVFloor = flat::kWatchVFloor;
+static_assert(kLadderSteps == MppTrackerParams{}.dvfs_steps);
 
 // Surface resolution (shared across the fleet; exact solves, ctor only).
 constexpr int kSurfaceSKnots = 13;
@@ -133,11 +96,12 @@ constexpr double kLutGMax = 1.2;
 // Every fleet node shares the default switched-cap regulator.
 const flat::FlatSc kScFlat = flat::make_flat_sc(SwitchedCapParams{});
 
-/// Per-node PV constants (only Isc scales with pv_scale; same Voc/Rs/Rsh).
-PvFlat make_pv_flat(double pv_scale) {
+/// The default cell with its short-circuit current scaled by `pv_scale`
+/// (the only PV parameter a fleet node varies).
+PvCellParams scaled_pv_params(double pv_scale) {
   PvCellParams p;
   p.isc_full_sun = p.isc_full_sun * pv_scale;
-  return flat::make_flat_pv(p);
+  return p;
 }
 
 /// Regulator envelope: mirrors Regulator::supports via output_range.
@@ -147,46 +111,6 @@ bool sc_supports(double vin, double vout) {
 
 double sc_efficiency(double vin, double vout, double pout) {
   return flat::sc_efficiency(kScFlat, vin, vout, pout);
-}
-
-/// Per-node processor constants resolved from the sampled corner/temperature
-/// exactly as make_test_chip_at + SpeedModel's constructor do.
-ProcFlat make_proc_flat(ProcessCorner corner, double temperature_c) {
-  double vth_shift = 0.0;
-  double drive_scale = 1.0;
-  double leak_scale = 1.0;
-  switch (corner) {
-    case ProcessCorner::kSlowSlow:
-      vth_shift = +0.04;
-      drive_scale = 0.85;
-      leak_scale = 0.4;
-      break;
-    case ProcessCorner::kTypical:
-      break;
-    case ProcessCorner::kFastFast:
-      vth_shift = -0.04;
-      drive_scale = 1.15;
-      leak_scale = 2.5;
-      break;
-  }
-  const double dt = temperature_c - 25.0;
-  vth_shift -= 1e-3 * dt;
-  leak_scale *= std::exp2(dt / 30.0);
-
-  ProcFlat p;
-  p.vth = kVthBase + vth_shift;
-  p.alpha = kAlpha;
-  const double fref = kFref * drive_scale;
-  p.gain = fref * kVref / std::pow(kVref - p.vth, kAlpha);
-  p.onset = p.vth + kNearThMargin;
-  p.f_onset = p.gain * std::pow(p.onset - p.vth, kAlpha) / p.onset;
-  p.sub_slope = kSubSlope;
-  p.vmin = kVminProc;
-  p.vmax = kVmaxProc;
-  p.ceff = kCeff;
-  p.leak_base = kLeakBase * leak_scale;
-  p.dibl = kDibl;
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -206,12 +130,6 @@ std::vector<double> linspace(double lo, double hi, int n) {
 std::pair<double, double> widen_if_degenerate(double lo, double hi) {
   if (hi - lo < 1e-12) hi = lo + 1e-6;
   return {lo, hi};
-}
-
-PvCell make_scaled_cell(double pv_scale) {
-  PvCellParams p;
-  p.isc_full_sun = p.isc_full_sun * pv_scale;
-  return PvCell(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,13 +230,13 @@ struct BatchFleetKernel::Shared {
   /// manager constants; a forced scenario policy with a batch spec overrides
   /// them fleet-wide (per-node policies always agree: the scenario either
   /// forces one policy or runs the legacy mix, which shares this window).
-  double bypass_enter = kBypassEnterRatio;
-  double bypass_exit = kBypassExitRatio;
+  double bypass_enter = kMgr.bypass_enter_ratio;
+  double bypass_exit = kMgr.bypass_exit_ratio;
 
   // SoA node-parameter plane (index-parallel arrays).
   std::vector<NodeSample> samples;
   std::vector<PvFlat> pv;
-  std::vector<ProcFlat> proc;
+  std::vector<flat::FlatProc> proc;
   std::vector<double> crossover_power;  ///< 0 = no low-light crossover
   std::vector<FlatTrace> traces;        ///< empty when shared_sky
   /// Kept for exact sprint planning; optional only so that every slot can
@@ -407,7 +325,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     const std::size_t k = cell % cross_cells;
     const std::size_t i = k / cross_s_knots.size();
     const std::size_t j = k % cross_s_knots.size();
-    const PvCell pv_cell = make_scaled_cell(cross_s_knots[j]);
+    const PvCell pv_cell(scaled_pv_params(cross_s_knots[j]));
     const SwitchedCapRegulator reg;
     const Processor proc = make_test_chip_at({kCorners[c], temp_knots[i]});
     const SystemModel model(pv_cell, reg, proc);
@@ -498,9 +416,9 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
     }
 
-    sh.pv[i] = make_pv_flat(s.pv_scale);
-    sh.proc[i] = make_proc_flat(s.conditions.corner, s.conditions.temperature_c);
+    sh.pv[i] = flat::make_flat_pv(scaled_pv_params(s.pv_scale));
     sh.processors[i].emplace(make_test_chip_at(s.conditions));
+    sh.proc[i] = flat::make_flat_proc(*sh.processors[i]);
   };
 
   // --- The work units, longest first so the pool's tail is the short
@@ -569,8 +487,8 @@ const FleetScenario& BatchFleetKernel::scenario() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-node runner: the full controller + physics state, integrated to
-// completion one node at a time (everything lives in registers / L1).
+// Per-node runner: the flattened controller on top of the shared step core,
+// integrated to completion one node at a time (everything lives in L1).
 // ---------------------------------------------------------------------------
 
 enum class MgrState { kTracking, kSprinting, kRecovering };
@@ -592,35 +510,17 @@ struct SprintPlanFlat {
   double fast_v = 0.0, fast_f = 0.0;
 };
 
-struct NodeRunner {
+struct NodeRunner : flat::StepCore {
   const BatchFleetKernel::Shared& sh;
   const NodeSample& s;
   const PvFlat& pv;
-  const ProcFlat& pc;
-  const FlatTrace& trace;
-  double c_solar;   ///< node storage capacitance
-  double c_vdd;     ///< rail capacitance
-  double day;       ///< day length
-  double dt_min;    ///< scenario time_step: the reference tick = event slack
   double crossover_power;
-  std::vector<BatchComparatorEvent>* events = nullptr;  // traced mode
-
-  // --- physics state
-  double t = 0.0;
-  double v_s = kVSolarStart;
-  double v_d = kVddStart;
-  std::size_t cur = 0;       ///< trace cursor
-
-  // --- command latch (SocCommand)
-  PowerPath cmd_path = PowerPath::kRegulated;
-  double cmd_vdd = kVddStart;
-  double cmd_freq = 100e6;
-  bool cmd_run = true;
+  std::vector<BatchComparatorEvent>* events;  ///< traced mode when set
 
   // --- energy manager
   MgrState mgr = MgrState::kTracking;
   bool bypass = false;
-  double prev_v_mgr = kVSolarStart;
+  double prev_v_mgr = 0.0;
   double next_reassess = 0.0;
   bool has_pest = false;
   double p_est = 0.0;
@@ -647,44 +547,14 @@ struct NodeRunner {
   double next_submit = 0.0;
   int jobs_submitted = 0, jobs_completed = 0, jobs_missed = 0;
 
-  // --- run/fault bookkeeping
   double p_processor = 0.0;  ///< previous step's load (controller observable)
-  double f_eff = 0.0;
-  bool can_run = false;
-  bool step_sc_ok = false;  ///< sc_supports(v_s, cmd_vdd), frozen per step
-  bool was_running = false;
-  // Exact-key memos for the stepped loop's libm calls.  At steady state the
-  // rail voltage, effective frequency, and episode tick count repeat with
-  // bit-identical inputs step after step, so the std::pow / std::exp calls
-  // in proc_fmax, proc_power, and the rail episode are mostly cache hits; a
-  // key mismatch recomputes, so results never change.
-  flat::PowMemo pow_memo{};
-  double fmax_key = std::numeric_limits<double>::quiet_NaN();
-  double fmax_val = 0.0;
-  double pload_key_v = std::numeric_limits<double>::quiet_NaN();
-  double pload_key_f = 0.0;
-  double pload_val = 0.0;
   /// mppt_vmpp's memo, indexed by k = round(g0 * 100); NaN = not yet read.
   std::array<double, 160> vmpp_memo = [] {
     std::array<double, 160> m;
     m.fill(std::numeric_limits<double>::quiet_NaN());
     return m;
   }();
-  bool fault_latch = false;
-  bool vmin_latch = false;
-
-  // --- totals
-  double cycles = 0.0;
-  double harvested = 0.0;
-  double delivered = 0.0;
-  double halted = 0.0;
-  int brownouts = 0;
-  int timing_faults = 0;
   double mppt_num = 0.0, mppt_den = 0.0;
-
-  // --- step accounting (flushed to solver_stats once per node run)
-  solver_stats::StepCause step_cause = solver_stats::StepCause::kDeadline;
-  std::array<std::uint64_t, solver_stats::kStepCauseCount> step_counts{};
 
   // --- caches
   std::array<MepSlot, 32> mep_cache{};
@@ -695,21 +565,34 @@ struct NodeRunner {
   std::array<bool, 8> bank_out{};
   std::size_t bank_size = 0;
 
-  // --- terminal-current surface view for this node (set in on_start)
-  flat::IvSurface::Bound iv{};
+  NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i,
+             std::vector<BatchComparatorEvent>* traced)
+      : sh(shared),
+        s(shared.samples[i]),
+        pv(shared.pv[i]),
+        crossover_power(shared.crossover_power[i]),
+        events(traced) {
+    trace = shared.shared_sky ? &shared.sky : &shared.traces[i];
+    sc = kScFlat;
+    pc = shared.proc[i];
+    iv = shared.surfaces->iv.bind(s.pv_scale);
+    t_end = shared.scenario.day_length.value();
+    dt_min = shared.scenario.time_step.value();
+    tau = kSoc.regulation_time_constant.value();
+    c_solar = s.solar_capacitance.value();
+    c_vdd = shared.scenario.vdd_cap.value();
+    r_on = kSoc.bypass.on_resistance.value();
+    v_s = kSoc.solar_start_voltage.value();
+    v_d = kSoc.vdd_start_voltage.value();
+  }
 
   // ---------------------------------------------------------------------
   // Setup
   // ---------------------------------------------------------------------
 
-  /// Stepped-loop cell evaluation via the node's bound surface view.
-  HEMP_HOT double cell_i(double v, double g, double* didv = nullptr) const {
-    return iv.cell_i(v, g, didv);
-  }
-
   void build_ladder() {
-    const double lo = kVminProc;
-    const double hi = std::min(kVddCeiling, kVmaxProc);
+    const double lo = pc.vmin;
+    const double hi = std::min(kTrk.vdd_ceiling.value(), pc.vmax);
     for (int i = 0; i < kLadderSteps; ++i) {
       const double v = lo + (hi - lo) * i / (kLadderSteps - 1);
       ladder_v[static_cast<std::size_t>(i)] = v;
@@ -720,7 +603,7 @@ struct NodeRunner {
   /// MppLut surrogate: sample the cell at the mid-threshold voltage with the
   /// fast Newton solve, map power -> (Vmpp, Pmpp) via the shared surfaces.
   void build_lut() {
-    const double v_meas = 0.5 * (kVHigh + kVLow);
+    const double v_meas = 0.5 * (kTrk.v_high.value() + kTrk.v_low.value());
     std::vector<double> p, vmpp, pmpp;
     double last_p = -1.0;
     double warm = 0.0;
@@ -738,13 +621,12 @@ struct NodeRunner {
   }
 
   void reset_timer(double v) {
-    th_high_out = v > kVHigh;
-    th_low_out = v > kVLow;
+    th_high_out = v > kTrk.v_high.value();
+    th_low_out = v > kTrk.v_low.value();
     th_armed = false;
   }
 
   void on_start() {
-    iv = sh.surfaces->iv.bind(s.pv_scale);
     build_ladder();
     build_lut();
     next_submit = s.job_phase.value();
@@ -759,9 +641,9 @@ struct NodeRunner {
     prev_v_mgr = v_s;
     enter_tracking();
     if (events != nullptr) {
-      bank_size = std::min<std::size_t>(8, 3);
+      // SocConfig's default bank, reset at the start voltage.
+      bank_size = std::min(bank_out.size(), kSoc.comparator_thresholds.size());
       bank_out = {};
-      // SocConfig default bank {1.1, 1.0, 0.9}; reset at the start voltage.
       for (std::size_t i = 0; i < bank_size; ++i) {
         bank_out[i] = v_s > bank_threshold(i);
       }
@@ -769,18 +651,17 @@ struct NodeRunner {
   }
 
   [[nodiscard]] static double bank_threshold(std::size_t i) {
-    constexpr double kBank[3] = {1.1, 1.0, 0.9};
-    return kBank[i];
+    return kSoc.comparator_thresholds[i].value();
   }
 
   void update_bank() {
     for (std::size_t i = 0; i < bank_size; ++i) {
       const double th = bank_threshold(i);
-      if (!bank_out[i] && v_s > th + kCompHalfHyst) {
+      if (!bank_out[i] && v_s > th + flat::kCompHalfHyst) {
         bank_out[i] = true;
         // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
         events->push_back({static_cast<int>(i), true, Seconds(t)});
-      } else if (bank_out[i] && v_s < th - kCompHalfHyst) {
+      } else if (bank_out[i] && v_s < th - flat::kCompHalfHyst) {
         bank_out[i] = false;
         // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
         events->push_back({static_cast<int>(i), false, Seconds(t)});
@@ -823,7 +704,7 @@ struct NodeRunner {
       // Memoized: at most 32 buckets per node-day reach this solve.
       // hemp-analyzer: allow(hot-path-purity) — cold memoized MEP branch
       const auto r = numeric::grid_refine_minimize(
-          objective, kVminProc, kVmaxProc, {.x_tol = 1e-6, .grid_points = 160});
+          objective, pc.vmin, pc.vmax, {.x_tol = 1e-6, .grid_points = 160});
       if (std::isfinite(r.value)) {
         slot.feasible = true;
         slot.vdd = r.x;
@@ -845,7 +726,7 @@ struct NodeRunner {
 
   void refresh_light_estimate() {
     if (t < next_reassess) return;
-    next_reassess = t + kReassessPeriod;
+    next_reassess = t + kMgr.reassess_period.value();
     const double dv = std::fabs(v_s - prev_v_mgr);
     prev_v_mgr = v_s;
     if (dv > 0.01) return;
@@ -884,16 +765,18 @@ struct NodeRunner {
   /// ThresholdTimer::update flattened; returns the measured fall interval.
   std::optional<double> timer_update() {
     bool high_fall = false, high_rise = false, low_fall = false;
-    if (!th_high_out && v_s > kVHigh + kCompHalfHyst) {
+    const double v_high = kTrk.v_high.value();
+    const double v_low = kTrk.v_low.value();
+    if (!th_high_out && v_s > v_high + flat::kCompHalfHyst) {
       th_high_out = true;
       high_rise = true;
-    } else if (th_high_out && v_s < kVHigh - kCompHalfHyst) {
+    } else if (th_high_out && v_s < v_high - flat::kCompHalfHyst) {
       th_high_out = false;
       high_fall = true;
     }
-    if (!th_low_out && v_s > kVLow + kCompHalfHyst) {
+    if (!th_low_out && v_s > v_low + flat::kCompHalfHyst) {
       th_low_out = true;
-    } else if (th_low_out && v_s < kVLow - kCompHalfHyst) {
+    } else if (th_low_out && v_s < v_low - flat::kCompHalfHyst) {
       th_low_out = false;
       low_fall = true;
     }
@@ -920,23 +803,27 @@ struct NodeRunner {
         if (eta > 0.0) p_draw /= eta;
       }
       // Eq. 7: subtract the cap's discharge contribution over the interval.
-      const double discharge =
-          0.5 * kTrackerCap * (kVHigh * kVHigh - kVLow * kVLow) / *fall;
+      const double v_high = kTrk.v_high.value();
+      const double v_low = kTrk.v_low.value();
+      const double discharge = 0.5 * kTrk.solar_capacitance.value() *
+                               (v_high * v_high - v_low * v_low) / *fall;
       const double p_in = std::max(p_draw - discharge, 0.0);
       v_target = (*lut_p2v)(p_in);
       seed_for_budget((*lut_p2p)(p_in));
-      next_control = t + kControlPeriod;
+      next_control = t + kTrk.control_period.value();
       return;
     }
     if (th_armed) return;
     if (t < next_control) return;
-    next_control = t + kControlPeriod;
+    next_control = t + kTrk.control_period.value();
     const double err = v_s - v_target;
     const double dv = v_s - prev_v_trk;
     prev_v_trk = v_s;
-    if (err > kDeadband && dv > -kSlewTol) {
+    const double deadband = kTrk.deadband.value();
+    const double slew_tol = kTrk.slew_tolerance.value();
+    if (err > deadband && dv > -slew_tol) {
       ladder_step(+1);
-    } else if (err < -kDeadband && dv < kSlewTol) {
+    } else if (err < -deadband && dv < slew_tol) {
       ladder_step(-1);
     }
   }
@@ -953,7 +840,7 @@ struct NodeRunner {
       const SprintPlan p =
           // hemp-analyzer: allow(hot-path-purity) — once-per-node plan
           scheduler.plan(sh.scenario.job_cycles, sh.scenario.job_deadline,
-                         kSprintFactor);
+                         kMgr.sprint_factor);
       plan.feasible = p.feasible;
       if (p.feasible) {
         plan.cycles = p.cycles;
@@ -988,7 +875,7 @@ struct NodeRunner {
     refresh_light_estimate();
     if (bypass) {
       cmd_path = PowerPath::kBypass;
-      if (v_d >= kVminProc && v_d <= kVmaxProc) {
+      if (v_d >= pc.vmin && v_d <= pc.vmax) {
         cmd_freq = proc_fmax(pc, v_d);
         cmd_run = true;
       } else {
@@ -1033,10 +920,10 @@ struct NodeRunner {
       return;
     }
     if (sprint_bypassed) {
-      if (v_d >= kVminProc) {
+      if (v_d >= pc.vmin) {
         // The reference would fault above Vmax; the shared node can overshoot
         // it under strong sun, so the kernel clamps (documented divergence).
-        cmd_freq = proc_fmax(pc, std::min(v_d, kVmaxProc));
+        cmd_freq = proc_fmax(pc, std::min(v_d, pc.vmax));
       }
       return;
     }
@@ -1045,7 +932,8 @@ struct NodeRunner {
     cmd_vdd = op_v;
     cmd_freq = slow_phase ? plan.slow_f : plan.fast_f;
     const bool no_headroom = !sc_supports(v_s, op_v);
-    const bool sagging = v_d < op_v - kSagMargin && elapsed > kSagEnableTime;
+    const bool sagging =
+        v_d < op_v - kSprintSagMargin && elapsed > kSprintSagArmTime;
     if (no_headroom || sagging) {
       sprint_bypassed = true;
       cmd_path = PowerPath::kBypass;
@@ -1055,7 +943,7 @@ struct NodeRunner {
   void tick_recovering() {
     cmd_run = false;
     cmd_path = PowerPath::kRegulated;
-    if (v_s >= kRecoverV || queue > 0) enter_tracking();
+    if (v_s >= kMgr.recover_voltage.value() || queue > 0) enter_tracking();
   }
 
   HEMP_HOT void controller_eval() {
@@ -1075,301 +963,60 @@ struct NodeRunner {
   }
 
   // ---------------------------------------------------------------------
-  // Event-driven stepping
+  // Event-driven stepping: the shared flat::StepCore, bounded by this
+  // controller's timed events and watch levels.
   // ---------------------------------------------------------------------
 
-  void solar_watches(WatchAccum& w) const {
-    if (timer_watched) {
-      w.level(v_s, th_high_out ? kVHigh - kCompHalfHyst : kVHigh + kCompHalfHyst);
-      w.level(v_s, th_low_out ? kVLow - kCompHalfHyst : kVLow + kCompHalfHyst);
-    }
-    if (events != nullptr) {
-      for (std::size_t i = 0; i < bank_size; ++i) {
-        const double th = bank_threshold(i);
-        w.level(v_s, bank_out[i] ? th - kCompHalfHyst : th + kCompHalfHyst);
-      }
-    }
-    if (mgr == MgrState::kRecovering) w.level(v_s, kRecoverV);
-    if (cmd_path == PowerPath::kRegulated) {
-      // Ratio boundaries: eta and the supports envelope change across them.
-      // The boundary set moves only when the commanded rail does, so the
-      // divides are cached across steps (ratio_bounds_for).
-      const std::array<double, flat::kScMaxRatios>& rb =
-          ratio_bounds_for(cmd_vdd);
-      for (std::size_t k = 0; k < kScFlat.n_ratios; ++k) {
-        w.level(v_s, rb[k]);
-      }
-    }
-  }
-
-  // Cached (cmd_vdd + margin) / ratio boundary levels for solar_watches.
-  mutable double ratio_bounds_vdd = std::numeric_limits<double>::quiet_NaN();
-  mutable std::array<double, flat::kScMaxRatios> ratio_bounds{};
-
-  const std::array<double, flat::kScMaxRatios>& ratio_bounds_for(
-      double vdd) const {
-    if (vdd != ratio_bounds_vdd) {
-      for (std::size_t k = 0; k < kScFlat.n_ratios; ++k) {
-        ratio_bounds[k] = (vdd + kScFlat.margin) / kScFlat.ratios[k];
-      }
-      ratio_bounds_vdd = vdd;
-    }
-    return ratio_bounds;
-  }
-
-  void rail_watches(WatchAccum& w) const {
-    if (cmd_run) {
-      const double vmin_trip =
-          vmin_latch && cmd_path == PowerPath::kBypass
-              ? kVminProc + kVminHysteresis
-              : kVminProc;
-      w.level(v_d, vmin_trip);
-    }
-    if (cmd_path == PowerPath::kBypass) w.level(v_d, kVmaxProc);
-    if (mgr == MgrState::kSprinting && !sprint_bypassed &&
-        t - sprint_started > kSagEnableTime) {
-      w.level(v_d, cmd_vdd - kSagMargin);
-    }
-  }
-
-  /// Choose the step length: jump to the next timed controller event, capped
-  /// by the analytic no-late-detection bounds dt <= C * dist / i_max for both
-  /// nodes (within a step every voltage is monotone — autonomous scalar
-  /// dynamics under constant step inputs — so endpoint sampling can never
-  /// miss a crossing; the bound keeps detection latency inside one
-  /// comparator hysteresis band).
-  HEMP_HOT double choose_dt(double g0, double p_load) {
+  /// Step length: the core's ceiling and trace knots, the controller's
+  /// timed events, then the core's settle, swing and watch bounds over the
+  /// controller's levels (timer window, traced bank, recovery, rail sag).
+  HEMP_HOT double choose_dt(double g0) {
     using solver_stats::StepCause;
-    step_cause = StepCause::kDeadline;
-    // One regulator-envelope check per step: v_s and cmd_vdd are frozen
-    // until the epilogue, so the settle block, the watch bounds, and the
-    // integration pre-pass can all share it.
-    step_sc_ok = sc_supports(v_s, cmd_vdd);
-    double dt = std::min(day - t, can_run ? flat::kRunDtCap : kDtMax);
-    {
-      const double knot = trace.next_knot(t, cur);
-      if (knot > t && knot - t < dt) {
-        dt = knot - t;
-        step_cause = StepCause::kTraceKnot;
-      }
-    }
-    auto deadline = [&](double when) {
-      if (when > t && when - t < dt) {
-        dt = when - t;
-        step_cause = StepCause::kDeadline;
-      }
-    };
-    if (sh.scenario.job_cycles > 0.0) deadline(next_submit);
+    double dt = open_dt();
+    if (sh.scenario.job_cycles > 0.0) deadline(dt, next_submit);
     if (mgr == MgrState::kTracking) {
-      deadline(next_reassess);
-      if (timer_watched) deadline(next_control);
+      deadline(dt, next_reassess);
+      if (timer_watched) deadline(dt, next_control);
       if (queue > 0) {  // a job starts at the very next eval
         dt = dt_min;
         step_cause = StepCause::kDeadline;
       }
     } else if (mgr == MgrState::kSprinting) {
-      deadline(sprint_started + 1.5 * plan.deadline);
+      deadline(dt, sprint_started + 1.5 * plan.deadline);
       if (!sprint_bypassed) {
-        deadline(sprint_started + plan.phase_time);
-        deadline(sprint_started + kSagEnableTime);
+        deadline(dt, sprint_started + plan.phase_time);
+        deadline(dt, sprint_started + kSprintSagArmTime);
       }
       if (f_eff > 0.0) {
         const double remaining = plan.cycles - (cycles - sprint_start_cycles);
-        deadline(t + remaining / f_eff);
-      }
-    }
-
-    // Regulated rail outside its settle band.  With the clock running, fine
-    // steps (~2*tau) are still needed: p_load(v_d) and the effective
-    // frequency clamp f_max(v_dd) must track the moving rail.  With the
-    // clock gated off, nothing rides the rail and the 3-regime map is exact
-    // in closed form for any dt — so instead of grinding capped micro-steps
-    // through (or, for a pinned rail, *at*) the transient, take one step to
-    // the closed-form episode endpoint: the tick where the rail first enters
-    // its band.  A pinned rail (regulator unsupported at the present solar
-    // voltage, or stuck above target with no load to sink into) has no
-    // endpoint and needs no settle cap at all — the watch bounds alone
-    // guarantee crossing detection.
-    if (cmd_path == PowerPath::kRegulated) {
-      const double e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd + p_load * dt_min;
-      const double v_eff = std::sqrt(2.0 * e_t / c_vdd);
-      if (std::fabs(v_d - v_eff) > kRailBand) {
-        if (p_load > 0.0) {
-          if (kRailSettleCap < dt) {
-            dt = kRailSettleCap;
-            step_cause = StepCause::kSettle;
-          }
-        } else {
-          double dt_settle = std::numeric_limits<double>::infinity();
-          if (step_sc_ok) {
-            const double e_0 = 0.5 * c_vdd * v_d * v_d;
-            const double v_lo = v_eff - kRailBand;
-            const double v_hi = v_eff + kRailBand;
-            dt_settle = flat::rail_settle_dt(
-                e_0, e_t, dt_min, kTau, 0.0, kScFlat.rated,
-                0.5 * c_vdd * v_lo * v_lo, 0.5 * c_vdd * v_hi * v_hi);
-            // The rail side of a long episode is exact, and integrate()
-            // prices conversion losses per regime — but eta(vin) and the
-            // supports check still freeze at step start, and relaxing this
-            // cap measurably degrades the max-perf duty-cycling nodes in
-            // the equivalence suite (systematically past ~2x, marginally at
-            // 2x; see DESIGN.md 6h).  Supported episodes therefore keep the
-            // classic ~2*tau cap — the closed form still lands them exactly
-            // on the band-entry tick when that comes sooner.  Only the
-            // *pinned* rail (unsupported, no endpoint) runs uncapped; that
-            // is where the old cap burned steps grinding a frozen transient.
-            dt_settle = std::min(dt_settle, kRailSettleCap);
-          }
-          if (dt_settle < dt) {
-            dt = std::max(dt_settle, dt_min);
-            step_cause = StepCause::kSettle;
-          }
-        }
-      }
-    }
-    // Analytic watch bounds.  G is linear between knots and dt never crosses
-    // a knot, so max irradiance over the step sits at its endpoints.
-    const double g_end = trace.constant ? g0 : trace.at(t + dt, cur);
-    const double g_hi = std::max(g0, g_end);
-
-    // Max terminal current the cell can source anywhere on an *upward* path
-    // from the present voltage (i_pv is decreasing in v, increasing in g).
-    // Only the bypass swing cap reads it — the watch bounds below all walk
-    // the surface directly (wb.iv is always set here), so regulated steps
-    // skip the lookup.
-    double i_pv_now = 0.0;
-
-    // Bypass: the clock rides the shared node, so bound the rail swing per
-    // step to keep the frequency error within ~1%.  The swing rate is the
-    // *net* current into the merged node — near the operating equilibrium it
-    // is tiny, so this is an accuracy cap, not a tick-scale clamp (the watch
-    // bounds below independently guarantee crossing detection).
-    if (cmd_path != PowerPath::kRegulated) {
-      i_pv_now = cell_i(v_s, g_hi);
-      if (can_run) {
-        const double i_load = p_load / std::max(v_d, kWatchVFloor);
-        const double i_net = std::fabs(i_pv_now - i_load);
-        const double rate = (1.5 * i_net + 1e-6) / (c_solar + c_vdd);
-        if (rate > 0.0 && kBypassDvCap / rate < dt) {
-          dt = kBypassDvCap / rate;
-          step_cause = StepCause::kWatchBound;
-        }
+        deadline(dt, t + remaining / f_eff);
       }
     }
 
     WatchAccum ws, wd;
-    solar_watches(ws);
-    rail_watches(wd);
-    // Shared analytic no-late-detection bounds (see flat::watch_bound_dt for
-    // the monotonicity argument and the per-direction rate derivations).
-    flat::WatchBoundIn wb;
-    wb.dt = dt;
-    wb.half_hyst = kCompHalfHyst;
-    wb.v_floor = kWatchVFloor;
-    wb.v_s = v_s;
-    wb.v_d = v_d;
-    wb.c_solar = c_solar;
-    wb.c_vdd = c_vdd;
-    wb.i_pv_now = i_pv_now;
-    wb.p_load = p_load;
-    wb.regulated = cmd_path == PowerPath::kRegulated;
-    wb.conducting = cmd_path == PowerPath::kBypass && v_s > v_d;
-    wb.cmd_vdd = cmd_vdd;
-    wb.e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd + p_load * dt_min;
-    wb.e_0 = 0.5 * c_vdd * v_d * v_d;
-    wb.tau = kTau;
-    wb.dt_ref = dt_min;
-    wb.sc_ok = step_sc_ok;
-    wb.sc = &kScFlat;
-    wb.iv = &iv;
-    wb.g_hi = g_hi;
-    wb.g_lo = std::min(g0, g_end);
-    const double dt_watched = flat::watch_bound_dt(wb, ws, wd);
-    if (dt_watched < dt) {
-      dt = dt_watched;
-      step_cause = StepCause::kWatchBound;
+    if (timer_watched) {
+      const double v_high = kTrk.v_high.value();
+      const double v_low = kTrk.v_low.value();
+      ws.level(v_s, th_high_out ? v_high - flat::kCompHalfHyst
+                                : v_high + flat::kCompHalfHyst);
+      ws.level(v_s, th_low_out ? v_low - flat::kCompHalfHyst
+                               : v_low + flat::kCompHalfHyst);
     }
-
-    // Quantize to whole reference ticks (flooring preserves every bound
-    // above) so controller evals, job adjudication, and the discrete rail
-    // map all land on the same instants the fixed-step loop uses; then
-    // clamp to the day end (the final partial step may be sub-tick).
-    const double ticks = std::max(1.0, std::floor(dt / dt_min + 1e-6));
-    dt = ticks * dt_min;
-    return std::min(dt, day - t);
-  }
-
-  // ---------------------------------------------------------------------
-  // Physics integration (shared hemp::flat primitives: implicit midpoint on
-  // the stiff solar node, exact closed-form regulated rail).
-  // ---------------------------------------------------------------------
-
-  /// Advance both nodes over [t, t + dt] under the step's load.
-  HEMP_HOT void integrate(double dt, double g_mid, double p_load) {
-    double p_in = 0.0;   // regulator source-side draw for the solar solve
-    double p_out = 0.0;  // regulator output power for the rail update
-    if (cmd_path == PowerPath::kRegulated) {
-      if (step_sc_ok) {
-        // Closed-form restoration matching the reference tick map exactly
-        // (see flat::rail_regulated_step for the 3-regime derivation).  The
-        // steady rail rides at sqrt(vt^2 + 2*p_load*dt_ref/C), which keeps
-        // the commanded frequency off the f_max clamp.
-        const double e_t = 0.5 * c_vdd * cmd_vdd * cmd_vdd +
-                           p_load * dt_min;
-        const double e_0 = 0.5 * c_vdd * v_d * v_d;
-        const flat::RailEpisode ep = flat::rail_regulated_episode(
-            e_0, e_t, dt, dt_min, kTau, p_load, kScFlat.rated, &pow_memo);
-        // Conversion losses priced per regime: the ramp pins p_out at rated,
-        // the drain pins it at zero, and the geometric phase transfers its
-        // own average — so a one-step settle episode sees the same eta
-        // profile the capped micro-steps used to walk through, instead of
-        // one lookup at the smeared rated-to-zero average.
-        double e_in = 0.0;   // source-side energy drawn over the step
-        double e_out = 0.0;  // regulator output energy over the step
-        if (ep.t_ramp > 0.0) {
-          const double eta = sc_efficiency(v_s, cmd_vdd, kScFlat.rated);
-          if (eta > 0.0) {
-            e_out += kScFlat.rated * ep.t_ramp;
-            e_in += kScFlat.rated * ep.t_ramp / eta;
-          }
-        }
-        if (ep.t_decay > 0.0) {
-          const double p_restore = (ep.e_end - ep.e_decay_0) / ep.t_decay;
-          const double p_dec =
-              std::clamp(p_load + p_restore, 0.0, kScFlat.rated);
-          if (p_dec > 0.0) {
-            const double eta = sc_efficiency(v_s, cmd_vdd, p_dec);
-            if (eta > 0.0) {
-              e_out += p_dec * ep.t_decay;
-              e_in += p_dec * ep.t_decay / eta;
-            }
-          }
-        }
-        p_out = e_out / dt;
-        p_in = e_in / dt;
+    if (events != nullptr) {
+      for (std::size_t i = 0; i < bank_size; ++i) {
+        const double th = bank_threshold(i);
+        ws.level(v_s, bank_out[i] ? th - flat::kCompHalfHyst
+                                  : th + flat::kCompHalfHyst);
       }
-    } else if (cmd_path == PowerPath::kBypass && v_s > v_d) {
-      // Bypass (and kOff, which the manager never commands): the switch
-      // conducts solar -> rail when v_s > v_d.  The discrete reference
-      // update rings at tau_RC ~ R*C_parallel ~ 8 us; the kernel integrates
-      // the merged quasi-steady limit instead (charge-conserving, same
-      // energy).
-      const flat::BypassStepResult r = flat::integrate_bypass_merged(
-          iv, c_solar, c_vdd, kBypassR, v_s, v_d, dt, g_mid, p_load,
-          kWatchVFloor);
-      if (r.conducted) {
-        harvested += dt * r.p_harvest_avg;
-        return;  // the merged solve integrated both nodes
-      }
-      // Diode would block: treat as detached for this step (p_in stays 0).
     }
-
-    const double p_avg =
-        flat::integrate_solar(iv, c_solar, v_s, dt, g_mid, p_in);
-    harvested += dt * p_avg;
-    double e_d = 0.5 * c_vdd * v_d * v_d + (p_out - p_load) * dt;
-    if (e_d < 0.0) e_d = 0.0;
-    v_d = std::sqrt(2.0 * e_d / c_vdd);
+    if (mgr == MgrState::kRecovering) {
+      ws.level(v_s, kMgr.recover_voltage.value());
+    }
+    if (mgr == MgrState::kSprinting && !sprint_bypassed &&
+        t - sprint_started > kSprintSagArmTime) {
+      wd.level(v_d, cmd_vdd - kSprintSagMargin);
+    }
+    return close_dt(dt, g0, ws, wd);
   }
 
   /// Vmpp at the quantized irradiance g_q = k / 100 of the MPPT-error
@@ -1386,65 +1033,17 @@ struct NodeRunner {
   // Main loop
   // ---------------------------------------------------------------------
 
-  bool done() const { return t >= day - 1e-15; }
+  bool done() const { return t >= t_end - 1e-15; }
 
-  /// One event-driven step: controller, load, dt selection, integration,
-  /// per-step metrics and time advance.
+  /// One event-driven step: controller, then the core's load, dt selection,
+  /// integration and metrics, then the MPPT-error metric and time advance.
   HEMP_HOT void step() {
-    const double g0 = trace.at(t, cur);
+    const double g0 = trace->at(t, cur);
     controller_eval();
-
-    // Load for this step (reference tick semantics: rail voltage gates the
-    // clock; commanded frequency clamps at f_max(v_dd)).
-    if (v_d < kVminProc) {
-      vmin_latch = true;
-    } else if (v_d >= kVminProc + (cmd_path == PowerPath::kBypass
-                                       ? kVminHysteresis
-                                       : 0.0)) {
-      vmin_latch = false;
-    }
-    can_run = cmd_run && !vmin_latch && v_d <= kVmaxProc;
-    double p_load = 0.0;
-    f_eff = 0.0;
-    if (can_run) {
-      const double v_fm = std::clamp(v_d, kVminProc, kVmaxProc);
-      if (v_fm != fmax_key) {
-        fmax_key = v_fm;
-        fmax_val = proc_fmax(pc, v_fm);
-      }
-      const double fmax_now = fmax_val;
-      f_eff = cmd_freq;
-      bool clamped = false;
-      if (f_eff > fmax_now) {
-        clamped = true;
-        f_eff = fmax_now;
-      }
-      // The reference counts clamped *ticks*; the kernel counts clamp
-      // episodes (transitions into the clamped condition).
-      if (clamped && !fault_latch) ++timing_faults;
-      fault_latch = clamped;
-      if (v_d != pload_key_v || f_eff != pload_key_f) {
-        pload_key_v = v_d;
-        pload_key_f = f_eff;
-        pload_val = proc_power(pc, v_d, f_eff);
-      }
-      p_load = pload_val;
-    } else {
-      fault_latch = false;
-      if (was_running && cmd_run) ++brownouts;
-    }
-    was_running = can_run;
-    const double dt = choose_dt(g0, p_load);
-    ++step_counts[static_cast<int>(step_cause)];
-    integrate(dt, trace.at(t + 0.5 * dt, cur), p_load);
-
-    // Metrics over the step.
-    if (can_run) {
-      cycles += f_eff * dt;
-      delivered += p_load * dt;
-    } else if (cmd_run) {
-      halted += dt;
-    }
+    load();
+    const double dt = choose_dt(g0);
+    integrate(dt, trace->at(t + 0.5 * dt, cur));
+    account(dt);
     // MPPT tracking error, dt-weighted (the reference averages uniform
     // waveform samples under the same predicate).
     if (cmd_path == PowerPath::kRegulated && f_eff > 0.0 && g0 >= 0.05) {
@@ -1465,10 +1064,7 @@ struct NodeRunner {
   /// Day-end flush: comparator-bank edges, step accounting, result build.
   NodeResult finish() {
     if (events != nullptr) update_bank();  // final edge flush at day end
-    for (int c = 0; c < solver_stats::kStepCauseCount; ++c) {
-      solver_stats::count_steps(static_cast<solver_stats::StepCause>(c),
-                                step_counts[static_cast<std::size_t>(c)]);
-    }
+    flush_step_counts();
 
     NodeResult out;
     out.sample = s;
@@ -1503,41 +1099,16 @@ struct NodeRunner {
 }  // namespace
 
 NodeResult BatchFleetKernel::run_node(int index) const {
-  const Shared& sh = *shared_;
-  HEMP_REQUIRE(index >= 0 && index < sh.scenario.nodes,
+  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
-  const std::size_t i = static_cast<std::size_t>(index);
-  NodeRunner lane{sh,
-                  sh.samples[i],
-                  sh.pv[i],
-                  sh.proc[i],
-                  sh.shared_sky ? sh.sky : sh.traces[i],
-                  sh.samples[i].solar_capacitance.value(),
-                  sh.scenario.vdd_cap.value(),
-                  sh.scenario.day_length.value(),
-                  sh.scenario.time_step.value(),
-                  sh.crossover_power[i]};
-  return lane.run();
+  return NodeRunner(*shared_, static_cast<std::size_t>(index), nullptr).run();
 }
 
 NodeResult BatchFleetKernel::run_node_traced(
     int index, std::vector<BatchComparatorEvent>& events) const {
-  const Shared& sh = *shared_;
-  HEMP_REQUIRE(index >= 0 && index < sh.scenario.nodes,
+  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
-  const std::size_t i = static_cast<std::size_t>(index);
-  NodeRunner lane{sh,
-                  sh.samples[i],
-                  sh.pv[i],
-                  sh.proc[i],
-                  sh.shared_sky ? sh.sky : sh.traces[i],
-                  sh.samples[i].solar_capacitance.value(),
-                  sh.scenario.vdd_cap.value(),
-                  sh.scenario.day_length.value(),
-                  sh.scenario.time_step.value(),
-                  sh.crossover_power[i],
-                  &events};
-  return lane.run();
+  return NodeRunner(*shared_, static_cast<std::size_t>(index), &events).run();
 }
 
 FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {

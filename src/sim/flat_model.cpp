@@ -436,7 +436,7 @@ MppSurface build_mpp_surface(const PvCellParams& base, double s_lo, double s_hi,
 
 RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
                                    double dt_ref, double tau, double p_load,
-                                   double rated, PowMemo* memo) {
+                                   double rated, PowMemo& memo) {
   RailEpisode out;
   const double rho = 1.0 - dt_ref / tau;
   double e_end = e_0;
@@ -463,15 +463,13 @@ RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
   if (k > 0.0) {
     double decay = 0.0;
     if (rho > 0.0) {
-      if (memo != nullptr && memo->base == rho && memo->exp == k) {
-        decay = memo->val;
+      if (memo.base == rho && memo.exp == k) {
+        decay = memo.val;
       } else {
         decay = std::pow(rho, k);
-        if (memo != nullptr) {
-          memo->base = rho;
-          memo->exp = k;
-          memo->val = decay;
-        }
+        memo.base = rho;
+        memo.exp = k;
+        memo.val = decay;
       }
     }
     e_end = e_t + (e_end - e_t) * decay;
@@ -479,11 +477,6 @@ RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
   }
   out.e_end = e_end;
   return out;
-}
-
-double rail_regulated_step(double e_0, double e_t, double dt, double dt_ref,
-                           double tau, double p_load, double rated) {
-  return rail_regulated_episode(e_0, e_t, dt, dt_ref, tau, p_load, rated).e_end;
 }
 
 double rail_settle_dt(double e_0, double e_t, double dt_ref, double tau,

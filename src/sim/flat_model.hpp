@@ -17,7 +17,7 @@
 //   * FlatTrace                — the irradiance profile pre-sampled onto a
 //     knot grid (linear between knots, so extrema sit at interval endpoints
 //     and knots double as "trace may kink here" step bounds);
-//   * rail_regulated_step      — the exact piecewise 3-regime closed form of
+//   * rail_regulated_episode   — the exact piecewise 3-regime closed form of
 //     the reference loop's discrete regulated-rail map;
 //   * integrate_solar / integrate_bypass_merged — implicit-midpoint node
 //     integrators over the IV surface;
@@ -395,49 +395,28 @@ void fill_mpp_row(MppSurface& surf, const PvCellParams& base, std::size_t row);
 // Closed-form stepping primitives.
 // ---------------------------------------------------------------------------
 
-/// Advance the reference loop's discrete regulated-rail map by `dt` in closed
-/// form and return the end-of-step rail energy.
-///
-/// The reference applies the load *before* computing the restore power
-/// p_restore = (E_t - E_afterload)/tau, so one tick is the affine map
-/// E' = E + (dt_ref/tau) * (E_t + p_load*dt_ref - E): plain Euler toward an
-/// *effective* target `e_t` one tick of load energy above the commanded
-/// energy.  The per-tick output clamp p_out in [0, rated] splits the map into
-/// three regimes by the pre-tick energy e:
-///   e <  e_hi : p_out pinned at rated    -> linear ramp up
-///   e >  e_lo : p_out pinned at zero     -> linear drain at p_load
-///   otherwise : unclamped Euler          -> geometric decay to e_t with
-///               ratio (1 - dt_ref/tau) per tick — not exp(-dt/tau), whose
-///               rate differs by ~10% at dt_ref/tau = 0.2
-/// Both linear phases march monotonically into the middle band and the
-/// geometric phase never leaves it, so whole ticks compose in closed form
-/// phase by phase (per-tick regime choice uses the pre-tick energy, exactly
-/// like the reference loop).  A final sub-tick remainder falls through as
-/// geometric.
-double rail_regulated_step(double e_0, double e_t, double dt, double dt_ref,
-                           double tau, double p_load, double rated);
-
-/// Closed-form settle horizon of the same 3-regime map: the time (a whole
-/// number of reference ticks) after which the rail energy, starting from
-/// `e_0`, first lands inside [e_band_lo, e_band_hi] around the effective
-/// target `e_t` — i.e. when the settle transient is over.  Returns infinity
-/// when the map can never reach the band: draining with zero load pins the
-/// rail (the regulator cannot sink), and a zero-width ramp (rated == p_load)
-/// pins it below.  A ramp tick can jump clean across a narrow band; the
-/// returned time is then the tick that first reaches-or-crosses it, after
-/// which the rail either sits inside the band or is pinned just past it —
-/// in both cases the settle episode is over.  Both engines use this to take
-/// one step to the episode endpoint instead of grinding capped micro-steps
+/// Closed-form settle horizon of rail_regulated_episode's 3-regime map (the
+/// derivation is on that function): the time (a whole number of reference
+/// ticks) after which the rail energy, starting from `e_0`, first lands
+/// inside [e_band_lo, e_band_hi] around the effective target `e_t` — i.e.
+/// when the settle transient is over.  Returns infinity when the map can
+/// never reach the band: draining with zero load pins the rail (the
+/// regulator cannot sink), and a zero-width ramp (rated == p_load) pins it
+/// below.  A ramp tick can jump clean across a narrow band; the returned
+/// time is then the tick that first reaches-or-crosses it, after which the
+/// rail either sits inside the band or is pinned just past it — in both
+/// cases the settle episode is over.  The step core uses this to take one
+/// step to the episode endpoint instead of grinding capped micro-steps
 /// through (or worse, *at*) a transient the map already solves exactly.
 double rail_settle_dt(double e_0, double e_t, double dt_ref, double tau,
                       double p_load, double rated, double e_band_lo,
                       double e_band_hi);
 
-/// Per-regime decomposition of one rail_regulated_step advance, for energy
-/// accounting across a long settle episode.  The regulator output power is
-/// piecewise simple over the step — pinned at `rated` on the ramp, pinned at
-/// zero on the drain, and decaying from the regime boundary inside the
-/// mid-band — so a caller that prices conversion losses (eta depends on
+/// Per-regime decomposition of one rail_regulated_episode advance, for
+/// energy accounting across a long settle episode.  The regulator output
+/// power is piecewise simple over the step — pinned at `rated` on the ramp,
+/// pinned at zero on the drain, and decaying from the regime boundary inside
+/// the mid-band — so a caller that prices conversion losses (eta depends on
 /// p_out) can integrate each regime under its own efficiency point instead
 /// of smearing a rated-to-zero profile through one lookup.  Fields satisfy
 /// t_ramp + t_drain + t_decay == dt and e_decay_0 is the rail energy
@@ -460,12 +439,28 @@ struct PowMemo {
   double val = 1.0;
 };
 
-/// Same closed form as rail_regulated_step (bit-identical e_end), with the
-/// per-regime time split exposed.  `memo`, when given, caches the rho^k
-/// evaluation across calls.
+/// Advance the reference loop's discrete regulated-rail map by `dt` in closed
+/// form: the end-of-step rail energy and its per-regime time split.
+///
+/// The reference applies the load *before* computing the restore power
+/// p_restore = (E_t - E_afterload)/tau, so one tick is the affine map
+/// E' = E + (dt_ref/tau) * (E_t + p_load*dt_ref - E): plain Euler toward an
+/// *effective* target `e_t` one tick of load energy above the commanded
+/// energy.  The per-tick output clamp p_out in [0, rated] splits the map into
+/// three regimes by the pre-tick energy e:
+///   e <  e_hi : p_out pinned at rated    -> linear ramp up
+///   e >  e_lo : p_out pinned at zero     -> linear drain at p_load
+///   otherwise : unclamped Euler          -> geometric decay to e_t with
+///               ratio (1 - dt_ref/tau) per tick — not exp(-dt/tau), whose
+///               rate differs by ~10% at dt_ref/tau = 0.2
+/// Both linear phases march monotonically into the middle band and the
+/// geometric phase never leaves it, so whole ticks compose in closed form
+/// phase by phase (per-tick regime choice uses the pre-tick energy, exactly
+/// like the reference loop).  A final sub-tick remainder falls through as
+/// geometric.  `memo` caches the rho^k evaluation across calls.
 RailEpisode rail_regulated_episode(double e_0, double e_t, double dt,
                                    double dt_ref, double tau, double p_load,
-                                   double rated, PowMemo* memo = nullptr);
+                                   double rated, PowMemo& memo);
 
 /// Advance the solar node by dt under a constant source-side draw `p_in`,
 /// harvesting from the cell at the midpoint irradiance (implicit midpoint on

@@ -9,9 +9,26 @@
 // that is meant to move results, and say why where the change is recorded.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/audit.hpp"
+#include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/solver_stats.hpp"
+#include "core/energy_manager.hpp"
 #include "fleet/batch_kernel.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "policy/registry.hpp"
+#include "processor/processor.hpp"
+#include "regulator/switched_cap.hpp"
+#include "sim/soc_system.hpp"
+#include "trace/generators.hpp"
 
 namespace hemp {
 namespace {
@@ -82,6 +99,235 @@ TEST(HashPin, BatchFleetKernelWarmSurfaces) {
   (void)BatchFleetKernel(other);
   const FleetReport r = BatchFleetKernel(s).run({.parallel = false});
   EXPECT_EQ(r.summary_hash, 0x54da0addaa98ab59ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Paths the summary hashes above do not reach: the single-node fast engine
+// under SocSystem::run, the batch kernel on a shared sky and with the bypass
+// forced off, and the traced comparator bank.  Each pin folds every result
+// bit of its path (totals, final state, the waveform record or the event
+// list) into an FNV-1a hash.
+// ---------------------------------------------------------------------------
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+};
+
+std::uint64_t totals_hash(const SimResult& r) {
+  Fnv f;
+  f.add(r.totals.harvested.value());
+  f.add(r.totals.delivered_to_processor.value());
+  f.add(r.totals.regulator_loss.value());
+  f.add(r.totals.bypass_loss.value());
+  f.add(r.totals.cycles);
+  f.add(static_cast<std::uint64_t>(r.totals.brownouts));
+  f.add(static_cast<std::uint64_t>(r.totals.timing_faults));
+  f.add(r.totals.halted_time.value());
+  f.add(r.totals.simulated_time.value());
+  f.add(r.final_state.v_solar.value());
+  f.add(r.final_state.v_dd.value());
+  return f.h;
+}
+
+std::uint64_t waveform_hash(const Waveform& w) {
+  Fnv f;
+  f.add(static_cast<std::uint64_t>(w.sample_count()));
+  for (const double t : w.times()) f.add(t);
+  for (const std::string& name : w.channels()) {
+    for (const double v : w.series(name)) f.add(v);
+  }
+  return f.h;
+}
+
+/// Prints the observed value before comparing, so a deliberate re-pin can
+/// read the new value off the test log.
+void expect_pin(const char* what, std::uint64_t got, std::uint64_t want) {
+  std::printf("pin %s = 0x%016llxULL\n", what,
+              static_cast<unsigned long long>(got));
+  EXPECT_EQ(got, want) << what;
+}
+
+SocConfig fast_config() {
+  SocConfig cfg;
+  cfg.fast_path = true;
+  cfg.audit = false;  // an audit build would route the run to the dense loop
+  return cfg;
+}
+
+SimResult run_fast_fixed(const SocConfig& cfg, const IrradianceTrace& trace,
+                         Seconds t_end, PowerPath path, Volts vdd, Hertz f) {
+  SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(),
+                Processor::make_test_chip());
+  FixedPointController ctrl(path, vdd, f);
+  return soc.run(trace, ctrl, t_end);
+}
+
+TEST(HashPin, FastSocFixedPointRegulated) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // A deep light step: settle episodes, knot stepping and the solar watch
+  // bounds on the regulated path.
+  const SimResult r = run_fast_fixed(
+      fast_config(), IrradianceTrace::step(1.0, 0.1, Seconds(10e-3)),
+      Seconds(30e-3), PowerPath::kRegulated, Volts(0.5), Hertz(300e6));
+  expect_pin("fast regulated totals", totals_hash(r), 0x2fdb008f9c9e29c2ULL);
+  expect_pin("fast regulated waveform", waveform_hash(r.waveform), 0x31a95062b0c02fc5ULL);
+}
+
+TEST(HashPin, FastSocFixedPointBypass) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // The rail starts 0.8 V under the solar node, so the run opens with the
+  // RC-merge replay before the merged bypass form takes over.
+  SocConfig cfg = fast_config();
+  cfg.vdd_start_voltage = Volts(0.4);
+  const SimResult r = run_fast_fixed(
+      cfg, IrradianceTrace::step(0.6, 0.2, Seconds(5e-3)), Seconds(10e-3),
+      PowerPath::kBypass, Volts(0.5), Hertz(100e6));
+  expect_pin("fast bypass totals", totals_hash(r), 0x8aff3faa98659eebULL);
+  expect_pin("fast bypass waveform", waveform_hash(r.waveform), 0x17c19145571561baULL);
+}
+
+TEST(HashPin, FastSocManagedJobs) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  const SocConfig cfg = fast_config();
+  Rng rng(11);
+  CloudFieldParams clouds;
+  clouds.day.day_length = Seconds(0.02);
+  clouds.mean_gap = Seconds(0.03 * 0.08);
+  clouds.mean_duration = Seconds(0.01 * 0.08);
+  const IrradianceTrace trace = cloud_field(rng, clouds);
+  const PvCell cell(cfg.pv);
+  const SwitchedCapRegulator model_regulator;
+  const Processor processor = Processor::make_test_chip();
+  const SystemModel model(cell, model_regulator, processor);
+  EnergyManager manager(model, EnergyManagerParams{});
+  PeriodicJobController controller(manager, 2e5, Seconds(5e-3), Seconds(2e-3),
+                                   Seconds(1e-3));
+  SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
+  const SimResult r = soc.run(trace, controller, Seconds(0.02));
+  expect_pin("fast managed totals", totals_hash(r), 0x46eaee719287e388ULL);
+  expect_pin("fast managed waveform", waveform_hash(r.waveform), 0x82c03e4b57245612ULL);
+}
+
+TEST(HashPin, BatchFleetKernelSharedIndoorSky) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  FleetScenario s = pin_scenario();
+  s.nodes = 32;
+  s.trace_kind = TraceKind::kIndoor;
+  s.shared_trace = true;
+  const FleetReport r = BatchFleetKernel(s).run({.parallel = false});
+  expect_pin("batch shared indoor", r.summary_hash, 0x93845089103f1552ULL);
+}
+
+/// The batch lane with the low-light bypass forced off (no built-in policy
+/// disables it).
+class PinNoBypassPolicy final : public EnergyPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "pin_no_bypass"; }
+  [[nodiscard]] std::string description() const override {
+    return "mpp_track without the low-light bypass (hash pin only)";
+  }
+  [[nodiscard]] std::optional<BatchPolicySpec> batch_spec() const override {
+    return BatchPolicySpec{false, false, 0.9, 1.2};
+  }
+  [[nodiscard]] std::unique_ptr<PolicyController> make_controller(
+      const PolicyContext& /*ctx*/) const override {
+    throw ModelError("pin_no_bypass runs on the batch kernel only");
+  }
+};
+
+TEST(HashPin, BatchFleetKernelForcedNoBypass) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  static const std::string policy = [] {
+    auto p = std::make_unique<PinNoBypassPolicy>();
+    std::string n = p->name();
+    PolicyRegistry::global().add(std::move(p));
+    return n;
+  }();
+  FleetScenario s = pin_scenario();
+  s.nodes = 32;
+  s.policy = policy;
+  const FleetReport r = BatchFleetKernel(s).run({.parallel = false});
+  expect_pin("batch forced no-bypass", r.summary_hash, 0x18d20b833e4bc168ULL);
+}
+
+TEST(HashPin, BatchFleetKernelTracedComparatorEvents) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // Indoor on/off light walks the solar node through the whole bank.
+  FleetScenario s = pin_scenario();
+  s.trace_kind = TraceKind::kIndoor;
+  s.job_cycles = 0.0;
+  const BatchFleetKernel kernel(s);
+  Fnv f;
+  std::size_t total = 0;
+  for (int node = 0; node < s.nodes; ++node) {
+    std::vector<BatchComparatorEvent> events;
+    const NodeResult r = kernel.run_node_traced(node, events);
+    total += events.size();
+    f.add(r.cycles);
+    f.add(r.harvested.value());
+    for (const BatchComparatorEvent& e : events) {
+      f.add(static_cast<std::uint64_t>(e.comparator));
+      f.add(static_cast<std::uint64_t>(e.rising));
+      f.add(e.time.value());
+    }
+  }
+  expect_pin("traced event count", total, 24);
+  expect_pin("traced events", f.h, 0x70d3145abac39152ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Steps per cause.  A refactor can re-label or re-time steps without moving
+// a result bit, which no hash sees.  The counts were recorded before the
+// dt-ceiling label existed, when ceiling-bound steps were counted as
+// deadlines: kDeadline + kDtCap must add up to that old kDeadline count.
+// ---------------------------------------------------------------------------
+
+void expect_step_counts(const solver_stats::StepSnapshot& d,
+                        std::uint64_t deadline_or_cap, std::uint64_t knot,
+                        std::uint64_t watch, std::uint64_t settle) {
+  std::printf("steps deadline+cap %llu knot %llu watch %llu settle %llu\n",
+              static_cast<unsigned long long>(d.deadline() + d.dt_cap()),
+              static_cast<unsigned long long>(d.trace_knot()),
+              static_cast<unsigned long long>(d.watch_bound()),
+              static_cast<unsigned long long>(d.settle()));
+  EXPECT_EQ(d.deadline() + d.dt_cap(), deadline_or_cap);
+  EXPECT_EQ(d.trace_knot(), knot);
+  EXPECT_EQ(d.watch_bound(), watch);
+  EXPECT_EQ(d.settle(), settle);
+}
+
+TEST(HashPin, BatchFleetKernelStepCauses) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  FleetScenario s = pin_scenario();
+  s.nodes = 32;
+  const BatchFleetKernel kernel(s);
+  const auto before = solver_stats::step_snapshot();
+  (void)kernel.run({.parallel = false});
+  expect_step_counts(solver_stats::step_delta_since(before), 2149, 1547,
+                     905, 2163);
+}
+
+TEST(HashPin, FleetSimulatorGreedyMppStepCauses) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // An audit build routes greedy_mpp to the dense loop, which takes no
+  // event steps at all.
+  FleetScenario s = pin_scenario();
+  s.policy = "greedy_mpp";
+  const auto before = solver_stats::step_snapshot();
+  (void)FleetSimulator(s).run({.parallel = false});
+  const auto d = solver_stats::step_delta_since(before);
+  if (audit_compiled_in()) {
+    expect_step_counts(d, 0, 0, 0, 0);
+  } else {
+    expect_step_counts(d, 738, 401, 33, 377);
+  }
 }
 
 }  // namespace
