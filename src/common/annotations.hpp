@@ -11,14 +11,7 @@
 /// witness call chain; reviewed exceptions carry an inline
 /// `// hemp-analyzer: allow(hot-path-purity) — <reason>` marker.
 ///
-/// The attribute spelling only exists under Clang; GCC (-Wpedantic) would
-/// warn on the unknown attribute namespace, so the macro expands to nothing
-/// there.  The analyzer's text backend keys off the `HEMP_HOT` token
-/// itself, the clang backend off the emitted `annotate` attribute — both
-/// see the same roots either way.
+/// The analyzer reads the `HEMP_HOT` token itself, so the macro expands to
+/// nothing.
 
-#if defined(__clang__)
-#define HEMP_HOT [[clang::annotate("hemp::hot")]]
-#else
 #define HEMP_HOT
-#endif

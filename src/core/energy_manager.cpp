@@ -91,15 +91,15 @@ void EnergyManager::on_start(const SocState& state, SocCommand& cmd) {
   now_ = state.time;
   tracker_.on_start(state, cmd);
   prev_v_solar_ = state.v_solar;
-  enter_tracking(state, cmd);
+  enter_tracking(cmd);
 }
 
-void EnergyManager::enter_tracking(const SocState& state, SocCommand& cmd) {
+void EnergyManager::enter_tracking(SocCommand& cmd) {
   state_ = State::kTracking;
   cmd.path = low_light_bypass_ ? PowerPath::kBypass : PowerPath::kRegulated;
   cmd.run = true;
   if (params_.mode == ManagerMode::kMinEnergy && !low_light_bypass_) {
-    apply_mep_point(cmd, state.irradiance > 0.0 ? 0.5 : 0.5);
+    apply_mep_point(cmd, 0.5);
   }
 }
 
@@ -268,7 +268,7 @@ void EnergyManager::tick_recovering(const SocState& state, SocCommand& cmd) {
   cmd.run = false;
   cmd.path = PowerPath::kRegulated;
   if (state.v_solar >= params_.recover_voltage || !queue_empty()) {
-    enter_tracking(state, cmd);
+    enter_tracking(cmd);
   }
 }
 

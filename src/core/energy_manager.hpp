@@ -102,7 +102,7 @@ class EnergyManager : public SocController {
     bool bypassed = false;
   };
 
-  void enter_tracking(const SocState& state, SocCommand& cmd);
+  void enter_tracking(SocCommand& cmd);
   void start_next_job(const SocState& state, SocCommand& cmd);
   void tick_tracking(const SocState& state, SocCommand& cmd);
   void tick_sprinting(const SocState& state, SocCommand& cmd);

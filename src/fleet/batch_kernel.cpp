@@ -32,7 +32,6 @@
 #include "sim/flat_model.hpp"
 #include "sim/flat_step.hpp"
 #include "sim/soc_system.hpp"
-#include "trace/generators.hpp"
 
 namespace hemp {
 
@@ -313,7 +312,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   // interpolated per node once every cell is in.
   const std::vector<double> temp_knots = linspace(-20.0, 85.0, kCrossTempKnots);
   const std::vector<double> cross_s_knots = linspace(s_lo, s_hi, kCrossSKnots);
-  // Corner order: the crossover tables' index and the weights' draw order.
+  // Corner order: the crossover tables' index (corner_ix below).
   static constexpr ProcessCorner kCorners[] = {ProcessCorner::kSlowSlow,
                                                ProcessCorner::kTypical,
                                                ProcessCorner::kFastFast};
@@ -333,40 +332,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     cross_vals[c][k] = selector.crossover_irradiance().value_or(0.0);
   };
 
-  // --- Node identity sampling: exactly FleetSimulator's draw order, so the
-  // per-node RNG stream continues into the same trace draws afterwards. -----
-  sh.shared_sky = sc.shared_trace || sc.trace_kind == TraceKind::kCsv ||
-                  sc.trace_kind == TraceKind::kConstant;
-  const auto make_trace = [&sc](Rng& rng) -> IrradianceTrace {
-    switch (sc.trace_kind) {
-      case TraceKind::kConstant:
-        return IrradianceTrace::constant(sc.constant_g);
-      case TraceKind::kDiurnal: {
-        DiurnalArcParams params;
-        params.day_length = sc.day_length;
-        return diurnal_arc(rng, params);
-      }
-      case TraceKind::kClouds: {
-        CloudFieldParams params;
-        params.day.day_length = sc.day_length;
-        const double stretch = sc.day_length.value() / 0.25;
-        params.mean_gap = Seconds(0.03 * stretch);
-        params.mean_duration = Seconds(0.01 * stretch);
-        return cloud_field(rng, params);
-      }
-      case TraceKind::kIndoor: {
-        IndoorDutyParams params;
-        params.duration = sc.day_length;
-        const double stretch = sc.day_length.value() / 0.25;
-        params.mean_on = Seconds(0.04 * stretch);
-        params.mean_off = Seconds(0.02 * stretch);
-        return indoor_duty(rng, params);
-      }
-      case TraceKind::kCsv:
-        return IrradianceTrace::from_csv(sc.trace_csv);
-    }
-    throw ModelError("BatchFleetKernel: unknown trace kind");
-  };
+  sh.shared_sky = sc.shares_sky();
 
   // Adaptive knot coarsening: every flattened trace gives up knots until the
   // cumulative absorbed-irradiance perturbation hits the scenario's per-day
@@ -375,7 +341,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   const double coarsen_budget = sc.trace_coarsen_eps * sc.day_length.value();
   const auto build_sky = [&] {
     Rng sky_rng = Rng(sc.seed).fork(~0ULL);
-    const IrradianceTrace trace = make_trace(sky_rng);
+    const IrradianceTrace trace = draw_sky(sc, sky_rng);
     sh.sky = sc.trace_kind == TraceKind::kConstant
                  ? flatten_constant(sc.constant_g)
                  : flatten_trace(trace, sc.day_length.value());
@@ -393,26 +359,12 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   const auto build_node = [&](std::size_t i) {
     Rng rng = Rng(sc.seed).fork(static_cast<std::uint64_t>(i));
     NodeSample& s = sh.samples[i];
-    s.index = static_cast<int>(i);
-    s.pv_scale = rng.uniform(sc.pv_scale_min, sc.pv_scale_max);
-    s.solar_capacitance =
-        Farads(std::exp(rng.uniform(std::log(sc.solar_cap_min.value()),
-                                    std::log(sc.solar_cap_max.value()))));
-    s.conditions.corner = kCorners[rng.weighted(sc.corner_weights.data(),
-                                                sc.corner_weights.size())];
-    s.conditions.temperature_c =
-        std::clamp(rng.normal(sc.temperature_mean_c, sc.temperature_sigma_c),
-                   -20.0, 85.0);
-    s.min_energy = rng.uniform() < sc.min_energy_fraction;
-    // The Bernoulli draw above must always happen — the per-node stream
-    // continues into the phase/trace draws — but a forced policy overrides
-    // the sampled mode (the effective mode lands in the report's CSV).
+    s = draw_node(sc, static_cast<int>(i), rng);
+    // A forced policy overrides the sampled mode (the effective mode lands
+    // in the report's CSV); the Bernoulli draw still happened.
     if (forced_spec) s.min_energy = forced_spec->min_energy;
-    s.job_phase = sc.job_cycles > 0.0
-                      ? Seconds(rng.uniform(0.0, sc.job_period.value()))
-                      : Seconds(0.0);
     if (!sh.shared_sky) {
-      sh.traces[i] = flatten_trace(make_trace(rng), sc.day_length.value());
+      sh.traces[i] = flatten_trace(draw_sky(sc, rng), sc.day_length.value());
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
     }
 

@@ -1,6 +1,5 @@
 #include "fleet/fleet_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "regulator/switched_cap.hpp"
 #include "sim/soc_system.hpp"
 #include "sim/sweep.hpp"
-#include "trace/generators.hpp"
 
 namespace hemp {
 
@@ -20,79 +18,16 @@ FleetSimulator::FleetSimulator(FleetScenario scenario)
   if (!scenario_.policy.empty()) {
     forced_policy_ = &PolicyRegistry::global().at(scenario_.policy);
   }
-  const bool shared =
-      scenario_.shared_trace || scenario_.trace_kind == TraceKind::kCsv ||
-      scenario_.trace_kind == TraceKind::kConstant;
-  if (shared) {
-    // One sky for the whole fleet, drawn from a stream no node uses.
+  if (scenario_.shares_sky()) {
     Rng sky_rng = Rng(scenario_.seed).fork(~0ULL);
     shared_trace_ =
-        std::make_shared<const IrradianceTrace>(make_trace(sky_rng));
+        std::make_shared<const IrradianceTrace>(draw_sky(scenario_, sky_rng));
   }
-}
-
-IrradianceTrace FleetSimulator::make_trace(Rng& rng) const {
-  switch (scenario_.trace_kind) {
-    case TraceKind::kConstant:
-      return IrradianceTrace::constant(scenario_.constant_g);
-    case TraceKind::kDiurnal: {
-      DiurnalArcParams params;
-      params.day_length = scenario_.day_length;
-      return diurnal_arc(rng, params);
-    }
-    case TraceKind::kClouds: {
-      CloudFieldParams params;
-      params.day.day_length = scenario_.day_length;
-      // Scale the default deck (tuned for a 0.25 s compressed day) with the
-      // scenario timeline so cloud counts stay day-length invariant.
-      const double stretch = scenario_.day_length.value() / 0.25;
-      params.mean_gap = Seconds(0.03 * stretch);
-      params.mean_duration = Seconds(0.01 * stretch);
-      return cloud_field(rng, params);
-    }
-    case TraceKind::kIndoor: {
-      IndoorDutyParams params;
-      params.duration = scenario_.day_length;
-      const double stretch = scenario_.day_length.value() / 0.25;
-      params.mean_on = Seconds(0.04 * stretch);
-      params.mean_off = Seconds(0.02 * stretch);
-      return indoor_duty(rng, params);
-    }
-    case TraceKind::kCsv:
-      return IrradianceTrace::from_csv(scenario_.trace_csv);
-  }
-  throw ModelError("FleetSimulator: unknown trace kind");
 }
 
 NodeSample FleetSimulator::sample_node(int index) const {
   Rng rng = Rng(scenario_.seed).fork(static_cast<std::uint64_t>(index));
-  return sample_node(index, rng);
-}
-
-NodeSample FleetSimulator::sample_node(int index, Rng& rng) const {
-  NodeSample s;
-  s.index = index;
-  s.pv_scale = rng.uniform(scenario_.pv_scale_min, scenario_.pv_scale_max);
-  // Log-uniform: capacitor vendors quote decade series, and a fleet spans
-  // decades of storage size, not a linear band.
-  s.solar_capacitance =
-      Farads(std::exp(rng.uniform(std::log(scenario_.solar_cap_min.value()),
-                                  std::log(scenario_.solar_cap_max.value()))));
-  static constexpr ProcessCorner kCorners[] = {
-      ProcessCorner::kSlowSlow, ProcessCorner::kTypical,
-      ProcessCorner::kFastFast};
-  s.conditions.corner =
-      kCorners[rng.weighted(scenario_.corner_weights.data(),
-                            scenario_.corner_weights.size())];
-  s.conditions.temperature_c =
-      std::clamp(rng.normal(scenario_.temperature_mean_c,
-                            scenario_.temperature_sigma_c),
-                 -20.0, 85.0);
-  s.min_energy = rng.uniform() < scenario_.min_energy_fraction;
-  s.job_phase = scenario_.job_cycles > 0.0
-                    ? Seconds(rng.uniform(0.0, scenario_.job_period.value()))
-                    : Seconds(0.0);
-  return s;
+  return draw_node(scenario_, index, rng);
 }
 
 namespace {
@@ -130,7 +65,7 @@ NodeResult FleetSimulator::run_node(int index,
   // skies) the trace draws continue on the same stream.
   Rng rng = Rng(scenario_.seed).fork(static_cast<std::uint64_t>(index));
   NodeResult result;
-  result.sample = sample_node(index, rng);
+  result.sample = draw_node(scenario_, index, rng);
   const NodeSample& s = result.sample;
 
   // --- Hardware: sampled PV size, storage, and process corner. --------------
@@ -157,7 +92,7 @@ NodeResult FleetSimulator::run_node(int index,
           ? *forced_policy_
           : PolicyRegistry::global().at(s.min_energy ? "mep_hold" : "mpp_track");
 
-  const IrradianceTrace trace = shared ? *shared : make_trace(rng);
+  const IrradianceTrace trace = shared ? *shared : draw_sky(scenario_, rng);
 
   PolicyContext ctx;
   ctx.model = &model;

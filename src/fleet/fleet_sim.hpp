@@ -15,7 +15,6 @@
 
 #include <memory>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/energy_manager.hpp"  // PeriodicJobController lives here now
 #include "fleet/report.hpp"
@@ -50,8 +49,6 @@ class FleetSimulator {
   [[nodiscard]] const FleetScenario& scenario() const { return scenario_; }
 
  private:
-  [[nodiscard]] NodeSample sample_node(int index, Rng& rng) const;
-  [[nodiscard]] IrradianceTrace make_trace(Rng& rng) const;
   [[nodiscard]] NodeResult run_node(int index,
                                     const IrradianceTrace* shared) const;
 

@@ -16,19 +16,8 @@
 
 #include "common/units.hpp"
 #include "fleet/scenario.hpp"
-#include "processor/corners.hpp"
 
 namespace hemp {
-
-/// The sampled identity of one node (drawn from the scenario distributions).
-struct NodeSample {
-  int index = 0;
-  double pv_scale = 1.0;  ///< Isc multiplier standing in for panel area
-  Farads solar_capacitance{47e-6};
-  OperatingConditions conditions{};
-  bool min_energy = false;  ///< controller policy: MEP hold vs MPP tracking
-  Seconds job_phase{0.0};   ///< offset of the first periodic job
-};
 
 /// Everything measured on one node over its simulated day.
 struct NodeResult {

@@ -11,7 +11,10 @@
 #include <cstdint>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
+#include "harvester/light_environment.hpp"
+#include "processor/corners.hpp"
 
 namespace hemp {
 
@@ -80,6 +83,13 @@ struct FleetScenario {
 
   void validate() const;
 
+  /// True when the whole fleet sees one sky: shared_trace, a CSV replay or
+  /// a constant level.
+  [[nodiscard]] bool shares_sky() const {
+    return shared_trace || trace_kind == TraceKind::kCsv ||
+           trace_kind == TraceKind::kConstant;
+  }
+
   /// Parse a scenario from `key = value` text ('#' comments, blank lines
   /// allowed).  Unknown keys throw ModelError — typos must not silently
   /// fall back to defaults.
@@ -87,5 +97,24 @@ struct FleetScenario {
   /// Parse a scenario file.
   static FleetScenario from_file(const std::string& path);
 };
+
+/// The sampled identity of one node (drawn from the scenario distributions).
+struct NodeSample {
+  int index = 0;
+  double pv_scale = 1.0;  ///< Isc multiplier standing in for panel area
+  Farads solar_capacitance{47e-6};
+  OperatingConditions conditions{};
+  bool min_energy = false;  ///< controller policy: MEP hold vs MPP tracking
+  Seconds job_phase{0.0};   ///< offset of the first periodic job
+};
+
+/// Node `index`'s identity, drawn from `rng` — node i's stream is
+/// Rng(seed).fork(i), and a per-node sky continues on the same stream after
+/// these draws.  Every engine samples through here, in this draw order.
+[[nodiscard]] NodeSample draw_node(const FleetScenario& sc, int index, Rng& rng);
+
+/// One sky from the scenario's light model.  The shared sky is drawn from
+/// Rng(seed).fork(~0), a stream no node uses.
+[[nodiscard]] IrradianceTrace draw_sky(const FleetScenario& sc, Rng& rng);
 
 }  // namespace hemp

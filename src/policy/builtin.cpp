@@ -41,15 +41,20 @@ namespace {
 class ManagedPolicy final : public EnergyPolicy {
  public:
   ManagedPolicy(std::string name, std::string description,
-                EnergyManagerParams params,
-                std::optional<BatchPolicySpec> batch, bool fast_path)
+                EnergyManagerParams params, bool fast_path)
       : name_(std::move(name)), description_(std::move(description)),
-        params_(params), batch_(batch), fast_path_(fast_path) {}
+        params_(params), fast_path_(fast_path) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::string description() const override { return description_; }
+  /// The batch kernel's manager lane over a FIFO job queue, the only
+  /// discipline the lane implements.
   [[nodiscard]] std::optional<BatchPolicySpec> batch_spec() const override {
-    return batch_;
+    if (params_.queue_discipline != QueueDiscipline::kFifo) return std::nullopt;
+    return BatchPolicySpec{params_.mode == ManagerMode::kMinEnergy,
+                           params_.low_light_bypass_enabled,
+                           params_.bypass_enter_ratio,
+                           params_.bypass_exit_ratio};
   }
   [[nodiscard]] bool fast_path() const override { return fast_path_; }
 
@@ -64,7 +69,6 @@ class ManagedPolicy final : public EnergyPolicy {
   std::string name_;
   std::string description_;
   EnergyManagerParams params_;
-  std::optional<BatchPolicySpec> batch_;
   bool fast_path_;
 };
 
@@ -157,15 +161,15 @@ class OraclePolicy final : public EnergyPolicy {
 void register_builtin_policies(PolicyRegistry& registry) {
   {
     // Ported legacy max-performance mode — default params, exactly as the
-    // pre-policy fleet constructed it.  No fast path, no batch override: the
-    // legacy hash contract runs through the reference engine (the batch
-    // kernel's own default lane is this policy already).
+    // pre-policy fleet constructed it.  No fast path: the legacy hash
+    // contract runs through the reference engine (its batch spec is the
+    // batch kernel's default lane).
     EnergyManagerParams params;
     params.mode = ManagerMode::kMaxPerformance;
     registry.add(std::make_unique<ManagedPolicy>(
         "mpp_track",
         "legacy max-performance: MPP-tracking DVFS + bypass + sprints",
-        params, BatchPolicySpec{false, true, 0.9, 1.2}, false));
+        params, false));
   }
   {
     // Ported legacy min-energy mode.
@@ -174,7 +178,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     registry.add(std::make_unique<ManagedPolicy>(
         "mep_hold",
         "legacy min-energy: hold the holistic MEP + bypass + sprints",
-        params, BatchPolicySpec{true, true, 0.9, 1.2}, false));
+        params, false));
   }
   {
     EnergyManagerParams params;
@@ -183,7 +187,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     registry.add(std::make_unique<ManagedPolicy>(
         "hyst_eager",
         "mpp_track with an eager bypass window (enter 1.1x, exit 1.5x)",
-        params, BatchPolicySpec{false, true, 1.1, 1.5}, true));
+        params, true));
   }
   {
     EnergyManagerParams params;
@@ -192,7 +196,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     registry.add(std::make_unique<ManagedPolicy>(
         "hyst_reluctant",
         "mpp_track with a reluctant bypass window (enter 0.5x, exit 0.7x)",
-        params, BatchPolicySpec{false, true, 0.5, 0.7}, true));
+        params, true));
   }
   {
     EnergyManagerParams params;
@@ -200,7 +204,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     registry.add(std::make_unique<ManagedPolicy>(
         "edf_sprint",
         "mpp_track draining the job queue earliest-deadline-first",
-        params, std::nullopt, true));
+        params, true));
   }
   registry.add(std::make_unique<GreedyMppPolicy>());
   registry.add(std::make_unique<DutyCyclePolicy>("duty25", 0.25));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
@@ -86,6 +87,35 @@ TEST(PolicyZoo, BatchKernelRejectsPoliciesWithoutBatchSpec) {
     EXPECT_NE(std::string(e.what()).find("reference"), std::string::npos)
         << "error should point at the reference kernel";
   }
+}
+
+TEST(PolicyZoo, ManagedBatchSpecsCarryTheirParams) {
+  const EnergyManagerParams defaults;
+  const auto spec = [](const char* name) {
+    return PolicyRegistry::global().at(name).batch_spec();
+  };
+  struct Want {
+    const char* name;
+    bool min_energy;
+    double enter;
+    double exit;
+  };
+  for (const Want& w : {Want{"mpp_track", false, defaults.bypass_enter_ratio,
+                             defaults.bypass_exit_ratio},
+                        Want{"mep_hold", true, defaults.bypass_enter_ratio,
+                             defaults.bypass_exit_ratio},
+                        Want{"hyst_eager", false, 1.1, 1.5},
+                        Want{"hyst_reluctant", false, 0.5, 0.7}}) {
+    SCOPED_TRACE(w.name);
+    const std::optional<BatchPolicySpec> s = spec(w.name);
+    ASSERT_TRUE(s.has_value());
+    EXPECT_EQ(s->min_energy, w.min_energy);
+    EXPECT_EQ(s->bypass_enabled, defaults.low_light_bypass_enabled);
+    EXPECT_EQ(s->bypass_enter_ratio, w.enter);
+    EXPECT_EQ(s->bypass_exit_ratio, w.exit);
+  }
+  // EDF is not a discipline the batch lane implements.
+  EXPECT_FALSE(spec("edf_sprint").has_value());
 }
 
 TEST(PolicyZoo, OracleIsOfflineOnly) {

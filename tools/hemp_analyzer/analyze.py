@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
-"""hemp_analyzer: hot-path purity & determinism static analyzer.
+"""hemp_analyzer: hot-path purity, determinism and unit-boundary analyzer.
 
-Driven by a CMake-exported compile_commands.json when the libclang Python
-bindings (`clang.cindex`) are importable, and by a pure-Python C++ scanner
-otherwise — the checks and the report format are identical either way (see
-checks.py for the check list and the call-resolution policy).
+A pure-Python C++ scanner (frontend_text.py) lowers every source file under
+the given roots to a small IR; checks.py holds the check list and the
+call-resolution policy.
 
 Usage:
     python3 tools/hemp_analyzer/analyze.py src \
-        [--compdb build/compile_commands.json] \
         [--baseline tools/hemp_analyzer/baseline.json] \
-        [--backend auto|clang|text] [--checks c1,c2] \
-        [--json-out report.json] [--update-baseline]
+        [--checks c1,c2] [--json-out report.json] [--update-baseline]
 
 Findings carry stable keys (check|function|sink-kind|sink-name — no line
 numbers, so routine edits do not churn them).  With --baseline, only keys
@@ -25,93 +22,33 @@ Exit status: 0 clean (or baseline-covered), 1 new findings, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
-import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from checks import (check_determinism, check_hot_path_purity,  # noqa: E402
-                    make_unit_boundary_check, ProgramIndex)
+                    check_unit_boundary, ProgramIndex)
 from frontend_text import TextFrontend  # noqa: E402
 
 ALL_CHECKS = ("hot-path-purity", "determinism", "unit-boundary")
 CPP_SUFFIXES = (".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh")
 
 
-def load_is_suspicious():
-    """Share the quantity-name vocabulary with tools/unit_lint.py."""
-    path = Path(__file__).resolve().parent.parent / "unit_lint.py"
-    spec = importlib.util.spec_from_file_location("unit_lint", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.is_suspicious
+def discover_files(paths):
+    """Source files to analyze: the given paths, directories globbed."""
+    files = set()
+    for root in (Path(p).resolve() for p in paths):
+        for f in sorted(root.rglob("*")) if root.is_dir() else [root]:
+            if f.is_file() and f.suffix in CPP_SUFFIXES:
+                files.add(f.resolve())
+    return sorted(files)
 
 
-def discover_files(paths, compdb):
-    """Source files to analyze: the given paths (dirs globbed), with the
-    compile database only consulted to order/confirm .cpp entries."""
-    files = []
-    seen = set()
-
-    def add(p: Path):
-        rp = p.resolve()
-        if rp in seen or not rp.is_file():
-            return
-        if rp.suffix not in CPP_SUFFIXES:
-            return
-        seen.add(rp)
-        files.append(rp)
-
-    roots = [Path(p).resolve() for p in paths]
-    if compdb is not None and compdb.is_file():
-        try:
-            entries = json.loads(compdb.read_text())
-        except (OSError, ValueError):
-            entries = []
-        for e in entries:
-            f = Path(e.get("directory", ".")) / e.get("file", "")
-            f = Path(os.path.normpath(f))
-            if any(str(f).startswith(str(r) + os.sep) or f == r
-                   for r in roots):
-                add(f)
-    for root in roots:
-        if root.is_dir():
-            for f in sorted(root.rglob("*")):
-                add(f)
-        else:
-            add(root)
-    files.sort()
-    return files
-
-
-def pick_backend(requested):
-    if requested in ("clang", "auto"):
-        try:
-            import frontend_clang  # noqa: F401
-            if frontend_clang.available():
-                return "clang"
-        except Exception as exc:  # pragma: no cover - import/env specific
-            if requested == "clang":
-                print(f"hemp_analyzer: clang backend unavailable: {exc}",
-                      file=sys.stderr)
-                sys.exit(2)
-        if requested == "clang":
-            print("hemp_analyzer: clang backend unavailable "
-                  "(clang.cindex/libclang not importable)", file=sys.stderr)
-            sys.exit(2)
-    return "text"
-
-
-def parse_files(backend, files, compdb, repo_root):
+def parse_files(files, repo_root):
     irs = []
-    if backend == "clang":
-        import frontend_clang
-        fe = frontend_clang.ClangFrontend(compdb)
-    else:
-        fe = TextFrontend()
+    fe = TextFrontend()
     for f in files:
         ir = fe.parse(str(f))
         try:
@@ -126,14 +63,14 @@ def parse_files(backend, files, compdb, repo_root):
     return irs
 
 
-def run_checks(irs, which, is_suspicious):
+def run_checks(irs, which):
     findings = []
     if "hot-path-purity" in which:
         findings += check_hot_path_purity(ProgramIndex(irs))
     if "determinism" in which:
         findings += check_determinism(irs)
     if "unit-boundary" in which:
-        findings += make_unit_boundary_check(is_suspicious)(irs)
+        findings += check_unit_boundary(irs)
     return findings
 
 
@@ -161,11 +98,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="hemp_analyzer",
                                  description=__doc__.split("\n")[0])
     ap.add_argument("paths", nargs="+", help="source roots/files to analyze")
-    ap.add_argument("--compdb", type=Path, default=None,
-                    help="compile_commands.json (clang backend flags)")
     ap.add_argument("--baseline", type=Path, default=None)
-    ap.add_argument("--backend", choices=("auto", "clang", "text"),
-                    default=os.environ.get("HEMP_ANALYZER_BACKEND", "auto"))
     ap.add_argument("--checks", default=",".join(ALL_CHECKS),
                     help="comma-separated subset of: " + ", ".join(ALL_CHECKS))
     ap.add_argument("--repo-root", type=Path,
@@ -181,15 +114,14 @@ def main(argv=None) -> int:
             print(f"hemp_analyzer: unknown check `{c}`", file=sys.stderr)
             return 2
 
-    files = discover_files(args.paths, args.compdb)
+    files = discover_files(args.paths)
     if not files:
         print("hemp_analyzer: no C++ sources found under: "
               + " ".join(args.paths), file=sys.stderr)
         return 2
 
-    backend = pick_backend(args.backend)
-    irs = parse_files(backend, files, args.compdb, args.repo_root.resolve())
-    findings = run_checks(irs, which, load_is_suspicious())
+    irs = parse_files(files, args.repo_root.resolve())
+    findings = run_checks(irs, which)
 
     if args.update_baseline:
         if args.baseline is None:
@@ -208,7 +140,6 @@ def main(argv=None) -> int:
 
     if args.json_out is not None:
         args.json_out.write_text(json.dumps({
-            "backend": backend,
             "files": len(files),
             "new": [vars(f) for f in new],
             "grandfathered": [vars(f) for f in grandfathered],
@@ -216,7 +147,7 @@ def main(argv=None) -> int:
         }, indent=2, default=str) + "\n")
 
     if new:
-        print(f"hemp_analyzer [{backend}]: {len(new)} NEW finding(s):\n")
+        print(f"hemp_analyzer: {len(new)} NEW finding(s):\n")
         for f in new:
             print(f.render())
             print(f"    key: {f.key}\n")
@@ -232,7 +163,7 @@ def main(argv=None) -> int:
             for k in sorted(stale):
                 print(f"  {k}")
     status = "FAIL" if new else "OK"
-    print(f"hemp_analyzer [{backend}]: {status} — {len(files)} file(s), "
+    print(f"hemp_analyzer: {status} — {len(files)} file(s), "
           f"{len(findings)} finding(s), {len(new)} new, "
           f"{len(grandfathered)} baselined")
     return 1 if new else 0

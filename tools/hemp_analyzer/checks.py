@@ -1,4 +1,4 @@
-"""The three hemp_analyzer checks, over the backend-independent IR.
+"""The three hemp_analyzer checks, over the IR in model.py.
 
 hot-path-purity
     Whole-program call graph from every `HEMP_HOT`-annotated root; any path
@@ -12,14 +12,13 @@ determinism
     randomness source.
 
 unit-boundary
-    AST-level re-implementation of tools/unit_lint.py's raw-`double`
-    quantity rule: function parameters and raw-double returns are checked in
-    every file (headers *and* .cpp, including multi-line signatures the
-    regex linter cannot see); data members are checked in headers for parity
-    with the regex linter.
+    No raw `double` whose name looks like a physical quantity (`is_suspicious`)
+    where a hemp::Quantity strong type belongs.  Function parameters and
+    raw-double returns are checked in every file, multi-line signatures
+    included; in headers also data members, namespace-scope variables and
+    the locals of inline bodies.
 
-Call resolution policy (text backend; the clang backend resolves through the
-AST and falls back to the same rules for dependent expressions):
+Call resolution policy:
   1. explicitly qualified calls (`Class::f`, `ns::f`) match by suffix;
   2. receiver-typed calls (`x.f()` with `T x` visible as a parameter, local
      or member declaration) match `T::f`, plus overrides in derived classes
@@ -80,7 +79,7 @@ SINKS = {
 OP_SINK_KIND = {"new": "alloc", "throw": "throw", "io-token": "io"}
 
 # ---------------------------------------------------------------------------
-# Determinism sources (vocabulary lives in model.py, shared with frontends)
+# Determinism sources (vocabulary lives in model.py, shared with the frontend)
 # ---------------------------------------------------------------------------
 
 from model import (NONDET_CALLS, NONDET_TOKENS,  # noqa: E402
@@ -152,9 +151,8 @@ class ProgramIndex:
     def resolve(self, fn, call):
         """Resolve one CallEvent to candidate definitions (possibly [])."""
         # 1. Explicit qualifier: suffix match on the qualified name.  Class
-        # qualifiers expand through the hierarchy — the clang backend
-        # qualifies virtual calls with the *static* receiver class, and the
-        # purity check over-approximates dynamic dispatch on purpose.
+        # qualifiers expand through the hierarchy: the purity check
+        # over-approximates dynamic dispatch on purpose.
         if call.qualifier:
             suffix = call.qualifier.split("::")[-1]
             hits = self._methods_with_overrides(suffix, call.name)
@@ -339,54 +337,82 @@ def check_determinism(file_irs) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Check 3: unit boundary (AST re-implementation of tools/unit_lint.py)
+# Check 3: unit boundary
 # ---------------------------------------------------------------------------
 
-def make_unit_boundary_check(is_suspicious):
-    """`is_suspicious(name) -> bool` comes from tools/unit_lint.py so both
-    linters share one vocabulary of quantity-looking identifiers."""
+# Identifier patterns that imply a physical quantity.  Suffix matches catch
+# the `v_solar`-style hungarian tails; substring matches catch spelled-out
+# dimension names.  Deliberately excluded: `_s`, `_f`, `_a`, `amp` (too many
+# false positives: `*_s` locals, `ramp`, `sample`, ...).
+SUFFIX_PATTERNS = [
+    r"_v", r"_mv", r"_uv",
+    r"_w", r"_mw", r"_uw",
+    r"_ma", r"_ua",
+    r"_j", r"_mj", r"_uj", r"_nj", r"_pj",
+    r"_hz", r"_khz", r"_mhz", r"_ghz",
+    r"_ohm", r"_ohms",
+    r"_volts", r"_watts", r"_joules", r"_amps", r"_farads", r"_coulombs",
+    r"_seconds", r"_secs",
+]
+SUBSTRING_PATTERNS = [
+    "volt", "watt", "joule", "coulomb", "farad",
+    "power", "energy", "charge", "current",
+    "freq", "voltage", "resistance", "capacitance", "inductance",
+]
 
-    def _is_raw_double(type_tokens) -> bool:
-        toks = [t for t in type_tokens
-                if t not in ("const", "constexpr", "static", "mutable",
-                             "inline", "volatile", "[", "]", "nodiscard",
-                             "&")]
-        return toks == ["double"]
+SUFFIX_RE = re.compile(r"(?:%s)$" % "|".join(SUFFIX_PATTERNS))
+SUBSTRING_RE = re.compile("|".join(SUBSTRING_PATTERNS))
 
-    def check(file_irs) -> list[Finding]:
-        findings = []
-        seen = set()
 
-        def add(ir, kind, owner, name, line):
-            if _suppressed(ir, line, "unit-boundary") or \
-                    not is_suspicious(name):
-                return
-            key = f"unit-boundary|{owner}|{kind}|{name}"
-            if key in seen:
-                return
-            seen.add(key)
-            findings.append(Finding(
-                check="unit-boundary", key=key, file=ir.path, line=line,
-                message=(f"raw `double {name}` ({kind} of `{owner}`) looks "
-                         f"like a physical quantity; use a hemp::Quantity "
-                         f"strong type (Volts, Watts, Joules, ...) or "
-                         f"suppress with `// hemp-analyzer: "
-                         f"allow(unit-boundary) — <reason>`")))
+def is_suspicious(name: str) -> bool:
+    lowered = name.lower().rstrip("_")
+    return bool(SUFFIX_RE.search(lowered) or SUBSTRING_RE.search(lowered))
 
-        for ir in file_irs:
-            is_header = ir.path.endswith((".hpp", ".h", ".hh"))
-            for fn in ir.functions:
-                for p in fn.params:
-                    if p.name and _is_raw_double(p.type_tokens):
-                        add(ir, "parameter", fn.qualname, p.name, p.line)
-                if _is_raw_double(fn.return_tokens):
-                    add(ir, "return", fn.qualname, fn.name, fn.line)
+
+def _is_raw_double(type_tokens) -> bool:
+    toks = [t for t in type_tokens
+            if t not in ("const", "constexpr", "static", "mutable", "inline",
+                         "volatile", "extern", "thread_local", "[", "]",
+                         "nodiscard", "&")]
+    return toks == ["double"]
+
+
+def check_unit_boundary(file_irs) -> list[Finding]:
+    findings = []
+    seen = set()
+
+    def add(ir, kind, owner, name, line):
+        if _suppressed(ir, line, "unit-boundary") or not is_suspicious(name):
+            return
+        key = f"unit-boundary|{owner}|{kind}|{name}"
+        if key in seen:
+            return
+        seen.add(key)
+        findings.append(Finding(
+            check="unit-boundary", key=key, file=ir.path, line=line,
+            message=(f"raw `double {name}` ({kind} of `{owner}`) looks like "
+                     f"a physical quantity; use a hemp::Quantity strong type "
+                     f"(Volts, Watts, Joules, ...) or suppress with "
+                     f"`// hemp-analyzer: allow(unit-boundary) — <reason>`")))
+
+    for ir in file_irs:
+        is_header = ir.path.endswith((".hpp", ".h", ".hh"))
+        for fn in ir.functions:
+            for p in fn.params:
+                if p.name and _is_raw_double(p.type_tokens):
+                    add(ir, "parameter", fn.qualname, p.name, p.line)
+            if _is_raw_double(fn.return_tokens):
+                add(ir, "return", fn.qualname, fn.name, fn.line)
             if is_header:
-                for cls in ir.classes:
-                    for m in cls.members:
-                        if _is_raw_double(m.type_tokens):
-                            add(ir, "member", cls.qualname, m.name, m.line)
-        findings.sort(key=lambda f: (f.file, f.line, f.key))
-        return findings
-
-    return check
+                for v in fn.locals:
+                    add(ir, "variable", fn.qualname, v.name, v.line)
+        if is_header:
+            for cls in ir.classes:
+                for m in cls.members:
+                    if _is_raw_double(m.type_tokens):
+                        add(ir, "member", cls.qualname, m.name, m.line)
+            for v in ir.variables:
+                if _is_raw_double(v.type_tokens):
+                    add(ir, "variable", v.scope or "<global>", v.name, v.line)
+    findings.sort(key=lambda f: (f.file, f.line, f.key))
+    return findings

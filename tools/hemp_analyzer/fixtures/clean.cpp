@@ -1,10 +1,6 @@
 // hemp_analyzer fixture: hot code that is actually pure — strong types,
 // resolved helper calls, no sinks.  The selftest asserts ZERO findings.
-#if defined(__clang__)
-#define HEMP_HOT [[clang::annotate("hemp::hot")]]
-#else
 #define HEMP_HOT
-#endif
 
 namespace fixture {
 

@@ -1,16 +1,11 @@
 // hemp_analyzer fixture: one injected violation per hot-path-purity sink
 // class (exact solver, alloc, mutex, io, throw) plus a virtual-dispatch
-// chain and a cold function that must NOT be reported.  Self-contained so
-// the clang backend can parse it without a compile command.
+// chain and a cold function that must NOT be reported.
 #include <cstdio>
 #include <mutex>
 #include <vector>
 
-#if defined(__clang__)
-#define HEMP_HOT [[clang::annotate("hemp::hot")]]
-#else
 #define HEMP_HOT
-#endif
 
 namespace fixture {
 

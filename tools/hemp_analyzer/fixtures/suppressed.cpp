@@ -3,11 +3,7 @@
 #include <random>
 #include <vector>
 
-#if defined(__clang__)
-#define HEMP_HOT [[clang::annotate("hemp::hot")]]
-#else
 #define HEMP_HOT
-#endif
 
 namespace fixture {
 

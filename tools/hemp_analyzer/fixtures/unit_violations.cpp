@@ -1,6 +1,5 @@
-// hemp_analyzer fixture: raw-double physical quantities in .cpp signatures.
-// tools/unit_lint.py only scans headers, so every finding here is AST-only;
-// the multi-line signature is additionally invisible to line regexes.
+// hemp_analyzer fixture: raw-double physical quantities in .cpp signatures,
+// one of them split across lines.  In a .cpp only signatures are checked.
 namespace fixture {
 
 double input_power(double bus_v, double load_current) {

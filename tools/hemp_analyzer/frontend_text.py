@@ -1,9 +1,10 @@
 """Pure-Python C++ frontend for hemp_analyzer.
 
-Lowers a C++ source file to the FileIR in model.py without libclang: a
-comment/string-aware tokenizer, a scope tracker (namespace / class / enum),
-and a function-body scanner that records call and op events with receiver
-identifiers bound to declared types where the declaration is visible.
+Lowers a C++ source file to the FileIR in model.py with no compiler in the
+loop: a comment/string-aware tokenizer, a scope tracker (namespace / class /
+enum), and a function-body scanner that records call and op events with
+receiver identifiers bound to declared types where the declaration is
+visible, plus the `double` declarations the unit-boundary check reads.
 
 This is a *lint* frontend, not a compiler: overload resolution, templates and
 macro expansion are approximated (see checks.py for the resolution policy).
@@ -22,8 +23,8 @@ from model import (NONDET_TOKENS, UNORDERED_TOKENS, CallEvent, ClassInfo,
                    type_name_from_tokens)
 
 SUPPRESS_RE = re.compile(r"hemp-analyzer:\s*allow\(([^)]*)\)")
-# tools/unit_lint.py exemption markers double as unit-boundary suppressions
-# so one reviewed `// unit-lint: <reason>` satisfies both linters.
+# `// unit-lint: <reason>` is the short form of allow(unit-boundary), kept
+# for the reviewed exemptions in src/ that predate the analyzer.
 UNIT_LINT_MARKER = "unit-lint:"
 
 HOT_MACRO = "HEMP_HOT"
@@ -276,12 +277,11 @@ class TextFrontend:
         if "(" in words and "=" not in words[:words.index("(")]:
             return self._parse_function(tokens, i, pending, scopes, ir,
                                         has_body=True)
-        # Brace initializer at class scope: `Volts x{1.0};` — treat the brace
-        # group as part of a member declaration.
-        cls = self._enclosing_class(scopes)
+        # Brace initializer: `Volts x{1.0};` — treat the brace group as part
+        # of a member or namespace-scope variable declaration.
         end = _match_forward(tokens, i, "{", "}")
-        if cls is not None and "(" not in words:
-            self._record_member(pending, cls)
+        if "(" not in words:
+            self._record_variable(pending, scopes, ir)
         return end
 
     def _open_class(self, tokens, i, pending, scopes, ir, kw):
@@ -318,32 +318,43 @@ class TextFrontend:
         if not pending:
             return
         words = [t for t, _ in pending]
-        if words[0] in ("using", "typedef", "template", "friend",
-                        "namespace"):
+        if words[:2] == ["template", "<"]:
+            pending = pending[_match_forward(pending, 1, "<", ">"):]
+            words = [t for t, _ in pending]
+        if not words or words[0] in ("using", "typedef", "template",
+                                     "namespace") or \
+                (words[0] == "friend" and "(" not in words):
             return
         if "(" in words and "=" not in words[:words.index("(")] and \
                 words[0] != "return":
             # Function declaration (no body).
             self._parse_signature_only(pending, scopes, ir)
             return
-        cls = self._enclosing_class(scopes)
-        if cls is not None:
-            self._record_member(pending, cls)
+        self._record_variable(pending, scopes, ir)
 
-    def _record_member(self, pending, cls):
-        """Member declaration: bind name -> type; record raw-double members."""
+    def _record_variable(self, pending, scopes, ir):
+        """Variable declaration: a class member (name -> type bound for
+        receiver typing) or a namespace-scope variable."""
         words = [t for t, _ in pending]
         eq = words.index("=") if "=" in words else len(words)
         decl = pending[:eq]
+        while decl and decl[-1][0] == "]":  # array extents: `x[4]`
+            decl = decl[:max((k for k, (t, _) in enumerate(decl) if t == "["),
+                             default=0)]
         if len(decl) < 2:
             return
         name_tok, line = decl[-1]
         if not re.match(r"[A-Za-z_]\w*$", name_tok):
             return
-        type_tokens = tuple(t for t, _ in decl[:-1])
-        cls.members.append(MemberInfo(type_tokens=type_tokens, name=name_tok,
-                                      line=line))
-        tname = type_name_from_tokens(type_tokens)
+        var = MemberInfo(type_tokens=tuple(t for t, _ in decl[:-1]),
+                         name=name_tok, line=line)
+        cls = self._enclosing_class(scopes)
+        if cls is None:
+            var.scope = "::".join(self._namespace_path(scopes))
+            ir.variables.append(var)
+            return
+        cls.members.append(var)
+        tname = type_name_from_tokens(var.type_tokens)
         if tname:
             cls.member_types[name_tok] = tname
 
@@ -529,6 +540,8 @@ class TextFrontend:
                                               receiver=receiver, line=line))
                 # Local declaration `Type name ...`: bind name -> type.
                 self._try_bind_local(tokens, i, hi, fn)
+                if tok == "double":
+                    self._record_double_local(tokens, i, hi, fn)
             i += 1
 
     def _match_template(self, tokens, i, hi):
@@ -547,6 +560,18 @@ class TextFrontend:
                 return None
             j += 1
         return None
+
+    def _record_double_local(self, tokens, i, hi, fn):
+        """`double [&] name` in a body: a local, loop variable or lambda
+        parameter.  Casts and template arguments have no name after them."""
+        j = i + 1
+        while j < hi and tokens[j][0] in ("&", "const"):
+            j += 1
+        if j < hi and re.match(r"[A-Za-z_]\w*$", tokens[j][0]) and \
+                tokens[j][0] not in NON_CALL_KEYWORDS:
+            fn.locals.append(MemberInfo(
+                type_tokens=tuple(t for t, _ in tokens[i:j]),
+                name=tokens[j][0], line=tokens[j][1]))
 
     def _try_bind_local(self, tokens, i, hi, fn):
         """`Type name` followed by = ; { ( , ) binds a local variable type."""

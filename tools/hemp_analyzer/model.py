@@ -1,8 +1,7 @@
-"""Shared intermediate representation for the hemp_analyzer frontends.
+"""Intermediate representation between hemp_analyzer's frontend and checks.
 
-Both frontends (clang.cindex when available, the pure-Python token scanner
-otherwise) lower every translation unit to the same small IR so the checks in
-checks.py are backend-independent:
+The token-scanning frontend (frontend_text.py) lowers every source file to
+this small IR, and the checks in checks.py read only the IR:
 
   * FunctionInfo  — one function/method definition or declaration, with its
     normalized qualified name, annotations, parameter/return signature, and
@@ -13,10 +12,12 @@ checks.py are backend-independent:
     on its own: `new` expressions, `throw` expressions, raw stream tokens.
   * ClassInfo     — class name, base classes and member-variable types, used
     for receiver typing and virtual-dispatch over-approximation.
+  * MemberInfo    — one variable declaration: a data member, a
+    namespace-scope variable, or a `double` declared in a function body.
 
 Qualified names are normalized for baseline stability: anonymous-namespace
 components are dropped, so `hemp::(anonymous namespace)::NodeRunner::run`
-keys as `hemp::NodeRunner::run` under either backend.
+keys as `hemp::NodeRunner::run`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # Nondeterminism vocabulary, shared by the determinism check and by the
-# frontends (which surface bare type mentions as "ident" op events).
+# frontend (which surfaces bare type mentions as "ident" op events).
 NONDET_CALLS = {"rand", "srand", "random_device", "time", "clock",
                 "gettimeofday", "clock_gettime", "getrandom", "rand_r",
                 "mt19937", "mt19937_64", "default_random_engine"}
@@ -72,6 +73,8 @@ class FunctionInfo:
     calls: list = field(default_factory=list)      # [CallEvent]
     ops: list = field(default_factory=list)        # [OpEvent]
     local_types: dict = field(default_factory=dict)  # var name -> type name
+    # `double` declarations in the body: locals, loop and lambda parameters.
+    locals: list = field(default_factory=list)     # [MemberInfo]
 
 
 @dataclass
@@ -79,6 +82,7 @@ class MemberInfo:
     type_tokens: tuple = ()
     name: str = ""
     line: int = 0
+    scope: str = ""              # enclosing namespace of a namespace variable
 
 
 @dataclass
@@ -97,6 +101,7 @@ class FileIR:
     path: str                    # as analyzed (absolute or repo-relative)
     functions: list = field(default_factory=list)
     classes: list = field(default_factory=list)
+    variables: list = field(default_factory=list)  # [MemberInfo], with scope
     # line -> set of check names suppressed by an inline marker on that line
     suppressions: dict = field(default_factory=dict)
 

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """hemp_analyzer self-test over the injected-violation fixtures.
 
-Asserts, on the text backend (the gating configuration everywhere):
+Asserts:
   * every violation class in fixtures/ is detected with its expected
     stable key — exact-solver/alloc/mutex/io/throw hot-path sinks (direct,
     transitive, and through virtual dispatch), every determinism source
-    class, and raw-double unit-boundary signatures in a .cpp file;
+    class, raw-double unit-boundary signatures in a .cpp file, and the
+    exact unit-boundary key set of a header (every declaration shape:
+    namespace variables, members, inline-body locals, `double&`,
+    multi-line declarations, same-line and next-line markers);
   * cold code and the clean fixture produce ZERO findings;
   * inline `hemp-analyzer: allow(...)` markers fully silence real
     violations (per-check and `all`).
 
-When clang.cindex + libclang are importable (CI), the hot-path-purity and
-unit-boundary assertions are repeated on the clang backend — the keys are
-backend-independent by design.  Exit 0 on success, 1 on any failure.
+Exit 0 on success, 1 on any failure.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from analyze import load_is_suspicious  # noqa: E402
 from checks import (ProgramIndex, check_determinism,  # noqa: E402
-                    check_hot_path_purity, make_unit_boundary_check)
+                    check_hot_path_purity, check_unit_boundary)
 from frontend_text import TextFrontend  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -57,6 +57,27 @@ UNIT_EXPECT = {
     "unit-boundary|fixture::harvest_energy|parameter|panel_current",
 }
 
+# fixtures/unit_violations.hpp, exactly.  Not reported: `plain_ratio` and
+# `tick_count` (no quantity name), `gain` and `trim_current` (same-line
+# `unit-lint:` markers), `bias_power` (next-line allow marker).  The
+# `bus_voltage` / `input_power` / `load_current` / `gain` probe sits behind a
+# `/*` inside a `//` comment, which must not open a block comment.
+UNIT_HEADER_EXPECT = {
+    "unit-boundary|fixture|variable|kMaxPower",
+    "unit-boundary|fixture|variable|global_energy",
+    "unit-boundary|fixture|variable|supply_v",
+    "unit-boundary|fixture::Probe|member|bus_voltage",
+    "unit-boundary|fixture::Probe|member|samples_v",
+    "unit-boundary|fixture::input_power|return|input_power",
+    "unit-boundary|fixture::input_power|parameter|load_current",
+    "unit-boundary|fixture::input_power|variable|scratch_power",
+    "unit-boundary|fixture::input_power|variable|step_energy",
+    "unit-boundary|fixture::read_rail|parameter|out_voltage",
+    "unit-boundary|fixture::harvest_energy|return|harvest_energy",
+    "unit-boundary|fixture::harvest_energy|parameter|panel_voltage",
+    "unit-boundary|fixture::harvest_energy|parameter|panel_charge",
+}
+
 failures = []
 
 
@@ -66,8 +87,8 @@ def expect(cond, label):
         failures.append(label)
 
 
-def parse(frontend, name):
-    ir = frontend.parse(str(FIXTURES / name))
+def parse(name):
+    ir = TextFrontend().parse(str(FIXTURES / name))
     ir.path = name
     for fn in ir.functions:
         fn.file = name
@@ -80,11 +101,8 @@ def keys(findings):
     return {f.key for f in findings}
 
 
-def run_suite(frontend, backend, full):
-    print(f"[{backend} backend]")
-    unit_check = make_unit_boundary_check(load_is_suspicious())
-
-    hot_ir = parse(frontend, "hot_violations.cpp")
+def main() -> int:
+    hot_ir = parse("hot_violations.cpp")
     hot = check_hot_path_purity(ProgramIndex([hot_ir]))
     got = keys(hot)
     for k in sorted(HOT_EXPECT):
@@ -98,50 +116,38 @@ def run_suite(frontend, backend, full):
            any("hot_exact_chain" in hop for hop in chain.witness),
            "witness chain names the HEMP_HOT root of a transitive finding")
 
-    unit_ir = parse(frontend, "unit_violations.cpp")
-    got = keys(unit_check([unit_ir]))
+    got = keys(check_unit_boundary([parse("unit_violations.cpp")]))
     for k in sorted(UNIT_EXPECT):
         expect(k in got, f"detects {k}")
     expect(not any("plain_counter" in k for k in got),
            "non-quantity signature is not reported")
 
-    sup_ir = parse(frontend, "suppressed.cpp")
+    got = keys(check_unit_boundary([parse("unit_violations.hpp")]))
+    for k in sorted(UNIT_HEADER_EXPECT):
+        expect(k in got, f"detects {k}")
+    expect(got == UNIT_HEADER_EXPECT,
+           f"no extra header unit-boundary findings "
+           f"(got {sorted(got - UNIT_HEADER_EXPECT)})")
+
+    sup_ir = parse("suppressed.cpp")
     sup = (check_hot_path_purity(ProgramIndex([sup_ir]))
-           + check_determinism([sup_ir]) + unit_check([sup_ir]))
+           + check_determinism([sup_ir]) + check_unit_boundary([sup_ir]))
     expect(keys(sup) == set(),
            f"inline allow markers silence every violation "
            f"(got {sorted(keys(sup))})")
 
-    clean_ir = parse(frontend, "clean.cpp")
+    clean_ir = parse("clean.cpp")
     clean = (check_hot_path_purity(ProgramIndex([clean_ir]))
-             + check_determinism([clean_ir]) + unit_check([clean_ir]))
+             + check_determinism([clean_ir]) + check_unit_boundary([clean_ir]))
     expect(keys(clean) == set(),
            f"clean fixture has zero findings (got {sorted(keys(clean))})")
 
-    if full:
-        det_ir = parse(frontend, "determinism_violations.cpp")
-        got = keys(check_determinism([det_ir]))
-        for k in sorted(DET_EXPECT):
-            expect(k in got, f"detects {k}")
-        expect(got == DET_EXPECT,
-               f"no extra determinism findings "
-               f"(got {sorted(got - DET_EXPECT)})")
+    got = keys(check_determinism([parse("determinism_violations.cpp")]))
+    for k in sorted(DET_EXPECT):
+        expect(k in got, f"detects {k}")
+    expect(got == DET_EXPECT,
+           f"no extra determinism findings (got {sorted(got - DET_EXPECT)})")
 
-
-def main() -> int:
-    run_suite(TextFrontend(), "text", full=True)
-    try:
-        import frontend_clang
-        clang_ok = frontend_clang.available()
-    except Exception:
-        clang_ok = False
-    if clang_ok:
-        # Determinism token kinds may differ through typedef sugar; the
-        # backend-parity contract is hot-path + unit-boundary keys.
-        import frontend_clang
-        run_suite(frontend_clang.ClangFrontend(None), "clang", full=False)
-    else:
-        print("[clang backend] skipped: clang.cindex/libclang not available")
     if failures:
         print(f"\nhemp_analyzer selftest: {len(failures)} FAILURE(S)")
         return 1
