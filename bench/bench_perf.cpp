@@ -13,12 +13,14 @@
 // Usage: bench_perf [--quick] [--out PATH]
 //   --quick   reduced iteration counts / shorter sim (CI smoke job)
 //   --out     JSON output path (default: BENCH_perf.json in the cwd)
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 
 #include "bench_common.hpp"
+#include "common/solver_stats.hpp"
 #include "core/mep_optimizer.hpp"
 #include "core/model_surfaces.hpp"
 #include "core/perf_optimizer.hpp"
@@ -137,6 +139,7 @@ void bench_soc_run(microbench::Suite& suite, double simulated_seconds,
                      Processor::make_test_chip());
   FixedPointController fast_ctrl(PowerPath::kRegulated, Volts(0.5),
                                  Hertz(100e6));
+  const std::uint64_t cells_before = solver_stats::iv_cells_solved().load();
   const auto cold_start = std::chrono::steady_clock::now();
   microbench::keep(fast_soc.run(IrradianceTrace::constant(1.0), fast_ctrl,
                                 Seconds(simulated_seconds)));
@@ -144,6 +147,11 @@ void bench_soc_run(microbench::Suite& suite, double simulated_seconds,
              std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - cold_start)
                  .count());
+  // IV-surface cells the cold run solved: only the blocks the run touches,
+  // up to the trace's peak irradiance — not the whole 160 x 64 grid.
+  suite.note("soc_fast_cold_iv_cells",
+             static_cast<double>(solver_stats::iv_cells_solved().load() -
+                                 cells_before));
   const auto fast = suite.run(
       "soc_run_fast_" + tag,
       [&] {

@@ -60,6 +60,20 @@ inline void count_exact_regulated_solve() {
   exact_regulated_solves().fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Counter of IV-surface cells solved (flat::IvSurface: one warm-started
+/// Newton solve per cell), counted once per solved row block.  Surfaces are
+/// set-up work, so this is not an exact solve; it tracks how much of each
+/// surface a run solves — all of it for the batch kernel's eager builds,
+/// only the touched blocks for the fast path's first-touch surfaces.
+inline std::atomic<std::uint64_t>& iv_cells_solved() {
+  static std::atomic<std::uint64_t> count{0};
+  return count;
+}
+
+inline void count_iv_cells(std::uint64_t n) {
+  iv_cells_solved().fetch_add(n, std::memory_order_relaxed);
+}
+
 // ---------------------------------------------------------------------------
 // Step accounting for the event-driven engines (batch kernel, fast path).
 //

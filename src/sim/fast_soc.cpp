@@ -13,7 +13,9 @@
 // Steps are quantized to whole reference ticks so controller decisions land
 // on the same instants the fixed-step loop uses.  Zero exact solves run
 // inside the stepped loop — the equivalence suite in tests/sim asserts this
-// via hemp::solver_stats.
+// via hemp::solver_stats.  The one solver the loop can reach is the IV
+// surface's own Newton, once per v-row block on its first touch
+// (flat::IvSurface::Filler); a repeat of a run solves nothing new.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -32,10 +34,13 @@
 namespace hemp {
 
 /// Cached surfaces: rebuilt only when a trace exceeds the covered irradiance.
+/// The IV surface is solved on first touch through `fill` (which points at
+/// `iv`, so the context stays where make_shared put it).
 struct FastSocContext {
   flat::FlatSc sc;
   flat::FlatProc pc;
   flat::IvSurface iv;
+  flat::IvSurface::Filler fill;
   double g_max = 0.0;
 };
 
@@ -212,10 +217,10 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
   if (config_.trace_coarsen_eps > 0.0) {
     trace.coarsen(config_.trace_coarsen_eps * t_end.value());
   }
-  double g_need = trace.constant
-                      ? trace.g_const
-                      : *std::max_element(trace.gs.begin(), trace.gs.end());
-  g_need = std::max(1.25, g_need * 1.05);
+  const double g_peak =
+      trace.constant ? trace.g_const
+                     : *std::max_element(trace.gs.begin(), trace.gs.end());
+  const double g_need = std::max(1.25, g_peak * 1.05);
 
   if (!fast_ctx_ || fast_ctx_->g_max < g_need) {
     auto ctx = std::make_shared<FastSocContext>();
@@ -229,11 +234,15 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
     // peak irradiance plus margin, and the configured start voltage.
     const double v_max = std::max(1.15 * config_.pv.voc_full_sun.value(),
                                   config_.solar_start_voltage.value() + 0.1);
-    ctx->iv = flat::build_iv_surface({1.0}, config_.pv, v_max, /*v_knots=*/160,
-                                     g_need, /*g_knots=*/64);
+    ctx->iv = flat::size_iv_surface({1.0}, v_max, /*v_knots=*/160, g_need,
+                                    /*g_knots=*/64);
+    ctx->fill = flat::IvSurface::Filler(ctx->iv, config_.pv);
     ctx->g_max = g_need;
     fast_ctx_ = std::move(ctx);
   }
+  // The run reads irradiance up to the trace peak only, and v-rows near the
+  // node's path only: solve those cells on first touch, not the whole grid.
+  fast_ctx_->fill.cover(g_peak);
 
   ComparatorBank comparators(config_.comparator_thresholds);
   comparators.reset(config_.solar_start_voltage);
@@ -254,6 +263,7 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
   e.waveform = &waveform;
   e.trace = &trace;
   e.iv = fast_ctx_->iv.bind(1.0);
+  e.iv.fill = &fast_ctx_->fill;
   e.t_end = t_end.value();
   e.dt_min = config_.time_step.value();
   e.tau = config_.regulation_time_constant.value();

@@ -1,9 +1,12 @@
 #include "sim/flat_model.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/solver_stats.hpp"
 #include "harvester/iv_curve.hpp"
 
 namespace hemp::flat {
@@ -108,17 +111,16 @@ void pv_current_lanes(const FlatPv& pv, const double* v, double g, double* warm,
   }
 }
 
-/// Rows of the IV surface solved together by build_iv_surface.
-constexpr int kIvRowLanes = 4;
-
-/// Fill rows [vi, vi + W) of one surface slice (`out`, g fastest), their
-/// solves in lockstep.  Rows in v are independent: the warm start chains
-/// only along g, from zero at each row's g = 0 end.
+/// Fill irradiance knots [0, g_count) of rows [vi, vi + W) of one surface
+/// slice (`out`, g fastest), their solves in lockstep.  Rows in v are
+/// independent: the warm start chains only along g, from zero at each row's
+/// g = 0 end, so a knot's value does not depend on g_count.
 template <int W>
-void solve_iv_rows(const FlatPv& pv, const IvSurface& iv, int vi, double* out) {
+void solve_iv_rows(const FlatPv& pv, const IvSurface& iv, int vi, double* out,
+                   int g_count) {
   std::array<double, W> v{}, warm{}, cur{};
   for (int l = 0; l < W; ++l) v[l] = (vi + l) * iv.dv;
-  for (int gi = 0; gi < iv.g_knots; ++gi) {
+  for (int gi = 0; gi < g_count; ++gi) {
     pv_current_lanes<W>(pv, v.data(), gi * iv.dg, warm.data(), cur.data());
     for (int l = 0; l < W; ++l) out[(vi + l) * iv.g_knots + gi] = cur[l];
   }
@@ -354,22 +356,68 @@ IvSurface size_iv_surface(std::vector<double> s_knots, double v_max,
   iv.g_knots = g_knots;
   iv.dv = v_max / (v_knots - 1);
   iv.dg = g_max / (g_knots - 1);
-  iv.vals.resize(iv.s_knots.size() * static_cast<std::size_t>(v_knots) *
-                 static_cast<std::size_t>(g_knots));
+  iv.vals.assign(iv.s_knots.size() * static_cast<std::size_t>(v_knots) *
+                     static_cast<std::size_t>(g_knots),
+                 std::numeric_limits<double>::quiet_NaN());
   return iv;
 }
 
-void fill_iv_slice(IvSurface& iv, const PvCellParams& base, std::size_t slice) {
+namespace {
+
+FlatPv slice_pv(const IvSurface& iv, const PvCellParams& base,
+                std::size_t slice) {
   PvCellParams scaled = base;
   scaled.isc_full_sun = base.isc_full_sun * iv.s_knots[slice];
-  const FlatPv flat = make_flat_pv(scaled);
+  return make_flat_pv(scaled);
+}
+
+/// Solve knots [0, g_count) of block `b` (rows b*kIvRowLanes on, fewer in
+/// a tail block) of the slice at `out`.
+void solve_iv_block(const FlatPv& pv, const IvSurface& iv, std::size_t b,
+                    double* out, int g_count) {
+  const int vi = static_cast<int>(b) * kIvRowLanes;
+  const int rows = std::min(kIvRowLanes, iv.v_knots - vi);
+  if (rows == kIvRowLanes) {
+    solve_iv_rows<kIvRowLanes>(pv, iv, vi, out, g_count);
+  } else {
+    for (int r = 0; r < rows; ++r) solve_iv_rows<1>(pv, iv, vi + r, out, g_count);
+  }
+  solver_stats::count_iv_cells(static_cast<std::uint64_t>(rows) *
+                               static_cast<std::uint64_t>(g_count));
+}
+
+std::size_t iv_blocks(const IvSurface& iv) {
+  return static_cast<std::size_t>((iv.v_knots + kIvRowLanes - 1) / kIvRowLanes);
+}
+
+}  // namespace
+
+void fill_iv_slice(IvSurface& iv, const PvCellParams& base, std::size_t slice) {
+  const FlatPv pv = slice_pv(iv, base, slice);
   double* out = &iv.vals[slice * static_cast<std::size_t>(iv.v_knots) *
                          static_cast<std::size_t>(iv.g_knots)];
-  int vi = 0;
-  for (; vi + kIvRowLanes <= iv.v_knots; vi += kIvRowLanes) {
-    solve_iv_rows<kIvRowLanes>(flat, iv, vi, out);
+  for (std::size_t b = 0; b < iv_blocks(iv); ++b) {
+    solve_iv_block(pv, iv, b, out, iv.g_knots);
   }
-  for (; vi < iv.v_knots; ++vi) solve_iv_rows<1>(flat, iv, vi, out);
+}
+
+IvSurface::Filler::Filler(IvSurface& surface, const PvCellParams& base)
+    : iv(&surface), pv(slice_pv(surface, base, 0)), filled(iv_blocks(surface)) {
+  HEMP_REQUIRE(surface.s_knots.size() == 1,
+               "IvSurface::Filler: first-touch fill needs a single-slice surface");
+}
+
+void IvSurface::Filler::cover(double g_peak) {
+  const double knots = std::floor(std::max(g_peak, 0.0) / iv->dg) + 3.0;
+  const int want = knots < iv->g_knots ? static_cast<int>(knots) : iv->g_knots;
+  if (want <= g_count) return;
+  g_count = want;
+  std::fill(filled.begin(), filled.end(), 0);
+}
+
+void IvSurface::Filler::fill_block(std::size_t b) {
+  solve_iv_block(pv, *iv, b, iv->vals.data(), g_count);
+  filled[b] = 1;
 }
 
 IvSurface build_iv_surface(std::vector<double> s_knots,

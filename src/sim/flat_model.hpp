@@ -9,7 +9,8 @@
 //     single-diode KCL (ctor/surface-build only; the stepped loops read the
 //     sampled IvSurface instead);
 //   * IvSurface                — terminal-current i(v, g) sampled per
-//     pv-scale knot, read bilinearly with an in-cell Jacobian;
+//     pv-scale knot, read bilinearly with an in-cell Jacobian; solved
+//     eagerly, or block by block on first touch (IvSurface::Filler);
 //   * MppSurface               — (pv_scale, irradiance) -> (Vmpp, Pmpp)
 //     bilinear grids with photocurrent-limited low-light extrapolation;
 //   * FlatSc / FlatProc        — allocation- and throw-free mirrors of the
@@ -250,11 +251,52 @@ FlatTrace flatten_constant(double g);
 // Terminal-current surface i(v, g), sampled per pv-scale knot.
 // ---------------------------------------------------------------------------
 
+/// Rows of an IV surface solved together: the lanes of one Newton batch,
+/// and the block a first-touch surface solves at once.
+inline constexpr int kIvRowLanes = 4;
+
 struct IvSurface {
   std::vector<double> s_knots;  ///< uniform pv-scale knots (>= 1)
-  std::vector<double> vals;     ///< [scale][v][g], g fastest
+  std::vector<double> vals;     ///< [scale][v][g], g fastest; NaN until solved
   int v_knots = 0, g_knots = 0;
   double dv = 0.0, dg = 0.0;
+
+  /// First-touch solver of a single-slice surface (the single-node fast
+  /// path's; the batch kernel's surfaces are solved eagerly and bind none).
+  /// A read solves the kIvRowLanes-row blocks holding its cell's two v-knots
+  /// the first time it touches them, over irradiance knots 0 .. g_count - 1.
+  /// Rows are independent and the warm start chains only along g, from
+  /// zero, so a block solved here holds the eager build's bits.  Unsolved
+  /// cells stay NaN: a read outside the solved region poisons its result.
+  /// A filler is not thread-safe; its surface belongs to one caller at a
+  /// time (one SocSystem, which never runs concurrently).
+  struct Filler {
+    IvSurface* iv = nullptr;
+    FlatPv pv{};
+    int g_count = 0;  ///< irradiance knots a filled block holds
+    std::vector<unsigned char> filled;  ///< per kIvRowLanes-row block
+
+    Filler() = default;
+    /// Fill single-slice `surface` (sized, all cells NaN) on first touch;
+    /// `base` as for fill_iv_slice.  Covers no irradiance until cover().
+    Filler(IvSurface& surface, const PvCellParams& base);
+
+    /// Let reads reach irradiance `g_peak`: knots up to floor(g_peak/dg) + 2
+    /// (the +2 absorbs a read's rounding past g_peak and its cell's upper
+    /// knot).  The limit only rises; when it does, every block re-opens and
+    /// is solved again, to the new limit, on its next touch.
+    void cover(double g_peak);
+
+    /// Solve the blocks holding rows xi and xi + 1, if not yet solved.
+    void touch(std::size_t xi) {
+      const std::size_t b = xi / kIvRowLanes;
+      if (filled[b] == 0) fill_block(b);
+      const std::size_t b1 = (xi + 1) / kIvRowLanes;
+      if (b1 != b && filled[b1] == 0) fill_block(b1);
+    }
+
+    void fill_block(std::size_t b);
+  };
 
   /// One node's view: two bracketing pv-scale slices plus a blend weight.
   struct Bound {
@@ -263,6 +305,7 @@ struct IvSurface {
     double w = 0.0;  ///< blend weight of the hi slice
     int v_knots = 0, g_knots = 0;
     double dv = 0.0, dg = 0.0;
+    Filler* fill = nullptr;  ///< null: every cell is already solved
 
     /// Stepped-loop cell evaluation: bilinear (v, g) read, scale-blended.
     /// Optionally returns the in-cell d(i)/d(v) slope for the implicit
@@ -274,6 +317,7 @@ struct IvSurface {
       y = std::clamp(y, 0.0, static_cast<double>(g_knots - 1) - 1e-9);
       const auto xi = static_cast<std::size_t>(x);
       const auto yi = static_cast<std::size_t>(y);
+      if (fill != nullptr) fill->touch(xi);
       const double fx = x - static_cast<double>(xi);
       const double fy = y - static_cast<double>(yi);
       const std::size_t a = xi * static_cast<std::size_t>(g_knots) + yi;
@@ -316,6 +360,7 @@ struct IvSurface {
       const auto xi = static_cast<std::ptrdiff_t>(x);
       const double fx = x - static_cast<double>(xi);
       if (xi != rc.xi) {
+        if (fill != nullptr) fill->touch(static_cast<std::size_t>(xi));
         const std::size_t a =
             static_cast<std::size_t>(xi) * static_cast<std::size_t>(g_knots) +
             rc.yi;
@@ -344,7 +389,7 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
                            const PvCellParams& base, double v_max, int v_knots,
                            double g_max, int g_knots);
 
-/// The grid of build_iv_surface with `vals` allocated but not yet solved.
+/// The grid of build_iv_surface with `vals` allocated, every cell NaN.
 IvSurface size_iv_surface(std::vector<double> s_knots, double v_max,
                           int v_knots, double g_max, int g_knots);
 

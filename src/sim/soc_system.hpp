@@ -174,7 +174,8 @@ struct SimResult {
 
 /// Opaque cache of the fast engine's precomputed surfaces (fast_soc.cpp);
 /// built lazily on the first fast run and reused while it still covers the
-/// requested irradiance range.
+/// requested irradiance range.  Its IV surface is solved block by block on
+/// first touch, so it belongs to this SocSystem alone.
 struct FastSocContext;
 
 class SocSystem {

@@ -66,11 +66,15 @@ TEST(HashPin, FleetSimulatorGreedyMpp) {
   // audit build (HEMP_AUDIT=ON) defaults SocConfig::audit to true, which
   // deliberately routes every node through the dense tick loop instead
   // (tests/sim/fast_soc_test.cpp), so that build pins the dense loop's bits.
+  // The parallel run puts the per-node surfaces, each solved on first touch,
+  // on the shared pool (the debug-tsan preset runs this test).
   FleetScenario s = pin_scenario();
   s.policy = "greedy_mpp";
-  const FleetReport r = FleetSimulator(s).run({.parallel = false});
-  EXPECT_EQ(r.summary_hash, audit_compiled_in() ? 0xff43b3ab06a4d4b4ULL
-                                                : 0xc4a2df54fc392363ULL);
+  const std::uint64_t pin =
+      audit_compiled_in() ? 0xff43b3ab06a4d4b4ULL : 0xc4a2df54fc392363ULL;
+  const FleetSimulator sim(s);
+  EXPECT_EQ(sim.run({.parallel = false}).summary_hash, pin);
+  EXPECT_EQ(sim.run({.parallel = true}).summary_hash, pin);
 }
 
 TEST(HashPin, FleetSimulatorDefaultMix) {
@@ -320,13 +324,17 @@ TEST(HashPin, FleetSimulatorGreedyMppStepCauses) {
   // event steps at all.
   FleetScenario s = pin_scenario();
   s.policy = "greedy_mpp";
-  const auto before = solver_stats::step_snapshot();
-  (void)FleetSimulator(s).run({.parallel = false});
-  const auto d = solver_stats::step_delta_since(before);
-  if (audit_compiled_in()) {
-    expect_step_counts(d, 0, 0, 0, 0);
-  } else {
-    expect_step_counts(d, 738, 401, 33, 377);
+  const FleetSimulator sim(s);
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    const auto before = solver_stats::step_snapshot();
+    (void)sim.run({.parallel = parallel});
+    const auto d = solver_stats::step_delta_since(before);
+    if (audit_compiled_in()) {
+      expect_step_counts(d, 0, 0, 0, 0);
+    } else {
+      expect_step_counts(d, 738, 401, 33, 377);
+    }
   }
 }
 

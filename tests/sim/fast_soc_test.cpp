@@ -15,7 +15,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
@@ -358,6 +361,105 @@ TEST(FastSoc, FastRunsAreDeterministic) {
   }
   EXPECT_EQ(harvested[0], harvested[1]);
   EXPECT_EQ(cycles[0], cycles[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Surface reuse: a SocSystem keeps its IV surface across runs, solving more
+// of it on first touch as a brighter trace raises the irradiance it covers.
+// Every run must give the bits a fresh SocSystem gives on that trace.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_bitwise_equal(const SimResult& a, const SimResult& b) {
+  const SimTotals& x = a.totals;
+  const SimTotals& y = b.totals;
+  EXPECT_TRUE(same_bits(x.simulated_time.value(), y.simulated_time.value()));
+  EXPECT_TRUE(same_bits(x.harvested.value(), y.harvested.value()));
+  EXPECT_TRUE(same_bits(x.delivered_to_processor.value(),
+                        y.delivered_to_processor.value()));
+  EXPECT_TRUE(same_bits(x.regulator_loss.value(), y.regulator_loss.value()));
+  EXPECT_TRUE(same_bits(x.bypass_loss.value(), y.bypass_loss.value()));
+  EXPECT_TRUE(same_bits(x.cycles, y.cycles));
+  EXPECT_TRUE(same_bits(x.halted_time.value(), y.halted_time.value()));
+  EXPECT_EQ(x.brownouts, y.brownouts);
+  EXPECT_EQ(x.timing_faults, y.timing_faults);
+  ASSERT_EQ(a.waveform.sample_count(), b.waveform.sample_count());
+  ASSERT_EQ(a.waveform.channels(), b.waveform.channels());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.waveform.sample_count(); ++i) {
+    if (!same_bits(a.waveform.times()[i], b.waveform.times()[i])) ++bad;
+  }
+  for (const std::string& ch : a.waveform.channels()) {
+    const std::vector<double>& sa = a.waveform.series(ch);
+    const std::vector<double>& sb = b.waveform.series(ch);
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      if (!same_bits(sa[i], sb[i])) ++bad;
+    }
+  }
+  EXPECT_EQ(bad, 0U);
+  EXPECT_TRUE(std::isfinite(x.harvested.value()));
+}
+
+SimResult run_reused(SocSystem& soc, const IrradianceTrace& trace) {
+  FixedPointController ctrl(PowerPath::kRegulated, 0.5_V, 300.0_MHz);
+  return soc.run(trace, ctrl, 30.0_ms);
+}
+
+SocSystem fast_soc() {
+  return SocSystem(fast({}), std::make_unique<SwitchedCapRegulator>(),
+                   Processor::make_test_chip());
+}
+
+void expect_reuse_matches_fresh(const IrradianceTrace& first,
+                                const IrradianceTrace& second) {
+  SocSystem reused = fast_soc();
+  const SimResult a = run_reused(reused, first);
+  const SimResult b = run_reused(reused, second);
+  SocSystem fresh_a = fast_soc();
+  SocSystem fresh_b = fast_soc();
+  {
+    SCOPED_TRACE("first run");
+    expect_bitwise_equal(a, run_reused(fresh_a, first));
+  }
+  {
+    SCOPED_TRACE("second run");
+    expect_bitwise_equal(b, run_reused(fresh_b, second));
+  }
+}
+
+// Both peaks sit under the fast path's minimum covered irradiance (1.25 sun
+// over 1.05 margin), so both runs share one surface and the second run
+// differs only in how many irradiance knots it needs solved.
+IrradianceTrace dim_trace() {
+  return IrradianceTrace::piecewise({{0.0_s, 0.05}, {10.0_ms, 0.3}, {30.0_ms, 0.1}});
+}
+
+IrradianceTrace bright_trace() {
+  return IrradianceTrace::clouds(
+      1.0, {{5.0_ms, 5.0_ms, 0.7}, {18.0_ms, 3.0_ms, 0.4}});
+}
+
+TEST(FastSocReuse, DimThenBrightMatchesFreshRuns) {
+  expect_reuse_matches_fresh(dim_trace(), bright_trace());
+}
+
+TEST(FastSocReuse, BrightThenDimMatchesFreshRuns) {
+  expect_reuse_matches_fresh(bright_trace(), dim_trace());
+}
+
+TEST(FastSocReuse, PeakOnAnIrradianceKnot) {
+  // The surface spans 1.25 sun over 64 knots; a peak exactly on knot 40 puts
+  // the brightest reads on the boundary of the covered knots' cells.
+  const double dg = 1.25 / 63;
+  const double g_knot = 40 * dg;
+  ASSERT_EQ(g_knot / dg, 40.0);
+  const IrradianceTrace on_knot = IrradianceTrace::piecewise(
+      {{0.0_s, 0.2}, {12.0_ms, g_knot}, {20.0_ms, g_knot}, {30.0_ms, 0.35}});
+  expect_reuse_matches_fresh(dim_trace(), on_knot);
+  expect_reuse_matches_fresh(on_knot, dim_trace());
 }
 
 TEST(FastSoc, AuditForcesReferenceLoop) {
