@@ -1,10 +1,11 @@
 // Perf trajectory bench: times the hot kernels and writes BENCH_perf.json.
 //
-// Four kernel families are tracked PR-over-PR:
+// Four kernel families and one work count are tracked PR-over-PR:
 //   * the MPP solve (exact Brent solve vs quantized cache hit vs surface);
 //   * the regulated performance point (grid scan + Brent, exact vs surface);
 //   * the holistic MEP solve;
-//   * one second of SocSystem::run simulated time.
+//   * one second of SocSystem::run simulated time;
+//   * the exact MPP solves one cold greedy_mpp node pays.
 // Plus the two headline ratios of the performance layer: the fig07a-style
 // light-sweep kernel cached (ModelSurfaces) vs uncached (exact SystemModel)
 // measured in this same binary, and the parallel-vs-serial sweep scaling on
@@ -20,12 +21,15 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "common/rng.hpp"
 #include "common/solver_stats.hpp"
 #include "core/mep_optimizer.hpp"
 #include "core/model_surfaces.hpp"
 #include "core/perf_optimizer.hpp"
 #include "microbench.hpp"
+#include "policy/registry.hpp"
 #include "sim/soc_system.hpp"
+#include "trace/generators.hpp"
 
 namespace {
 
@@ -162,6 +166,38 @@ void bench_soc_run(microbench::Suite& suite, double simulated_seconds,
   suite.note("soc_fast_speedup", ref.ns_per_iter / fast.ns_per_iter);
 }
 
+// Exact MPP solves one greedy_mpp node pays cold: make_controller (the
+// full-sun MPP target, and the MPPT lookup table) plus one fast-path run over
+// a fixed cloudy day.  The fleet's tracking-error pass over the waveform is
+// left out.  A deterministic work count: the table solves only the knots the
+// run reads, where an eager table would solve all of them up front.  The
+// node has the fleet's smallest solar storage (22 uF), so the clouds pull it
+// through the threshold-timer window and the run does read the table.
+void bench_greedy_cold_solves(microbench::Suite& suite) {
+  SocConfig cfg;
+  cfg.fast_path = true;
+  cfg.audit = false;  // an audit build would route the run to the dense loop
+  cfg.solar_capacitance = Farads(22e-6);
+  const PvCell cell(cfg.pv);
+  const SwitchedCapRegulator model_regulator;
+  const Processor processor = Processor::make_test_chip();
+  const SystemModel model(cell, model_regulator, processor);
+  Rng rng(2018);
+  const IrradianceTrace trace = cloud_field(rng, CloudFieldParams{});
+  PolicyContext ctx;
+  ctx.model = &model;
+  ctx.workload = {2e6, Seconds(40e-3), Seconds(8e-3), Seconds(0.0)};
+  ctx.day_length = Seconds(0.25);
+  ctx.solar_capacitance = cfg.solar_capacitance;
+  const auto before = solver_stats::snapshot();
+  const auto controller =
+      PolicyRegistry::global().at("greedy_mpp").make_controller(ctx);
+  SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
+  microbench::keep(soc.run(trace, *controller, ctx.day_length));
+  suite.note("greedy_cold_mpp_solves",
+             static_cast<double>(solver_stats::delta_since(before).mpp_solves));
+}
+
 void bench_parallel_sweep(microbench::Suite& suite, bench::ScRig& rig,
                           const ModelSurfaces& surfaces, double min_seconds) {
   const PerformanceOptimizer opt(surfaces);
@@ -217,6 +253,7 @@ int main(int argc, char** argv) {
   bench_light_sweep(suite, rig, surfaces, min_seconds);
   bench_optimizers(suite, rig, surfaces, min_seconds);
   bench_soc_run(suite, sim_seconds, quick);
+  bench_greedy_cold_solves(suite);
   bench_parallel_sweep(suite, rig, surfaces, min_seconds);
 
   suite.print();

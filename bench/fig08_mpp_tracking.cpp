@@ -76,7 +76,7 @@ BENCHMARK(BM_Eq7Estimate);
 
 void BM_LutLookup(benchmark::State& state) {
   const PvCell cell = make_ixys_kxob22_cell();
-  const MppLut lut(cell, Volts(0.95));
+  MppLut lut(cell, Volts(0.95));
   for (auto _ : state) {
     benchmark::DoNotOptimize(lut.mpp_voltage_for(Watts(4e-3)));
   }

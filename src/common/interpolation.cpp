@@ -126,6 +126,8 @@ double PiecewiseLinear::operator()(double x) const {
                ? lerp_segment(x, knots_[knots_.size() - 2], knots_.back())
                : knots_.back().second;
   }
+  // A NaN takes neither clamp above; upper_bound would return end().
+  HEMP_REQUIRE(!std::isnan(x), "PiecewiseLinear: NaN query");
   const auto it = std::upper_bound(
       knots_.begin(), knots_.end(), x,
       [](double v, const std::pair<double, double>& k) { return v < k.first; });

@@ -70,6 +70,7 @@ class PiecewiseLinear {
   /// Convenience: build from parallel vectors.
   PiecewiseLinear(const std::vector<double>& xs, const std::vector<double>& ys);
 
+  /// y at `x`; throws ModelError on a NaN `x`.
   [[nodiscard]] double operator()(double x) const;
 
   /// Switch out-of-range behaviour to linear extrapolation from end segments.

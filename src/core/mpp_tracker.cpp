@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -10,6 +11,8 @@
 namespace hemp {
 
 Watts estimate_input_power(Watts p_draw, Farads c, Volts v1, Volts v2, Seconds t) {
+  HEMP_CHECK_RANGE(std::isfinite(p_draw.value()),
+                   "estimate_input_power: non-finite load power");
   HEMP_CHECK_RANGE(v1 > v2, "estimate_input_power: V1 must exceed V2");
   HEMP_CHECK_RANGE(t.value() > 0.0, "estimate_input_power: non-positive interval");
   HEMP_CHECK_RANGE(c.value() > 0.0, "estimate_input_power: non-positive capacitance");
@@ -20,36 +23,86 @@ Watts estimate_input_power(Watts p_draw, Farads c, Volts v1, Volts v2, Seconds t
 
 MppLut::MppLut(const PvCell& cell, Volts measure_voltage, double g_min, double g_max,
                int samples)
-    : measure_voltage_(measure_voltage) {
+    : cell_(cell), measure_voltage_(measure_voltage) {
   HEMP_REQUIRE(samples >= 4, "MppLut: need >= 4 samples");
   HEMP_REQUIRE(0.0 < g_min && g_min < g_max, "MppLut: bad irradiance range");
-  std::vector<double> p, vmpp, gs, pmpp;
   double last_p = -1.0;
   for (int i = 0; i < samples; ++i) {
     const double g = g_min + (g_max - g_min) * i / (samples - 1);
-    const double p_meas = cell.power(measure_voltage_, g).value();
+    const double p_meas = cell_.power(measure_voltage_, g).value();
     if (p_meas <= last_p) continue;  // keep the power axis strictly increasing
-    const MaxPowerPoint point = find_mpp(cell, g);
-    p.push_back(p_meas);
-    vmpp.push_back(point.voltage.value());
-    gs.push_back(g);
-    pmpp.push_back(point.power.value());
+    p_.push_back(p_meas);
+    g_.push_back(g);
     last_p = p_meas;
   }
-  HEMP_REQUIRE(p.size() >= 2, "MppLut: cell power not increasing with irradiance");
-  power_to_vmpp_ = PiecewiseLinear(p, vmpp);
-  power_to_g_ = PiecewiseLinear(p, gs);
-  power_to_pmpp_ = PiecewiseLinear(p, pmpp);
+  HEMP_REQUIRE(p_.size() >= 2, "MppLut: cell power not increasing with irradiance");
+  // NaN marks an unsolved knot (find_mpp never returns one).
+  vmpp_.assign(p_.size(), std::numeric_limits<double>::quiet_NaN());
+  pmpp_.assign(p_.size(), std::numeric_limits<double>::quiet_NaN());
 }
 
-Volts MppLut::mpp_voltage_for(Watts p_in) const {
-  return Volts(power_to_vmpp_(p_in.value()));
+namespace {
+
+/// Knots a read at `p` interpolates between (lo == hi for a clamped read),
+/// chosen as PiecewiseLinear chooses them: clamp at or beyond either end,
+/// else the segment std::upper_bound lands in.  A NaN takes neither clamp
+/// and upper_bound returns end(), so hi == axis.size(); callers reject it.
+struct Segment {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+Segment segment(const std::vector<double>& axis, double p) {
+  const std::size_t n = axis.size();
+  if (p <= axis.front()) return {0, 0};
+  if (p >= axis.back()) return {n - 1, n - 1};
+  const auto hi = static_cast<std::size_t>(
+      std::upper_bound(axis.begin(), axis.end(), p) - axis.begin());
+  return {hi - 1, hi};
 }
 
-double MppLut::irradiance_for(Watts p_in) const { return power_to_g_(p_in.value()); }
+/// PiecewiseLinear's interpolation, operation for operation, so a lookup
+/// returns the eager table's bits.
+double blend(const std::vector<double>& axis, const std::vector<double>& ys,
+             Segment s, double p) {
+  if (s.lo == s.hi) return ys[s.lo];
+  const double t = (p - axis[s.lo]) / (axis[s.hi] - axis[s.lo]);
+  return ys[s.lo] + t * (ys[s.hi] - ys[s.lo]);
+}
 
-Watts MppLut::mpp_power_for(Watts p_in) const {
-  return Watts(power_to_pmpp_(p_in.value()));
+}  // namespace
+
+double MppLut::lookup(const std::vector<double>& ys, double p) {
+  const Segment s = segment(p_, p);
+  if (s.hi >= p_.size() || std::isnan(vmpp_[s.lo]) || std::isnan(vmpp_[s.hi])) {
+    // hemp-analyzer: allow(hot-path-purity) — first-touch knot solves, at most one find_mpp per knot per table (a NaN read throws inside)
+    solve_knots(s.lo, s.hi);
+  }
+  return blend(p_, ys, s, p);
+}
+
+void MppLut::solve_knots(std::size_t lo, std::size_t hi) {
+  HEMP_REQUIRE(hi < p_.size(), "MppLut: NaN input power");
+  for (std::size_t k = lo; k <= hi; ++k) {
+    if (!std::isnan(vmpp_[k])) continue;
+    const MaxPowerPoint point = find_mpp(cell_, g_[k]);
+    vmpp_[k] = point.voltage.value();
+    pmpp_[k] = point.power.value();
+  }
+}
+
+Volts MppLut::mpp_voltage_for(Watts p_in) {
+  return Volts(lookup(vmpp_, p_in.value()));
+}
+
+double MppLut::irradiance_for(Watts p_in) const {
+  const Segment s = segment(p_, p_in.value());
+  HEMP_REQUIRE(s.hi < p_.size(), "MppLut: NaN input power");
+  return blend(p_, g_, s, p_in.value());
+}
+
+Watts MppLut::mpp_power_for(Watts p_in) {
+  return Watts(lookup(pmpp_, p_in.value()));
 }
 
 void MppTrackerParams::validate() const {

@@ -12,9 +12,10 @@
 // voltage, and DVFS retargets the load to hold the node there.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <vector>
 
-#include "common/interpolation.hpp"
 #include "common/units.hpp"
 #include "core/system_model.hpp"
 #include "processor/processor.hpp"
@@ -26,29 +27,52 @@ namespace hemp {
 /// Eq. 7: input power from a measured V1 -> V2 fall time under load `p_draw`.
 Watts estimate_input_power(Watts p_draw, Farads c, Volts v1, Volts v2, Seconds t);
 
-/// Offline-built lookup table from measured input power to the MPP voltage.
+/// MppLut's default irradiance sampling, shared with the batch kernel's
+/// surrogate table so the two tables sample the same irradiance knots.
+inline constexpr int kMppLutSamples = 48;
+inline constexpr double kMppLutGMin = 0.02;
+inline constexpr double kMppLutGMax = 1.2;
+
+/// Lookup table from measured input power to the MPP voltage, built from the
+/// cell's I-V family.
+///
+/// The power axis is sampled in the constructor; each knot's exact MPP
+/// (vmpp, pmpp) is solved the first time a lookup reads that knot, so a
+/// controller pays only for the light levels its run visits.  Every lookup
+/// returns the bits an eagerly built PiecewiseLinear table would.  The memo
+/// makes the MPP lookups non-const: one table belongs to one controller.
 class MppLut {
  public:
   /// Sample the cell's I-V family across irradiance [g_min, g_max]; the
   /// "measured power" axis is the cell output at `measure_voltage` (the
   /// midpoint of the comparator window, where Eq. 7's estimate applies).
-  MppLut(const PvCell& cell, Volts measure_voltage, double g_min = 0.02,
-         double g_max = 1.2, int samples = 48);
+  /// Samples whose power does not rise above the previous kept one are
+  /// dropped, so the axis is strictly increasing.
+  MppLut(const PvCell& cell, Volts measure_voltage, double g_min = kMppLutGMin,
+         double g_max = kMppLutGMax, int samples = kMppLutSamples);
 
   /// MPP voltage for an estimated input power (clamped to the table range).
-  [[nodiscard]] Volts mpp_voltage_for(Watts p_in) const;
+  /// Throws ModelError on a NaN power.
+  [[nodiscard]] Volts mpp_voltage_for(Watts p_in);
   /// Estimated irradiance for an input power (diagnostics / tests).
   [[nodiscard]] double irradiance_for(Watts p_in) const;
   /// Available MPP power for an estimated input power.
-  [[nodiscard]] Watts mpp_power_for(Watts p_in) const;
+  [[nodiscard]] Watts mpp_power_for(Watts p_in);
 
   [[nodiscard]] Volts measure_voltage() const { return measure_voltage_; }
 
  private:
+  /// Value of `ys` (vmpp_ or pmpp_) at `p`, solving the knots it reads first.
+  [[nodiscard]] double lookup(const std::vector<double>& ys, double p);
+  /// Solve knots lo..hi that are not solved yet; hi == size() is a NaN read.
+  void solve_knots(std::size_t lo, std::size_t hi);
+
+  PvCell cell_;
   Volts measure_voltage_;
-  PiecewiseLinear power_to_vmpp_;
-  PiecewiseLinear power_to_g_;
-  PiecewiseLinear power_to_pmpp_;
+  std::vector<double> p_;     ///< measured power per knot, strictly increasing
+  std::vector<double> g_;     ///< irradiance per knot
+  std::vector<double> vmpp_;  ///< MPP voltage per knot; NaN until solved
+  std::vector<double> pmpp_;  ///< MPP power per knot; NaN until solved
 };
 
 struct MppTrackerParams {

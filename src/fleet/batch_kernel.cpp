@@ -82,11 +82,6 @@ constexpr int kIvVKnots = 160;
 constexpr double kIvVMax = 1.7;
 constexpr int kIvGKnots = 64;
 
-// MppLut surrogate sampling (mirrors MppLut's defaults).
-constexpr int kLutSamples = 48;
-constexpr double kLutGMin = 0.02;
-constexpr double kLutGMax = 1.2;
-
 // ---------------------------------------------------------------------------
 // Flattened component math: hemp::flat mirrors, specialized to the fleet's
 // fixed component defaults.
@@ -553,14 +548,16 @@ struct NodeRunner : flat::StepCore {
   }
 
   /// MppLut surrogate: sample the cell at the mid-threshold voltage with the
-  /// fast Newton solve, map power -> (Vmpp, Pmpp) via the shared surfaces.
+  /// fast Newton solve, at MppLut's default knots, and map power -> (Vmpp,
+  /// Pmpp) via the shared surfaces.
   void build_lut() {
     const double v_meas = 0.5 * (kTrk.v_high.value() + kTrk.v_low.value());
     std::vector<double> p, vmpp, pmpp;
     double last_p = -1.0;
     double warm = 0.0;
-    for (int i = 0; i < kLutSamples; ++i) {
-      const double g = kLutGMin + (kLutGMax - kLutGMin) * i / (kLutSamples - 1);
+    for (int i = 0; i < kMppLutSamples; ++i) {
+      const double g =
+          kMppLutGMin + (kMppLutGMax - kMppLutGMin) * i / (kMppLutSamples - 1);
       const double p_meas = v_meas * pv_current(pv, v_meas, g, warm);
       if (p_meas <= last_p) continue;
       p.push_back(p_meas);

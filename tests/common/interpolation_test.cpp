@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace hemp {
@@ -35,6 +37,14 @@ TEST(PiecewiseLinear, ExtrapolatesWhenEnabled) {
   t.extrapolate();
   EXPECT_DOUBLE_EQ(t(-1.0), -2.0);  // slope 2 on the first segment
   EXPECT_DOUBLE_EQ(t(3.0), 4.0);    // slope 1 on the last segment
+}
+
+TEST(PiecewiseLinear, RejectsNanQuery) {
+  // A NaN passes neither clamp test; it must not reach the segment search.
+  auto t = make_ramp();
+  EXPECT_THROW((void)t(std::numeric_limits<double>::quiet_NaN()), ModelError);
+  t.extrapolate();
+  EXPECT_THROW((void)t(std::numeric_limits<double>::quiet_NaN()), ModelError);
 }
 
 TEST(PiecewiseLinear, ParallelVectorConstructor) {

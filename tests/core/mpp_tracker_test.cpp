@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/interpolation.hpp"
+#include "common/rng.hpp"
+#include "common/solver_stats.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/soc_system.hpp"
 
@@ -44,9 +53,18 @@ TEST(EstimateInputPower, Validation) {
                RangeError);
 }
 
+TEST(EstimateInputPower, RejectsNonFiniteLoad) {
+  EXPECT_THROW(estimate_input_power(Watts(std::numeric_limits<double>::quiet_NaN()),
+                                    47.0_uF, 1.0_V, 0.9_V, 1.0_ms),
+               RangeError);
+  EXPECT_THROW(estimate_input_power(Watts(std::numeric_limits<double>::infinity()),
+                                    47.0_uF, 1.0_V, 0.9_V, 1.0_ms),
+               RangeError);
+}
+
 TEST(MppLut, RoundTripsKnownIrradiances) {
   const PvCell cell = make_ixys_kxob22_cell();
-  const MppLut lut(cell, 0.95_V);
+  MppLut lut(cell, 0.95_V);
   for (double g : {0.1, 0.3, 0.6, 0.9}) {
     const Watts measured = cell.power(0.95_V, g);
     EXPECT_NEAR(lut.irradiance_for(measured), g, 0.02);
@@ -59,20 +77,162 @@ TEST(MppLut, RoundTripsKnownIrradiances) {
 
 TEST(MppLut, ClampsOutOfRangePower) {
   const PvCell cell = make_ixys_kxob22_cell();
-  const MppLut lut(cell, 0.95_V);
+  MppLut lut(cell, 0.95_V);
   EXPECT_NO_THROW((void)lut.mpp_voltage_for(Watts(1.0)));
   EXPECT_NO_THROW((void)lut.mpp_voltage_for(Watts(0.0)));
 }
 
 TEST(MppLut, MppVoltageMonotoneInPower) {
   const PvCell cell = make_ixys_kxob22_cell();
-  const MppLut lut(cell, 0.95_V);
+  MppLut lut(cell, 0.95_V);
   double prev = 0.0;
   for (double p = 0.5e-3; p <= 14e-3; p += 0.5e-3) {
     const double v = lut.mpp_voltage_for(Watts(p)).value();
     EXPECT_GE(v, prev - 1e-9);
     prev = v;
   }
+}
+
+// The table as an eager build makes it: every kept knot's find_mpp solved up
+// front and fed into PiecewiseLinear.  The first-touch table must return
+// these bits for every query.
+struct EagerLut {
+  std::vector<double> p;
+  PiecewiseLinear vmpp;
+  PiecewiseLinear pmpp;
+};
+
+EagerLut eager_lut(const PvCell& cell, Volts measure_voltage) {
+  std::vector<double> p, vmpp, pmpp;
+  double last_p = -1.0;
+  for (int i = 0; i < kMppLutSamples; ++i) {
+    const double g =
+        kMppLutGMin + (kMppLutGMax - kMppLutGMin) * i / (kMppLutSamples - 1);
+    const double p_meas = cell.power(measure_voltage, g).value();
+    if (p_meas <= last_p) continue;
+    const MaxPowerPoint point = find_mpp(cell, g);
+    p.push_back(p_meas);
+    vmpp.push_back(point.voltage.value());
+    pmpp.push_back(point.power.value());
+    last_p = p_meas;
+  }
+  return {p, PiecewiseLinear(p, vmpp), PiecewiseLinear(p, pmpp)};
+}
+
+// ~1000 powers: below the axis, above it, exactly on every knot, and at
+// fixed and random fractions between every pair of adjacent knots.
+std::vector<double> lut_queries(const std::vector<double>& axis) {
+  std::vector<double> q = {-1.0, 0.0, 0.5 * axis.front(),
+                           std::nextafter(axis.front(), 0.0), 2.0 * axis.back(),
+                           std::nextafter(axis.back(), 1.0)};
+  Rng rng(19);
+  for (std::size_t k = 0; k < axis.size(); ++k) {
+    q.push_back(axis[k]);
+    if (k + 1 == axis.size()) continue;
+    const double lo = axis[k];
+    const double hi = axis[k + 1];
+    q.push_back(std::nextafter(lo, hi));
+    q.push_back(std::nextafter(hi, lo));
+    for (const double f : {0.25, 0.5, 0.75}) q.push_back(lo + f * (hi - lo));
+    for (int j = 0; j < 16; ++j) q.push_back(rng.uniform(lo, hi));
+  }
+  return q;
+}
+
+void expect_same_bits(double got, double want, double p, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << what << " at p = " << p << ": " << got << " vs " << want;
+}
+
+TEST(MppLut, FirstTouchMatchesEagerTableBitForBit) {
+  const PvCell cell = make_ixys_kxob22_cell();
+  const EagerLut eager = eager_lut(cell, 0.95_V);
+  std::vector<double> forward = lut_queries(eager.p);
+  std::sort(forward.begin(), forward.end());
+  std::vector<double> reverse(forward.rbegin(), forward.rend());
+  std::vector<double> shuffled = forward;
+  Rng rng(2018);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+  }
+  ASSERT_GE(forward.size(), 1000U);
+  for (const std::vector<double>* order : {&forward, &reverse, &shuffled}) {
+    MppLut lut(cell, 0.95_V);
+    for (std::size_t i = 0; i < order->size(); ++i) {
+      const double p = (*order)[i];
+      // Alternate which table a query touches first.
+      double v = 0.0;
+      double pm = 0.0;
+      if (i % 2 == 0) {
+        v = lut.mpp_voltage_for(Watts(p)).value();
+        pm = lut.mpp_power_for(Watts(p)).value();
+      } else {
+        pm = lut.mpp_power_for(Watts(p)).value();
+        v = lut.mpp_voltage_for(Watts(p)).value();
+      }
+      expect_same_bits(v, eager.vmpp(p), p, "vmpp");
+      expect_same_bits(pm, eager.pmpp(p), p, "pmpp");
+    }
+  }
+}
+
+TEST(MppLut, SolvesEachKnotOnceOnFirstTouch) {
+  const PvCell cell = make_ixys_kxob22_cell();
+  const EagerLut eager = eager_lut(cell, 0.95_V);
+  const std::vector<double>& axis = eager.p;
+  const auto solves_since = [](const solver_stats::Snapshot& s) {
+    return solver_stats::delta_since(s).mpp_solves;
+  };
+
+  const auto start = solver_stats::snapshot();
+  MppLut lut(cell, 0.95_V);
+  EXPECT_EQ(solves_since(start), 0U) << "construction solves no knot";
+
+  // An interior read solves its segment's two knots, once.
+  const double mid = 0.5 * (axis[10] + axis[11]);
+  auto before = solver_stats::snapshot();
+  (void)lut.mpp_voltage_for(Watts(mid));
+  EXPECT_EQ(solves_since(before), 2U);
+  before = solver_stats::snapshot();
+  (void)lut.mpp_voltage_for(Watts(mid));
+  (void)lut.mpp_power_for(Watts(mid));
+  EXPECT_EQ(solves_since(before), 0U) << "repeated reads hit the memo";
+
+  // The neighbouring segment shares knot 11: one new solve.
+  before = solver_stats::snapshot();
+  (void)lut.mpp_power_for(Watts(0.5 * (axis[11] + axis[12])));
+  EXPECT_EQ(solves_since(before), 1U);
+
+  // Clamped reads solve only the end knot.
+  before = solver_stats::snapshot();
+  (void)lut.mpp_voltage_for(Watts(0.0));
+  EXPECT_EQ(solves_since(before), 1U);
+  before = solver_stats::snapshot();
+  (void)lut.mpp_power_for(Watts(1.0));
+  EXPECT_EQ(solves_since(before), 1U);
+
+  // Every read after that solves at most its two knots, and the table as a
+  // whole never solves a knot twice.
+  for (const double p : lut_queries(axis)) {
+    before = solver_stats::snapshot();
+    (void)lut.mpp_voltage_for(Watts(p));
+    (void)lut.mpp_power_for(Watts(p));
+    EXPECT_LE(solves_since(before), 2U);
+  }
+  EXPECT_EQ(solves_since(start), axis.size()) << "every knot solved exactly once";
+}
+
+TEST(MppLut, RejectsNanPowerWithoutSolving) {
+  const PvCell cell = make_ixys_kxob22_cell();
+  MppLut lut(cell, 0.95_V);
+  const Watts nan(std::numeric_limits<double>::quiet_NaN());
+  const auto before = solver_stats::snapshot();
+  EXPECT_THROW((void)lut.mpp_voltage_for(nan), ModelError);
+  EXPECT_THROW((void)lut.mpp_power_for(nan), ModelError);
+  EXPECT_THROW((void)lut.irradiance_for(nan), ModelError);
+  EXPECT_EQ(solver_stats::delta_since(before).mpp_solves, 0U);
+  // The table still answers finite reads afterwards.
+  EXPECT_GT(lut.mpp_voltage_for(Watts(4e-3)).value(), 0.0);
 }
 
 struct TrackerFixture {

@@ -106,9 +106,10 @@ TEST(HashPin, BatchFleetKernelWarmSurfaces) {
 }
 
 // ---------------------------------------------------------------------------
-// Paths the summary hashes above do not reach: the single-node fast engine
-// under SocSystem::run, the batch kernel on a shared sky and with the bypass
-// forced off, and the traced comparator bank.  Each pin folds every result
+// Paths the summary hashes above do not reach: EnergyManager policies on the
+// fleet's fast engine, the single-node fast engine under SocSystem::run, the
+// batch kernel on a shared sky and with the bypass forced off, and the traced
+// comparator bank.  Each pin is a fleet summary hash or folds every result
 // bit of its path (totals, final state, the waveform record or the event
 // list) into an FNV-1a hash.
 // ---------------------------------------------------------------------------
@@ -156,6 +157,38 @@ void expect_pin(const char* what, std::uint64_t got, std::uint64_t want) {
   std::printf("pin %s = 0x%016llxULL\n", what,
               static_cast<unsigned long long>(got));
   EXPECT_EQ(got, want) << what;
+}
+
+// EnergyManager policies with a fast path.  The manager's MPP tracker reads
+// its lookup table only on a retarget in its tracking state, which the job
+// queue keeps short: on a longer day, with lighter job pressure and smaller
+// solar storage than the pin scenario, each of these fleets reads the table
+// inside its run and solves a knot there.  As for greedy_mpp, an audit build
+// routes the nodes through the dense loop and pins that loop's bits.
+void expect_managed_fleet_pin(const char* policy, std::uint64_t audit_pin,
+                              std::uint64_t pin) {
+  FleetScenario s = pin_scenario();
+  s.day_length = Seconds(0.05);
+  s.job_period = Seconds(10e-3);
+  s.job_deadline = Seconds(5e-3);
+  s.solar_cap_max = Farads(30e-6);
+  s.policy = policy;
+  const std::uint64_t want = audit_compiled_in() ? audit_pin : pin;
+  const FleetSimulator sim(s);
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    expect_pin(policy, sim.run({.parallel = parallel}).summary_hash, want);
+  }
+}
+
+TEST(HashPin, FleetSimulatorHystEager) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  expect_managed_fleet_pin("hyst_eager", 0xd7911a8c38e8f547ULL, 0x7d8d68ea4483a107ULL);
+}
+
+TEST(HashPin, FleetSimulatorEdfSprint) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  expect_managed_fleet_pin("edf_sprint", 0x7c52d5ccadb8687cULL, 0xc7214c098b201616ULL);
 }
 
 SocConfig fast_config() {
