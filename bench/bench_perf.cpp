@@ -1,15 +1,14 @@
 // Perf trajectory bench: times the hot kernels and writes BENCH_perf.json.
 //
-// Four kernel families and one work count are tracked PR-over-PR:
-//   * the MPP solve (exact Brent solve vs quantized cache hit vs surface);
-//   * the regulated performance point (grid scan + Brent, exact vs surface);
-//   * the holistic MEP solve;
+// Five kernel families and one work count are tracked PR-over-PR:
+//   * the MPP solve (exact solve vs quantized cache hit);
+//   * the fig07a-style light sweep of delivered power;
+//   * the regulated performance point (grid scan + Brent) and the holistic
+//     MEP solve;
 //   * one second of SocSystem::run simulated time;
 //   * the exact MPP solves one cold greedy_mpp node pays.
-// Plus the two headline ratios of the performance layer: the fig07a-style
-// light-sweep kernel cached (ModelSurfaces) vs uncached (exact SystemModel)
-// measured in this same binary, and the parallel-vs-serial sweep scaling on
-// the shared thread pool.
+// Plus the parallel-vs-serial scaling of a regulated-point sweep over one
+// shared model on the shared thread pool.
 //
 // Usage: bench_perf [--quick] [--out PATH]
 //   --quick   reduced iteration counts / shorter sim (CI smoke job)
@@ -24,7 +23,6 @@
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
 #include "core/mep_optimizer.hpp"
-#include "core/model_surfaces.hpp"
 #include "core/perf_optimizer.hpp"
 #include "microbench.hpp"
 #include "policy/registry.hpp"
@@ -47,26 +45,21 @@ struct LightCycler {
   }
 };
 
-void bench_mpp(microbench::Suite& suite, bench::ScRig& rig,
-               const ModelSurfaces& surfaces, double min_seconds) {
+void bench_mpp(microbench::Suite& suite, bench::ScRig& rig, double min_seconds) {
   LightCycler lights;
   suite.run("mpp_solve_exact",
             [&] { microbench::keep(find_mpp(rig.cell, lights.next())); },
             min_seconds);
   suite.run("mpp_cache_hit", [&] { microbench::keep(rig.model.mpp(0.5)); },
             min_seconds);
-  LightCycler surface_lights;
-  suite.run("mpp_surface",
-            [&] { microbench::keep(surfaces.mpp(surface_lights.next())); },
-            min_seconds);
 }
 
 void bench_light_sweep(microbench::Suite& suite, bench::ScRig& rig,
-                       const ModelSurfaces& surfaces, double min_seconds) {
+                       double min_seconds) {
   // The fig07a kernel: delivered power over a Vdd x light grid.
   const std::vector<double> vs = linspace(0.3, 0.75, 10);
   const std::vector<double> gs = {1.0, 0.5, 0.25};
-  const auto uncached = suite.run(
+  suite.run(
       "light_sweep_uncached",
       [&] {
         double acc = 0.0;
@@ -78,34 +71,15 @@ void bench_light_sweep(microbench::Suite& suite, bench::ScRig& rig,
         microbench::keep(acc);
       },
       min_seconds);
-  const auto cached = suite.run(
-      "light_sweep_cached",
-      [&] {
-        double acc = 0.0;
-        for (const double v : vs) {
-          for (const double g : gs) {
-            acc += surfaces.delivered_power(Volts(v), g).value();
-          }
-        }
-        microbench::keep(acc);
-      },
-      min_seconds);
-  suite.note("light_sweep_speedup", uncached.ns_per_iter / cached.ns_per_iter);
 }
 
 void bench_optimizers(microbench::Suite& suite, bench::ScRig& rig,
-                      const ModelSurfaces& surfaces, double min_seconds) {
+                      double min_seconds) {
   const PerformanceOptimizer exact(rig.model);
-  const PerformanceOptimizer fast(surfaces);
   LightCycler lights;
-  const auto r_exact = suite.run(
-      "regulated_perf_point_exact",
-      [&] { microbench::keep(exact.regulated(lights.next())); }, min_seconds);
-  LightCycler fast_lights;
-  const auto r_fast = suite.run(
-      "regulated_perf_point_surface",
-      [&] { microbench::keep(fast.regulated(fast_lights.next())); }, min_seconds);
-  suite.note("regulated_point_speedup", r_exact.ns_per_iter / r_fast.ns_per_iter);
+  suite.run("regulated_perf_point_exact",
+            [&] { microbench::keep(exact.regulated(lights.next())); },
+            min_seconds);
 
   const MepOptimizer mep(rig.model);
   suite.run("holistic_mep", [&] { microbench::keep(mep.holistic(1.0)); },
@@ -199,8 +173,10 @@ void bench_greedy_cold_solves(microbench::Suite& suite) {
 }
 
 void bench_parallel_sweep(microbench::Suite& suite, bench::ScRig& rig,
-                          const ModelSurfaces& surfaces, double min_seconds) {
-  const PerformanceOptimizer opt(surfaces);
+                          double min_seconds) {
+  // Every worker shares one model, as a figure sweep does; each regulated
+  // solve reads the model's MPP memo once.
+  const PerformanceOptimizer opt(rig.model);
   const std::vector<double> gs = linspace(0.1, 1.0, 64);
   auto solve = [&](double g) { return opt.regulated(g).frequency.value(); };
   // Keep the model's MPP cache warm so both paths time pure compute.
@@ -215,7 +191,6 @@ void bench_parallel_sweep(microbench::Suite& suite, bench::ScRig& rig,
   suite.note("parallel_sweep_speedup",
              serial.ns_per_iter / parallel.ns_per_iter);
   suite.note("thread_pool_size", ThreadPool::shared().size());
-  (void)rig;
 }
 
 }  // namespace
@@ -240,21 +215,12 @@ int main(int argc, char** argv) {
   bench::ScRig rig;
 
   microbench::Suite suite("bench_perf");
-  const auto build_start = std::chrono::steady_clock::now();
-  const ModelSurfaces surfaces(rig.model, {.validate = true});
-  suite.note("surface_build_ms",
-             std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - build_start)
-                 .count());
-  suite.note("surface_validation_error", surfaces.validation_error());
-  suite.note("surface_outlier_fraction", surfaces.validation_outlier_fraction());
-
-  bench_mpp(suite, rig, surfaces, min_seconds);
-  bench_light_sweep(suite, rig, surfaces, min_seconds);
-  bench_optimizers(suite, rig, surfaces, min_seconds);
+  bench_mpp(suite, rig, min_seconds);
+  bench_light_sweep(suite, rig, min_seconds);
+  bench_optimizers(suite, rig, min_seconds);
   bench_soc_run(suite, sim_seconds, quick);
   bench_greedy_cold_solves(suite);
-  bench_parallel_sweep(suite, rig, surfaces, min_seconds);
+  bench_parallel_sweep(suite, rig, min_seconds);
 
   suite.print();
   if (!suite.write_json_merged(out_path)) {

@@ -1,18 +1,19 @@
 // Parallel design-space sweep with the performance layer.
 //
-// Characterizes the regulated operating point over a light-level grid three
+// Characterizes the regulated operating point over a light-level grid two
 // ways and reports how long each takes:
-//   1. serial, exact model (every point pays the full Brent solves);
-//   2. serial, memoized model surfaces (grid lookup + bilinear blend);
-//   3. parallel, model surfaces, on the shared thread pool (sim/sweep.hpp).
-// The three result vectors are identical — the sweep engine guarantees the
-// parallel run is bit-identical to the serial loop — so the only difference
-// is wall-clock time.
+//   1. serial, exact model (every point pays the full grid scan + Brent
+//      solve);
+//   2. the same solves in parallel on the shared thread pool
+//      (sim/sweep.hpp), all workers sharing one SystemModel.
+// Each run gets a fresh model, so both start with a cold MPP memo.  The two
+// result vectors are identical — the sweep engine guarantees the parallel
+// run is bit-identical to the serial loop — so the only difference is
+// wall-clock time.
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
-#include "core/model_surfaces.hpp"
 #include "core/perf_optimizer.hpp"
 #include "core/system_model.hpp"
 #include "harvester/pv_cell.hpp"
@@ -27,9 +28,14 @@ int main() {
   const PvCell cell = make_ixys_kxob22_cell();
   const SwitchedCapRegulator sc;
   const Processor proc = Processor::make_test_chip();
-  const SystemModel model(cell, sc, proc);
 
   const std::vector<double> lights = linspace(0.05, 1.2, 240);
+  auto sweep = [&](bool parallel) {
+    const SystemModel model(cell, sc, proc);
+    const PerformanceOptimizer opt(model);
+    return sweep_map(lights, [&](double g) { return opt.regulated(g); },
+                     {.parallel = parallel});
+  };
   auto ms_since = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   };
@@ -38,53 +44,34 @@ int main() {
               lights.size());
 
   // 1. Serial, exact model.
-  const PerformanceOptimizer exact(model);
   auto t0 = Clock::now();
-  const auto serial_exact = sweep_map(
-      lights, [&](double g) { return exact.regulated(g); }, {.parallel = false});
-  const double t_exact = ms_since(t0);
-  std::printf("serial / exact model:       %8.1f ms\n", t_exact);
+  const auto serial = sweep(/*parallel=*/false);
+  const double t_serial = ms_since(t0);
+  std::printf("serial / exact model:       %8.1f ms\n", t_serial);
 
-  // 2. Serial, memoized surfaces (one-time build cost, then cheap lookups).
+  // 2. Parallel, exact model, shared thread pool.
   t0 = Clock::now();
-  const ModelSurfaces surfaces(model);
-  const double t_build = ms_since(t0);
-  const PerformanceOptimizer fast(surfaces);
-  t0 = Clock::now();
-  const auto serial_fast = sweep_map(
-      lights, [&](double g) { return fast.regulated(g); }, {.parallel = false});
-  const double t_fast = ms_since(t0);
-  std::printf("serial / surfaces:          %8.1f ms (+ %.1f ms one-time build)\n",
-              t_fast, t_build);
-
-  // 3. Parallel, memoized surfaces, shared thread pool.
-  t0 = Clock::now();
-  const auto parallel_fast =
-      sweep_map(lights, [&](double g) { return fast.regulated(g); });
+  const auto parallel = sweep(/*parallel=*/true);
   const double t_par = ms_since(t0);
-  std::printf("parallel / surfaces:        %8.1f ms (%u worker threads)\n",
-              t_par, ThreadPool::shared().size());
+  std::printf("parallel / exact model:     %8.1f ms (%u worker threads, %.2fx)\n",
+              t_par, ThreadPool::shared().size(), t_serial / t_par);
 
   // The determinism contract: parallel == serial, bit for bit.
   bool identical = true;
   for (std::size_t i = 0; i < lights.size(); ++i) {
     identical = identical &&
-                serial_fast[i].frequency.value() ==
-                    parallel_fast[i].frequency.value() &&
-                serial_fast[i].vdd.value() == parallel_fast[i].vdd.value();
+                serial[i].frequency.value() == parallel[i].frequency.value() &&
+                serial[i].vdd.value() == parallel[i].vdd.value();
   }
   std::printf("parallel == serial:         %s\n", identical ? "yes" : "NO");
 
   // Peak of the sweep, for flavour.
   std::size_t best = 0;
   for (std::size_t i = 1; i < lights.size(); ++i) {
-    if (serial_exact[i].frequency.value() >
-        serial_exact[best].frequency.value()) {
-      best = i;
-    }
+    if (serial[i].frequency.value() > serial[best].frequency.value()) best = i;
   }
   std::printf("fastest point:              %.0f MHz at G=%.2f, Vdd=%.2f V\n",
-              serial_exact[best].frequency.value() / 1e6, lights[best],
-              serial_exact[best].vdd.value());
+              serial[best].frequency.value() / 1e6, lights[best],
+              serial[best].vdd.value());
   return identical ? 0 : 1;
 }

@@ -93,11 +93,6 @@ double BilinearGrid::operator()(double x, double y) const {
   return lo + tx * (hi - lo);
 }
 
-bool BilinearGrid::contains(double x, double y) const {
-  if (values_.empty()) return false;
-  return x >= xs_.front() && x <= xs_.back() && y >= ys_.front() && y <= ys_.back();
-}
-
 PiecewiseLinear::PiecewiseLinear(std::vector<std::pair<double, double>> knots)
     : knots_(std::move(knots)) {
   HEMP_REQUIRE(knots_.size() >= 2, "PiecewiseLinear: need at least 2 knots");

@@ -11,8 +11,8 @@ namespace hemp {
 
 /// Bilinear z(x, y) over a rectilinear grid of strictly increasing axes.
 ///
-/// Backs the memoized model surfaces (ModelSurfaces): optimizer-hot queries
-/// like delivered_power(vdd, g) are precomputed onto the grid once and then
+/// Backs the fleet's shared MPP surface (flat::MppSurface) and the batch
+/// kernel's crossover tables: a quantity solved once per grid node is then
 /// answered with one cell lookup + bilinear blend.  Out-of-range queries clamp
 /// to the boundary, matching PiecewiseLinear's default saturation.
 class BilinearGrid {
@@ -26,19 +26,9 @@ class BilinearGrid {
 
   [[nodiscard]] double operator()(double x, double y) const;
 
-  /// True when (x, y) lies inside the grid rectangle (queries outside it
-  /// clamp, so callers wanting exact answers should fall back to the model).
-  [[nodiscard]] bool contains(double x, double y) const;
-
   [[nodiscard]] bool empty() const { return values_.empty(); }
-  [[nodiscard]] double x_min() const { return xs_.front(); }
-  [[nodiscard]] double x_max() const { return xs_.back(); }
-  [[nodiscard]] double y_min() const { return ys_.front(); }
-  [[nodiscard]] double y_max() const { return ys_.back(); }
-  [[nodiscard]] std::size_t x_size() const { return xs_.size(); }
-  [[nodiscard]] std::size_t y_size() const { return ys_.size(); }
 
-  /// Writable row i of the values (y_size() entries), so a builder can size a
+  /// Writable row i of the values (one per y knot), so a builder can size a
   /// grid first and fill its rows in place afterwards.
   [[nodiscard]] double* row(std::size_t i) { return &values_[i * ys_.size()]; }
 
@@ -79,8 +69,6 @@ class PiecewiseLinear {
     return *this;
   }
 
-  [[nodiscard]] double x_min() const { return knots_.front().first; }
-  [[nodiscard]] double x_max() const { return knots_.back().first; }
   [[nodiscard]] std::size_t size() const { return knots_.size(); }
   [[nodiscard]] const std::vector<std::pair<double, double>>& knots() const {
     return knots_;

@@ -1,11 +1,11 @@
 // Process-wide counters for the exact (iterative) model solvers.
 //
-// The steady-state layer memoizes the expensive Brent/grid solves behind
-// bilinear surfaces (core/model_surfaces).  Hot loops — above all the batch
-// fleet kernel — must never fall back to the exact solvers: one stray call
-// per node per step erases the surface speedup.  These counters make that
-// property testable: bracket a run with `snapshot()` and assert the deltas
-// are zero.
+// The fleet engines answer their per-step model questions from precomputed
+// surfaces (sim/flat_model: IvSurface, MppSurface).  Hot loops — above all
+// the batch fleet kernel — must never fall back to the exact solvers: one
+// stray call per node per step erases the surface speedup.  These counters
+// make that property testable: bracket a run with `snapshot()` and assert
+// the deltas are zero.
 //
 // The counters are relaxed atomics — they order nothing, they only count —
 // so the instrumentation costs one uncontended atomic increment per exact
@@ -23,8 +23,8 @@ inline std::atomic<std::uint64_t>& exact_mpp_solves() {
   return count;
 }
 
-/// Counter of exact regulated-performance solves (PerformanceOptimizer
-/// surplus root-finding against the full model, i.e. the non-surface path).
+/// Counter of exact regulated-performance solves (PerformanceOptimizer's
+/// surplus root-finding against the full model).
 inline std::atomic<std::uint64_t>& exact_regulated_solves() {
   static std::atomic<std::uint64_t> count{0};
   return count;

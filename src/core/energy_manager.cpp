@@ -242,8 +242,11 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
   }
 
   if (s.bypassed) {
-    if (state.v_dd >= model_->processor().min_voltage()) {
-      cmd.frequency = model_->processor().max_frequency(state.v_dd);
+    // The shared node can overshoot Vmax under strong sun: clock at the
+    // envelope's top there.
+    const Processor& proc = model_->processor();
+    if (state.v_dd >= proc.min_voltage()) {
+      cmd.frequency = proc.max_frequency(std::min(state.v_dd, proc.max_voltage()));
     }
     return;
   }

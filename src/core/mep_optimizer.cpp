@@ -5,31 +5,22 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
-#include "core/model_surfaces.hpp"
 
 namespace hemp {
 
 MepOptimizer::MepOptimizer(const SystemModel& model) : model_(&model) {}
-
-MepOptimizer::MepOptimizer(const ModelSurfaces& surfaces)
-    : model_(&surfaces.model()), surfaces_(&surfaces) {}
-
-MaxPowerPoint MepOptimizer::mpp(double g) const {
-  return surfaces_ ? surfaces_->mpp(g) : model_->mpp(g);
-}
-
-Hertz MepOptimizer::max_frequency(Volts vdd) const {
-  return surfaces_ ? surfaces_->max_frequency(vdd)
-                   : model_->processor().max_frequency(vdd);
-}
 
 Joules MepOptimizer::rail_energy_per_cycle(Volts vdd) const {
   return model_->processor().energy_per_cycle(vdd);
 }
 
 Joules MepOptimizer::source_energy_per_cycle(Volts vdd, double g) const {
+  return source_energy_per_cycle(vdd, model_->mpp(g));
+}
+
+Joules MepOptimizer::source_energy_per_cycle(Volts vdd,
+                                             const MaxPowerPoint& point) const {
   const Processor& proc = model_->processor();
-  const MaxPowerPoint point = mpp(g);
   const Regulator& reg = model_->regulator();
   const Joules rail = proc.energy_per_cycle(vdd);
   if (!reg.supports(point.voltage, vdd)) {
@@ -57,8 +48,10 @@ MepPoint MepOptimizer::conventional() const {
 
 MepPoint MepOptimizer::holistic(double g) const {
   const Processor& proc = model_->processor();
+  // One MPP lookup per solve, shared by every objective probe.
+  const MaxPowerPoint point = model_->mpp(g);
   auto objective = [&](double v) {
-    return source_energy_per_cycle(Volts(v), g).value();
+    return source_energy_per_cycle(Volts(v), point).value();
   };
   const auto r = numeric::grid_refine_minimize(
       objective, proc.min_voltage().value(), proc.max_voltage().value(),
@@ -67,7 +60,7 @@ MepPoint MepOptimizer::holistic(double g) const {
   if (!std::isfinite(r.value)) return out;
   out.vdd = Volts(r.x);
   out.energy_per_cycle = Joules(r.value);
-  out.frequency = max_frequency(out.vdd);
+  out.frequency = proc.max_frequency(out.vdd);
   out.feasible = true;
   return out;
 }

@@ -19,18 +19,9 @@ struct MepPoint {
   bool feasible = false;
 };
 
-class ModelSurfaces;
-
 class MepOptimizer {
  public:
   explicit MepOptimizer(const SystemModel& model);
-
-  /// Solve with memoized surfaces: MPP and max-frequency lookups come from
-  /// the interpolated grids (accuracy per SurfaceConfig::tolerance).  The
-  /// per-voltage regulator efficiency stays exact — the MEP objective
-  /// evaluates it at the full-speed load, not at the delivered-power
-  /// operating point the efficiency surface tabulates.
-  explicit MepOptimizer(const ModelSurfaces& surfaces);
 
   /// Conventional MEP: regulator ignored (Fig. 7b dashed curve).
   [[nodiscard]] MepPoint conventional() const;
@@ -57,11 +48,11 @@ class MepOptimizer {
   [[nodiscard]] Comparison compare(double g) const;
 
  private:
-  [[nodiscard]] MaxPowerPoint mpp(double g) const;
-  [[nodiscard]] Hertz max_frequency(Volts vdd) const;
+  /// source_energy_per_cycle with the harvester MPP already resolved.
+  [[nodiscard]] Joules source_energy_per_cycle(Volts vdd,
+                                               const MaxPowerPoint& point) const;
 
   const SystemModel* model_;
-  const ModelSurfaces* surfaces_ = nullptr;
 };
 
 }  // namespace hemp

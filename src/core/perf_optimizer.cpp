@@ -6,34 +6,11 @@
 #include "common/error.hpp"
 #include "common/numeric.hpp"
 #include "common/solver_stats.hpp"
-#include "core/model_surfaces.hpp"
 
 namespace hemp {
 
 PerformanceOptimizer::PerformanceOptimizer(const SystemModel& model)
     : model_(&model) {}
-
-PerformanceOptimizer::PerformanceOptimizer(const ModelSurfaces& surfaces)
-    : model_(&surfaces.model()), surfaces_(&surfaces) {}
-
-Watts PerformanceOptimizer::delivered(Volts vdd, double g) const {
-  return surfaces_ ? surfaces_->delivered_power(vdd, g)
-                   : model_->delivered_power(vdd, g);
-}
-
-double PerformanceOptimizer::efficiency(Volts vdd, double g) const {
-  return surfaces_ ? surfaces_->efficiency_at(vdd, g)
-                   : model_->efficiency_at(vdd, g);
-}
-
-MaxPowerPoint PerformanceOptimizer::mpp(double g) const {
-  return surfaces_ ? surfaces_->mpp(g) : model_->mpp(g);
-}
-
-Hertz PerformanceOptimizer::max_frequency(Volts vdd) const {
-  return surfaces_ ? surfaces_->max_frequency(vdd)
-                   : model_->processor().max_frequency(vdd);
-}
 
 PerfPoint PerformanceOptimizer::unregulated(double g) const {
   const Processor& proc = model_->processor();
@@ -71,10 +48,11 @@ PerfPoint PerformanceOptimizer::unregulated(double g) const {
 PerfPoint PerformanceOptimizer::regulated(double g) const {
   const Processor& proc = model_->processor();
   if (g <= 0.0) return {};
-  // Only the exact-model path counts as an expensive solve: the surface
-  // variant reads the memoized bilinear grids and stays off the hot-path
-  // audit (common/solver_stats).
-  if (surfaces_ == nullptr) solver_stats::count_exact_regulated_solve();
+  solver_stats::count_exact_regulated_solve();
+  // One MPP lookup per solve: the surplus probes below (up to 128 grid
+  // points plus the Brent refinement) share it instead of each taking the
+  // model memo's lock (parallel sweeps share one model).
+  const MaxPowerPoint point = model_->mpp(g);
 
   const double v_lo = proc.min_voltage().value();
   const double v_hi = proc.max_voltage().value();
@@ -82,7 +60,8 @@ PerfPoint PerformanceOptimizer::regulated(double g) const {
   // Budget surplus at full speed.  delivered_power is 0 outside the
   // regulator envelope, so infeasible voltages read as negative surplus.
   auto surplus = [&](double v) {
-    return delivered(Volts(v), g).value() - proc.max_power(Volts(v)).value();
+    return model_->delivered_power(Volts(v), point).value() -
+           proc.max_power(Volts(v)).value();
   };
 
   // The surplus can be non-monotone near regulator ratio switches; find the
@@ -107,10 +86,10 @@ PerfPoint PerformanceOptimizer::regulated(double g) const {
 
   PerfPoint out;
   out.vdd = Volts(v_found);
-  out.frequency = max_frequency(out.vdd);
+  out.frequency = proc.max_frequency(out.vdd);
   out.processor_power = proc.max_power(out.vdd);
-  out.harvested_power = mpp(g).power;
-  out.efficiency = efficiency(out.vdd, g);
+  out.harvested_power = point.power;
+  out.efficiency = model_->efficiency_at(out.vdd, g);
   out.feasible = true;
   return out;
 }

@@ -30,17 +30,9 @@ struct PerfPoint {
   bool feasible = false;
 };
 
-class ModelSurfaces;
-
 class PerformanceOptimizer {
  public:
   explicit PerformanceOptimizer(const SystemModel& model);
-
-  /// Solve against memoized surfaces instead of the exact model: delivered
-  /// power, efficiency, MPP, and max-frequency queries use the interpolated
-  /// grids (accuracy per SurfaceConfig::tolerance), which makes dense sweeps
-  /// orders of magnitude faster.  `surfaces` must outlive the optimizer.
-  explicit PerformanceOptimizer(const ModelSurfaces& surfaces);
 
   /// Unregulated baseline: the cell terminal is the processor rail; the
   /// operating point is the intersection of the solar I-V curve with the
@@ -62,13 +54,7 @@ class PerformanceOptimizer {
   [[nodiscard]] Comparison compare(double g) const;
 
  private:
-  [[nodiscard]] Watts delivered(Volts vdd, double g) const;
-  [[nodiscard]] double efficiency(Volts vdd, double g) const;
-  [[nodiscard]] MaxPowerPoint mpp(double g) const;
-  [[nodiscard]] Hertz max_frequency(Volts vdd) const;
-
   const SystemModel* model_;
-  const ModelSurfaces* surfaces_ = nullptr;
 };
 
 }  // namespace hemp

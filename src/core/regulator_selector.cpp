@@ -4,15 +4,11 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
-#include "core/model_surfaces.hpp"
 
 namespace hemp {
 
 RegulatorSelector::RegulatorSelector(const SystemModel& model)
-    : model_(&model), optimizer_(model) {}
-
-RegulatorSelector::RegulatorSelector(const ModelSurfaces& surfaces)
-    : model_(&surfaces.model()), optimizer_(surfaces) {}
+    : optimizer_(model) {}
 
 PathDecision RegulatorSelector::decide(double g) const {
   PathDecision d;

@@ -27,11 +27,6 @@ class RegulatorSelector {
  public:
   explicit RegulatorSelector(const SystemModel& model);
 
-  /// Decide from memoized surfaces: the inner performance optimizer solves
-  /// against the interpolated grids, making dense crossover searches and
-  /// per-tick path decisions orders of magnitude cheaper.
-  explicit RegulatorSelector(const ModelSurfaces& surfaces);
-
   /// Decide the power path at light level `g` by comparing the processor
   /// power achievable down each path.
   [[nodiscard]] PathDecision decide(double g) const;
@@ -44,7 +39,6 @@ class RegulatorSelector {
                                                            double g_max = 1.0) const;
 
  private:
-  const SystemModel* model_;
   PerformanceOptimizer optimizer_;
 };
 

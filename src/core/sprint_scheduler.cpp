@@ -5,18 +5,10 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
-#include "core/model_surfaces.hpp"
 
 namespace hemp {
 
 SprintScheduler::SprintScheduler(const SystemModel& model) : model_(&model) {}
-
-SprintScheduler::SprintScheduler(const ModelSurfaces& surfaces)
-    : model_(&surfaces.model()), surfaces_(&surfaces) {}
-
-MaxPowerPoint SprintScheduler::mpp(double g) const {
-  return surfaces_ ? surfaces_->mpp(g) : model_->mpp(g);
-}
 
 Joules SprintScheduler::required_source_energy(double cycles, Seconds t,
                                                double g) const {
@@ -31,7 +23,7 @@ Joules SprintScheduler::required_source_energy(double cycles, Seconds t,
   const Volts vdd = proc.speed().voltage_for_frequency(f_needed);
   const Joules rail = Joules(proc.energy_per_cycle({vdd, f_needed}).value() * cycles);
   // Through the regulator from the MPP input rail.
-  const MaxPowerPoint point = mpp(g);
+  const MaxPowerPoint point = model_->mpp(g);
   const Regulator& reg = model_->regulator();
   if (!reg.supports(point.voltage, vdd)) {
     return Joules(std::numeric_limits<double>::infinity());
@@ -47,7 +39,7 @@ Joules SprintScheduler::available_energy(Seconds t, double g,
   HEMP_CHECK_RANGE(t.value() >= 0.0, "SprintScheduler: negative time");
   HEMP_CHECK_RANGE(usable_cap_energy.value() >= 0.0,
                    "SprintScheduler: negative capacitor energy");
-  return mpp(g).power * t + usable_cap_energy;
+  return model_->mpp(g).power * t + usable_cap_energy;
 }
 
 std::optional<Seconds> SprintScheduler::min_completion_time(
@@ -195,9 +187,11 @@ void SprintController::on_tick(const SocState& state, SocCommand& cmd) {
   }
 
   if (bypassed_) {
-    // Ride the rail: run as fast as the sagging supply allows.
-    if (state.v_dd >= model_->processor().min_voltage()) {
-      cmd.frequency = model_->processor().max_frequency(state.v_dd);
+    // Ride the rail: run as fast as the sagging supply allows.  Under strong
+    // sun the shared node can overshoot Vmax; clock at the envelope's top.
+    const Processor& proc = model_->processor();
+    if (state.v_dd >= proc.min_voltage()) {
+      cmd.frequency = proc.max_frequency(std::min(state.v_dd, proc.max_voltage()));
     }
     return;
   }

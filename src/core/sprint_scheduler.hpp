@@ -35,17 +35,9 @@ struct SprintPlan {
   bool feasible = false;
 };
 
-class ModelSurfaces;
-
 class SprintScheduler {
  public:
   explicit SprintScheduler(const SystemModel& model);
-
-  /// Schedule with memoized surfaces: the MPP lookups inside the Eq. 10/11
-  /// energy curves come from the interpolated grids, which makes the
-  /// completion-time scan (256 grid probes + bisection, each querying the
-  /// MPP) cheap enough for dense (cycles, deadline, light) sweeps.
-  explicit SprintScheduler(const ModelSurfaces& surfaces);
 
   /// Eq. 10: source-side energy to retire `cycles` in exactly `t` at constant
   /// speed (Vdd chosen so f_max(Vdd) = cycles / t), through the regulator.
@@ -81,10 +73,7 @@ class SprintScheduler {
                                            Farads c_solar, Volts v_start) const;
 
  private:
-  [[nodiscard]] MaxPowerPoint mpp(double g) const;
-
   const SystemModel* model_;
-  const ModelSurfaces* surfaces_ = nullptr;
 };
 
 struct SprintControllerParams {

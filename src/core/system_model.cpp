@@ -33,7 +33,10 @@ MaxPowerPoint SystemModel::mpp(double g) const {
 }
 
 Watts SystemModel::delivered_power(Volts vdd, double g) const {
-  const MaxPowerPoint point = mpp(g);
+  return delivered_power(vdd, mpp(g));
+}
+
+Watts SystemModel::delivered_power(Volts vdd, const MaxPowerPoint& point) const {
   if (point.power.value() <= 0.0) return Watts(0.0);
   if (!regulator_->supports(point.voltage, vdd)) return Watts(0.0);
 

@@ -51,6 +51,12 @@ class SystemModel {
   /// the regulator cannot regulate (v_mpp, vdd).
   [[nodiscard]] Watts delivered_power(Volts vdd, double g) const;
 
+  /// delivered_power with the harvester MPP already resolved: the same
+  /// solve, bit for bit, without the memo lookup.  A solver probing many
+  /// voltages at one light level resolves `mpp(g)` once and calls this, so
+  /// threads sharing one model do not serialize on the memo's mutex.
+  [[nodiscard]] Watts delivered_power(Volts vdd, const MaxPowerPoint& point) const;
+
   /// Power available at `vdd` without any regulator: the raw solar cell
   /// output with its terminal tied to the rail (Fig. 6a intersection logic).
   [[nodiscard]] Watts unregulated_power(Volts vdd, double g) const;

@@ -869,11 +869,7 @@ struct NodeRunner : flat::StepCore {
       return;
     }
     if (sprint_bypassed) {
-      if (v_d >= pc.vmin) {
-        // The reference would fault above Vmax; the shared node can overshoot
-        // it under strong sun, so the kernel clamps (documented divergence).
-        cmd_freq = proc_fmax(pc, std::min(v_d, pc.vmax));
-      }
+      if (v_d >= pc.vmin) cmd_freq = proc_fmax(pc, std::min(v_d, pc.vmax));
       return;
     }
     const bool slow_phase = elapsed < plan.phase_time;

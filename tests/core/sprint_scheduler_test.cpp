@@ -198,6 +198,30 @@ TEST(SprintController, BypassExtendsOperationUnderDimming) {
   EXPECT_GT(r1.totals.cycles, r2.totals.cycles * 1.05);
 }
 
+TEST(SprintController, BypassClocksAtEnvelopeTopAboveVmax) {
+  // In bypass the rail is the raw cell node, which strong sun can push above
+  // Vmax; the controller clocks at the envelope's top there instead of
+  // asking the speed model for a frequency outside its envelope.
+  Fixture f;
+  const SprintPlan plan = f.scheduler.plan(4e6, 10.0_ms, 0.2);
+  ASSERT_TRUE(plan.feasible);
+  SprintController ctrl(f.model, plan);
+  SocCommand cmd;
+  SocState state;
+  ctrl.on_start(state, cmd);
+  state.time = 1.0_ms;
+  state.v_solar = 0.0_V;  // no regulator headroom: engage the bypass
+  state.v_dd = plan.slow.vdd;
+  ctrl.on_tick(state, cmd);
+  ASSERT_TRUE(ctrl.bypass_engaged());
+
+  state.time = 2.0_ms;
+  state.v_dd = f.proc.max_voltage() + 0.3_V;
+  ASSERT_NO_THROW(ctrl.on_tick(state, cmd));
+  EXPECT_EQ(cmd.frequency.value(),
+            f.proc.max_frequency(f.proc.max_voltage()).value());
+}
+
 TEST(SprintController, RejectsInfeasiblePlan) {
   Fixture f;
   SprintPlan bad;  // default: feasible = false

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "regulator/bypass.hpp"
 #include "regulator/ldo.hpp"
 #include "regulator/switched_cap.hpp"
@@ -35,6 +38,25 @@ TEST(SystemModel, DeliveredPowerIsSelfConsistent) {
   if (pout < f.sc.rated_load()) {
     const double eta = f.sc.efficiency(mpp.voltage, vdd, pout);
     EXPECT_NEAR(pout.value(), eta * mpp.power.value(), 1e-9);
+  }
+}
+
+TEST(SystemModel, DeliveredPowerFromResolvedMppIsBitIdentical) {
+  // The (vdd, MPP) form is the (vdd, g) form with the memo lookup hoisted
+  // out, so the optimizers can resolve mpp(g) once per solve.  The grid
+  // covers dark (zero MPP power), the regulator envelope's edges and the
+  // rated-load cap.
+  Fixture f;
+  for (int gi = 0; gi <= 25; ++gi) {
+    const double g = 0.05 * gi;
+    const MaxPowerPoint point = f.model.mpp(g);
+    for (int vi = 0; vi <= 60; ++vi) {
+      const Volts vdd(0.2 + 0.01 * vi);
+      SCOPED_TRACE(testing::Message() << "g=" << g << " vdd=" << vdd.value());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(f.model.delivered_power(vdd, g).value()),
+                std::bit_cast<std::uint64_t>(
+                    f.model.delivered_power(vdd, point).value()));
+    }
   }
 }
 

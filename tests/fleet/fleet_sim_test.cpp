@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "policy/registry.hpp"
 
 namespace hemp {
 namespace {
@@ -88,6 +89,58 @@ TEST(FleetSimulator, PopulationIsHeterogeneous) {
   }
   EXPECT_GT(pv_scales.size(), 16u);  // not all nodes identical
   EXPECT_GT(caps.size(), 16u);
+}
+
+// Cloudy per-node skies under which a managed node's sprint bypass rides a
+// shared node that strong sun pushes above Vmax.  Both variants used to abort
+// the fleet mid-run with SpeedModel's envelope RangeError.
+FleetScenario sprint_overshoot_scenario(int variant) {
+  FleetScenario s = FleetScenario::from_string(
+      "name = sprint_overshoot\n"
+      "nodes = 8\n"
+      "seed = 2018\n"
+      "day_length_s = 0.02\n"
+      "time_step_us = 10\n"
+      "waveform_interval_us = 500\n"
+      "trace = clouds\n"
+      "shared_trace = false\n"
+      "job_cycles = 5e5\n"
+      "job_period_ms = 4\n"
+      "job_deadline_ms = 2\n");
+  if (variant == 0) {
+    s.job_cycles = 5e4;
+  } else {
+    s.seed = 11;
+    s.day_length = Seconds(0.05);
+    s.job_period = Seconds(10e-3);
+    s.job_deadline = Seconds(5e-3);
+    s.solar_cap_max = Farads(30e-6);
+  }
+  return s;
+}
+
+void expect_overshoot_fleets_complete(const char* policy) {
+  for (const int variant : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << policy << " variant " << variant);
+    FleetScenario s = sprint_overshoot_scenario(variant);
+    s.policy = policy;
+    const FleetSimulator sim(s);
+    FleetReport r;
+    EXPECT_NO_THROW(r = sim.run({.parallel = false}));
+    EXPECT_GT(r.total_cycles, 0.0);
+  }
+}
+
+TEST(FleetSimulator, SprintBypassAboveVmaxCompletesOnFastEngine) {
+  for (const char* policy : {"hyst_eager", "edf_sprint"}) {
+    ASSERT_TRUE(PolicyRegistry::global().at(policy).fast_path()) << policy;
+    expect_overshoot_fleets_complete(policy);
+  }
+}
+
+TEST(FleetSimulator, SprintBypassAboveVmaxCompletesOnDenseLoop) {
+  ASSERT_FALSE(PolicyRegistry::global().at("mpp_track").fast_path());
+  expect_overshoot_fleets_complete("mpp_track");
 }
 
 TEST(FleetSimulator, NodesMakeProgressUnderSteadyLight) {

@@ -15,10 +15,19 @@ namespace {
 using namespace hemp::literals;
 
 /// Writes `content` to a temp file and removes it on destruction.
+// ctest runs each test of this binary in its own process, in parallel, so
+// each test writes its own file: one shared path let a test's destructor
+// delete the file another test was reading.
+std::string test_csv_name() {
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
+  return std::string(info->test_suite_name()) + "_" + info->name() + ".csv";
+}
+
 struct TempCsv {
   std::string path;
   explicit TempCsv(const std::string& content,
-                   const std::string& name = "trace_io_test.csv")
+                   const std::string& name = test_csv_name())
       : path(output_path(name)) {
     std::ofstream out(path);
     out << content;

@@ -6,7 +6,7 @@ The baseline file declares tolerance bands per derived metric:
     {
       "metrics": {
         "fleet_bench.batch_nodes_per_sec": {"min": 300},
-        "bench_perf.light_sweep_speedup": {"min": 4.0, "max": 1000.0}
+        "bench_perf.soc_fast_speedup": {"min": 10.0, "max": 1000.0}
       }
     }
 
@@ -21,8 +21,8 @@ reports thread_pool_size <= 1 — a single-core CI runner, where parallel ==
 serial by construction — the band is skipped instead of failed.
 
 Bands are deliberately loose: they catch order-of-magnitude regressions
-(a surface cache silently falling back to exact solves, the batch kernel
-degenerating to reference-tick stepping) while staying robust to CI machine
+(a first-touch surface silently falling back to its eager build, the batch
+kernel degenerating to reference-tick stepping) while staying robust to CI machine
 variance.  Ratios (speedups) are machine-independent and get tighter bands
 than absolute throughputs.
 
