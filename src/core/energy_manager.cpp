@@ -148,15 +148,10 @@ void EnergyManager::refresh_light_estimate(const SocState& state,
   }
   if (p_draw > 0.0) p_in_estimate_ = Watts(p_draw);
 
-  // Low-light bypass hysteresis (Fig. 7a rule).
-  if (p_in_estimate_ && crossover_power_.value() > 0.0) {
-    const double p = p_in_estimate_->value();
-    if (!low_light_bypass_ && p < params_.bypass_enter_ratio * crossover_power_.value()) {
-      low_light_bypass_ = true;
-    } else if (low_light_bypass_ &&
-               p > params_.bypass_exit_ratio * crossover_power_.value()) {
-      low_light_bypass_ = false;
-    }
+  if (p_in_estimate_) {
+    low_light_bypass_ = low_light_bypass_next(
+        low_light_bypass_, *p_in_estimate_, crossover_power_,
+        params_.bypass_enter_ratio, params_.bypass_exit_ratio);
   }
 }
 

@@ -42,6 +42,18 @@ enum class QueueDiscipline {
 inline constexpr double kSprintSagMargin = 0.05;
 inline constexpr double kSprintSagArmTime = 1e-4;
 
+/// The Fig. 7a low-light bypass hysteresis: the bypass state after a light
+/// estimate `p_est`.  The node enters the bypass below `enter_ratio` of the
+/// crossover power and leaves it above `exit_ratio`; a zero crossover power
+/// turns the rule off.
+[[nodiscard]] inline bool low_light_bypass_next(bool bypass, Watts p_est, Watts crossover,
+                                                double enter_ratio, double exit_ratio) {
+  if (crossover.value() <= 0.0) return bypass;
+  if (!bypass && p_est < enter_ratio * crossover) return true;
+  if (bypass && p_est > exit_ratio * crossover) return false;
+  return bypass;
+}
+
 struct EnergyManagerParams {
   ManagerMode mode = ManagerMode::kMaxPerformance;
   MppTrackerParams tracker{};

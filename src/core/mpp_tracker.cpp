@@ -211,12 +211,7 @@ HEMP_HOT void MppTrackingController::on_tick(const SocState& state, SocCommand& 
   const double err = state.v_solar.value() - v_target_.value();
   const double dv = state.v_solar.value() - prev_v_solar_.value();
   prev_v_solar_ = state.v_solar;
-  const double slew = params_.slew_tolerance.value();
-  if (err > params_.deadband.value() && dv > -slew) {
-    step(+1, cmd);  // node above MPP and not already falling: draw more
-  } else if (err < -params_.deadband.value() && dv < slew) {
-    step(-1, cmd);  // node below MPP and not already recovering: back off
-  }
+  if (const int delta = po_ladder_step(params_, err, dv)) step(delta, cmd);
 }
 
 void MppTrackingController::step_hint(const SocState& state, SocStepHint& hint) const {

@@ -98,6 +98,18 @@ struct MppTrackerParams {
   void validate() const;
 };
 
+/// The steady-state P&O rule: +1 (draw more) when the solar node sits more
+/// than the deadband above its target (`err` = v_solar - target) and is not
+/// already falling, -1 (back off) when below it and not already recovering,
+/// else 0 (hold).  `dv` is the node's move since the last control period.
+[[nodiscard]] inline int po_ladder_step(const MppTrackerParams& p, double err,
+                                        double dv) {
+  const double slew = p.slew_tolerance.value();
+  if (err > p.deadband.value() && dv > -slew) return +1;
+  if (err < -p.deadband.value() && dv < slew) return -1;
+  return 0;
+}
+
 /// Runtime MPP-tracking DVFS controller.
 ///
 /// Steady state: proportional ladder stepping keeps the solar node at the MPP

@@ -447,34 +447,22 @@ struct MepSlot {
   double freq = 0.0;
 };
 
-struct SprintPlanFlat {
-  bool computed = false;
-  bool feasible = false;
-  double cycles = 0.0;
-  double deadline = 0.0;
-  double phase_time = 0.0;
-  double slow_v = 0.0, slow_f = 0.0;
-  double fast_v = 0.0, fast_f = 0.0;
-};
-
 struct NodeRunner : flat::StepCore {
   const BatchFleetKernel::Shared& sh;
   const NodeSample& s;
   const PvFlat& pv;
   double crossover_power;
-  std::vector<BatchComparatorEvent>* events;  ///< traced mode when set
+  std::vector<ComparatorEvent>* events;  ///< traced mode when set
 
   // --- energy manager
   MgrState mgr = MgrState::kTracking;
   bool bypass = false;
   double prev_v_mgr = 0.0;
   double next_reassess = 0.0;
-  bool has_pest = false;
-  double p_est = 0.0;
+  std::optional<double> p_est;  ///< steady-state light estimate (W)
 
-  // --- sprint
-  SprintPlanFlat plan{};
-  bool sprinting = false;
+  // --- sprint: every fleet job is identical, so one plan serves the node
+  std::optional<SprintPlan> plan;
   double sprint_started = 0.0;
   double sprint_start_cycles = 0.0;
   bool sprint_bypassed = false;
@@ -484,9 +472,7 @@ struct NodeRunner : flat::StepCore {
   long level = 0;
   double next_control = 0.0;
   double prev_v_trk = 0.0;
-  bool th_high_out = false, th_low_out = false;
-  bool th_armed = false;
-  double th_armed_at = 0.0;
+  ThresholdTimer timer{kTrk.v_high, kTrk.v_low};
   bool timer_watched = false;  ///< tracker ran this eval -> watch its levels
 
   // --- periodic jobs
@@ -508,12 +494,13 @@ struct NodeRunner : flat::StepCore {
   std::optional<PiecewiseLinear> lut_p2v{}, lut_p2p{};
   std::array<double, kLadderSteps> ladder_v{}, ladder_f{};
 
-  // --- solar-node comparator bank (traced mode only)
-  std::array<bool, 8> bank_out{};
-  std::size_t bank_size = 0;
+  // --- SocConfig's solar-node comparator bank (traced mode only) and the
+  // edges of its latest update
+  std::optional<ComparatorBank> bank;
+  std::vector<ComparatorEvent> bank_edges;
 
   NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i,
-             std::vector<BatchComparatorEvent>* traced)
+             std::vector<ComparatorEvent>* traced)
       : sh(shared),
         s(shared.samples[i]),
         pv(shared.pv[i]),
@@ -569,19 +556,13 @@ struct NodeRunner : flat::StepCore {
     lut_p2p.emplace(p, pmpp);
   }
 
-  void reset_timer(double v) {
-    th_high_out = v > kTrk.v_high.value();
-    th_low_out = v > kTrk.v_low.value();
-    th_armed = false;
-  }
-
   void on_start() {
     build_ladder();
     build_lut();
     next_submit = s.job_phase.value();
     // MppTrackingController::on_start
     v_target = sh.vmpp_at(s.pv_scale, 1.0);
-    reset_timer(v_s);
+    timer.reset(Volts(v_s));
     level = 0;
     cmd_path = PowerPath::kRegulated;
     cmd_run = true;
@@ -590,32 +571,17 @@ struct NodeRunner : flat::StepCore {
     prev_v_mgr = v_s;
     enter_tracking();
     if (events != nullptr) {
-      // SocConfig's default bank, reset at the start voltage.
-      bank_size = std::min(bank_out.size(), kSoc.comparator_thresholds.size());
-      bank_out = {};
-      for (std::size_t i = 0; i < bank_size; ++i) {
-        bank_out[i] = v_s > bank_threshold(i);
-      }
+      bank.emplace(kSoc.comparator_thresholds);
+      bank->reset(Volts(v_s));
     }
   }
 
-  [[nodiscard]] static double bank_threshold(std::size_t i) {
-    return kSoc.comparator_thresholds[i].value();
-  }
-
+  /// Traced mode: feed the bank this instant's solar voltage and record its
+  /// edges.
   void update_bank() {
-    for (std::size_t i = 0; i < bank_size; ++i) {
-      const double th = bank_threshold(i);
-      if (!bank_out[i] && v_s > th + flat::kCompHalfHyst) {
-        bank_out[i] = true;
-        // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
-        events->push_back({static_cast<int>(i), true, Seconds(t)});
-      } else if (bank_out[i] && v_s < th - flat::kCompHalfHyst) {
-        bank_out[i] = false;
-        // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
-        events->push_back({static_cast<int>(i), false, Seconds(t)});
-      }
-    }
+    bank->update_into(Volts(v_s), Seconds(t), bank_edges);
+    // hemp-analyzer: allow(hot-path-purity) — traced diagnostic mode
+    events->insert(events->end(), bank_edges.begin(), bank_edges.end());
   }
 
   // ---------------------------------------------------------------------
@@ -629,9 +595,15 @@ struct NodeRunner : flat::StepCore {
     cmd_freq = ladder_f[static_cast<std::size_t>(level)];
   }
 
-  void ladder_step(int delta) {
-    level += delta;
-    ladder_apply();
+  /// The previous step's load as a source-side draw through the regulator
+  /// at the present command (unconverted where the regulator cannot run).
+  [[nodiscard]] double source_draw() const {
+    double p_draw = p_processor;
+    if (p_draw > 0.0 && sc_supports(v_s, cmd_vdd)) {
+      const double eta = sc_efficiency(v_s, cmd_vdd, p_draw);
+      if (eta > 0.0) p_draw /= eta;
+    }
+    return p_draw;
   }
 
   void apply_mep(double g_estimate) {
@@ -679,21 +651,11 @@ struct NodeRunner : flat::StepCore {
     const double dv = std::fabs(v_s - prev_v_mgr);
     prev_v_mgr = v_s;
     if (dv > 0.01) return;
-    double p_draw = p_processor;
-    if (!bypass && p_draw > 0.0 && sc_supports(v_s, cmd_vdd)) {
-      const double eta = sc_efficiency(v_s, cmd_vdd, p_draw);
-      if (eta > 0.0) p_draw /= eta;
-    }
-    if (p_draw > 0.0) {
-      p_est = p_draw;
-      has_pest = true;
-    }
-    if (has_pest && crossover_power > 0.0) {
-      if (!bypass && p_est < sh.bypass_enter * crossover_power) {
-        bypass = true;
-      } else if (bypass && p_est > sh.bypass_exit * crossover_power) {
-        bypass = false;
-      }
+    const double p_draw = bypass ? p_processor : source_draw();
+    if (p_draw > 0.0) p_est = p_draw;
+    if (p_est) {
+      bypass = low_light_bypass_next(bypass, Watts(*p_est), Watts(crossover_power),
+                                     sh.bypass_enter, sh.bypass_exit);
     }
   }
 
@@ -711,108 +673,54 @@ struct NodeRunner : flat::StepCore {
     ladder_apply();
   }
 
-  /// ThresholdTimer::update flattened; returns the measured fall interval.
-  std::optional<double> timer_update() {
-    bool high_fall = false, high_rise = false, low_fall = false;
-    const double v_high = kTrk.v_high.value();
-    const double v_low = kTrk.v_low.value();
-    if (!th_high_out && v_s > v_high + flat::kCompHalfHyst) {
-      th_high_out = true;
-      high_rise = true;
-    } else if (th_high_out && v_s < v_high - flat::kCompHalfHyst) {
-      th_high_out = false;
-      high_fall = true;
-    }
-    if (!th_low_out && v_s > v_low + flat::kCompHalfHyst) {
-      th_low_out = true;
-    } else if (th_low_out && v_s < v_low - flat::kCompHalfHyst) {
-      th_low_out = false;
-      low_fall = true;
-    }
-    if (high_fall) {
-      th_armed = true;
-      th_armed_at = t;
-    } else if (high_rise) {
-      th_armed = false;
-    }
-    if (low_fall && th_armed) {
-      th_armed = false;
-      const double interval = t - th_armed_at;
-      if (interval > 0.0) return interval;
-    }
-    return std::nullopt;
-  }
-
   void tracker_tick() {
     timer_watched = true;
-    if (const auto fall = timer_update(); fall && *fall > 0.0) {
-      double p_draw = p_processor;
-      if (sc_supports(v_s, cmd_vdd) && p_draw > 0.0) {
-        const double eta = sc_efficiency(v_s, cmd_vdd, p_draw);
-        if (eta > 0.0) p_draw /= eta;
-      }
-      // Eq. 7: subtract the cap's discharge contribution over the interval.
-      const double v_high = kTrk.v_high.value();
-      const double v_low = kTrk.v_low.value();
-      const double discharge = 0.5 * kTrk.solar_capacitance.value() *
-                               (v_high * v_high - v_low * v_low) / *fall;
-      const double p_in = std::max(p_draw - discharge, 0.0);
+    if (const auto fall = timer.update(Volts(v_s), Seconds(t));
+        fall && fall->value() > 0.0) {
+      const double p_in =
+          estimate_input_power(Watts(source_draw()), kTrk.solar_capacitance,
+                               kTrk.v_high, kTrk.v_low, *fall)
+              .value();
       v_target = (*lut_p2v)(p_in);
       seed_for_budget((*lut_p2p)(p_in));
       next_control = t + kTrk.control_period.value();
       return;
     }
-    if (th_armed) return;
+    if (timer.armed()) return;
     if (t < next_control) return;
     next_control = t + kTrk.control_period.value();
     const double err = v_s - v_target;
     const double dv = v_s - prev_v_trk;
     prev_v_trk = v_s;
-    const double deadband = kTrk.deadband.value();
-    const double slew_tol = kTrk.slew_tolerance.value();
-    if (err > deadband && dv > -slew_tol) {
-      ladder_step(+1);
-    } else if (err < -deadband && dv < slew_tol) {
-      ladder_step(-1);
+    if (const int delta = po_ladder_step(kTrk, err, dv)) {
+      level += delta;
+      ladder_apply();
     }
   }
 
   void start_next_job() {
     --queue;
-    if (!plan.computed) {
-      plan.computed = true;
-      // Every fleet job is identical, so the exact scheduler runs once per
-      // node; plan() only exercises the processor model (no counted solves).
+    if (!plan) {
+      // The exact scheduler runs once per node; plan() only exercises the
+      // processor model (no counted solves).
       const SystemModel model(sh.ref_cell, sh.ref_reg,
                               *sh.processors[static_cast<std::size_t>(s.index)]);
-      SprintScheduler scheduler(model);
-      const SprintPlan p =
+      plan =
           // hemp-analyzer: allow(hot-path-purity) — once-per-node plan
-          scheduler.plan(sh.scenario.job_cycles, sh.scenario.job_deadline,
-                         kMgr.sprint_factor);
-      plan.feasible = p.feasible;
-      if (p.feasible) {
-        plan.cycles = p.cycles;
-        plan.deadline = p.deadline.value();
-        plan.phase_time = p.phase_time.value();
-        plan.slow_v = p.slow.vdd.value();
-        plan.slow_f = p.slow.frequency.value();
-        plan.fast_v = p.fast.vdd.value();
-        plan.fast_f = p.fast.frequency.value();
-      }
+          SprintScheduler(model).plan(sh.scenario.job_cycles,
+                                      sh.scenario.job_deadline, kMgr.sprint_factor);
     }
-    if (!plan.feasible) {
+    if (!plan->feasible) {
       ++jobs_missed;
       return;
     }
-    sprinting = true;
     sprint_started = t;
     sprint_start_cycles = cycles;
     sprint_bypassed = false;
     mgr = MgrState::kSprinting;
     cmd_path = PowerPath::kRegulated;
-    cmd_vdd = plan.slow_v;
-    cmd_freq = plan.slow_f;
+    cmd_vdd = plan->slow.vdd.value();
+    cmd_freq = plan->slow.frequency.value();
     cmd_run = true;
   }
 
@@ -837,10 +745,9 @@ struct NodeRunner : flat::StepCore {
       tracker_tick();
     } else {
       const double g =
-          has_pest
-              ? std::clamp(p_est / std::max(sh.pmpp_at(s.pv_scale, 1.0), 1e-9),
-                           0.05, 1.0)
-              : 0.5;
+          p_est ? std::clamp(*p_est / std::max(sh.pmpp_at(s.pv_scale, 1.0), 1e-9),
+                             0.05, 1.0)
+                : 0.5;
       apply_mep(g);
     }
   }
@@ -851,7 +758,6 @@ struct NodeRunner : flat::StepCore {
     } else {
       ++jobs_missed;
     }
-    sprinting = false;
     mgr = MgrState::kRecovering;
     cmd_run = false;
     cmd_path = PowerPath::kRegulated;
@@ -860,11 +766,11 @@ struct NodeRunner : flat::StepCore {
   void tick_sprinting() {
     const double done = cycles - sprint_start_cycles;
     const double elapsed = t - sprint_started;
-    if (done >= plan.cycles) {
+    if (done >= plan->cycles) {
       end_sprint(true);
       return;
     }
-    if (elapsed > plan.deadline * 1.5) {
+    if (elapsed > plan->deadline.value() * 1.5) {
       end_sprint(false);
       return;
     }
@@ -872,13 +778,13 @@ struct NodeRunner : flat::StepCore {
       if (v_d >= pc.vmin) cmd_freq = proc_fmax(pc, std::min(v_d, pc.vmax));
       return;
     }
-    const bool slow_phase = elapsed < plan.phase_time;
-    const double op_v = slow_phase ? plan.slow_v : plan.fast_v;
-    cmd_vdd = op_v;
-    cmd_freq = slow_phase ? plan.slow_f : plan.fast_f;
-    const bool no_headroom = !sc_supports(v_s, op_v);
+    const OperatingPoint& op =
+        elapsed < plan->phase_time.value() ? plan->slow : plan->fast;
+    cmd_vdd = op.vdd.value();
+    cmd_freq = op.frequency.value();
+    const bool no_headroom = !sc_supports(v_s, cmd_vdd);
     const bool sagging =
-        v_d < op_v - kSprintSagMargin && elapsed > kSprintSagArmTime;
+        v_d < cmd_vdd - kSprintSagMargin && elapsed > kSprintSagArmTime;
     if (no_headroom || sagging) {
       sprint_bypassed = true;
       cmd_path = PowerPath::kBypass;
@@ -893,7 +799,7 @@ struct NodeRunner : flat::StepCore {
 
   HEMP_HOT void controller_eval() {
     timer_watched = false;
-    if (events != nullptr) update_bank();
+    if (bank) update_bank();
     // PeriodicJobController::on_tick
     if (sh.scenario.job_cycles > 0.0 && t >= next_submit) {
       ++queue;
@@ -927,33 +833,23 @@ struct NodeRunner : flat::StepCore {
         step_cause = StepCause::kDeadline;
       }
     } else if (mgr == MgrState::kSprinting) {
-      deadline(dt, sprint_started + 1.5 * plan.deadline);
+      deadline(dt, sprint_started + 1.5 * plan->deadline.value());
       if (!sprint_bypassed) {
-        deadline(dt, sprint_started + plan.phase_time);
+        deadline(dt, sprint_started + plan->phase_time.value());
         deadline(dt, sprint_started + kSprintSagArmTime);
       }
       if (f_eff > 0.0) {
-        const double remaining = plan.cycles - (cycles - sprint_start_cycles);
+        const double remaining = plan->cycles - (cycles - sprint_start_cycles);
         deadline(dt, t + remaining / f_eff);
       }
     }
 
     WatchAccum ws, wd;
     if (timer_watched) {
-      const double v_high = kTrk.v_high.value();
-      const double v_low = kTrk.v_low.value();
-      ws.level(v_s, th_high_out ? v_high - flat::kCompHalfHyst
-                                : v_high + flat::kCompHalfHyst);
-      ws.level(v_s, th_low_out ? v_low - flat::kCompHalfHyst
-                               : v_low + flat::kCompHalfHyst);
+      watch_comparator(ws, timer.v_high(), timer.high_output());
+      watch_comparator(ws, timer.v_low(), timer.low_output());
     }
-    if (events != nullptr) {
-      for (std::size_t i = 0; i < bank_size; ++i) {
-        const double th = bank_threshold(i);
-        ws.level(v_s, bank_out[i] ? th - flat::kCompHalfHyst
-                                  : th + flat::kCompHalfHyst);
-      }
-    }
+    if (bank) watch_bank(ws, *bank);
     if (mgr == MgrState::kRecovering) {
       ws.level(v_s, kMgr.recover_voltage.value());
     }
@@ -1008,7 +904,7 @@ struct NodeRunner : flat::StepCore {
 
   /// Day-end flush: comparator-bank edges, step accounting, result build.
   NodeResult finish() {
-    if (events != nullptr) update_bank();  // final edge flush at day end
+    if (bank) update_bank();  // final edge flush at day end
     flush_step_counts();
 
     NodeResult out;
@@ -1050,7 +946,7 @@ NodeResult BatchFleetKernel::run_node(int index) const {
 }
 
 NodeResult BatchFleetKernel::run_node_traced(
-    int index, std::vector<BatchComparatorEvent>& events) const {
+    int index, std::vector<ComparatorEvent>& events) const {
   HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
                "BatchFleetKernel: node index out of range");
   return NodeRunner(*shared_, static_cast<std::size_t>(index), &events).run();

@@ -20,6 +20,11 @@
 //     occur strictly inside a step (see DESIGN.md).  Typical days integrate
 //     in a few hundred steps instead of ~50k ticks.
 //
+// Each node's controller is the reference state machine flattened onto the
+// shared surfaces; its pure-logic parts are the core's own: the Eq. 7
+// ThresholdTimer and estimate_input_power, the SprintPlan, the P&O step and
+// bypass hysteresis rules, and (traced mode) SocConfig's ComparatorBank.
+//
 // Equivalence: the kernel reproduces the reference FleetSimulator aggregates
 // within tolerance (see tests/fleet/batch_kernel_test.cpp) but is not
 // bit-identical to it — the determinism contract is internal: the batch
@@ -30,9 +35,9 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "common/units.hpp"
 #include "fleet/report.hpp"
 #include "fleet/scenario.hpp"
+#include "storage/comparator.hpp"
 
 namespace hemp {
 
@@ -53,13 +58,6 @@ struct BatchKernelOptions {
   /// because the fleet benchmark's harness still names it, and goes with the
   /// next change to that benchmark.
   bool simd_lanes = true;
-};
-
-/// One solar-node comparator edge recorded by the traced single-node runner.
-struct BatchComparatorEvent {
-  int comparator = 0;  ///< index into the scenario's descending threshold bank
-  bool rising = false;
-  Seconds time{0.0};
 };
 
 /// Event-driven batch simulator for a whole FleetScenario.
@@ -86,11 +84,13 @@ class BatchFleetKernel {
   /// Simulate a single node (pure function of the scenario and index).
   [[nodiscard]] NodeResult run_node(int index) const;
 
-  /// Simulate a single node while recording every comparator-bank edge on
-  /// the solar node (the reference SocSystem's observability), for the
-  /// no-skipped-crossing equivalence tests.
+  /// Simulate a single node while recording every edge of SocConfig's
+  /// solar-node ComparatorBank (the reference SocSystem's bank, fed at each
+  /// step boundary), for the no-skipped-crossing equivalence tests.  The
+  /// bank's levels bound the steps, so a traced run can step finer than
+  /// run_node.
   [[nodiscard]] NodeResult run_node_traced(
-      int index, std::vector<BatchComparatorEvent>& events) const;
+      int index, std::vector<ComparatorEvent>& events) const;
 
   [[nodiscard]] const FleetScenario& scenario() const;
 

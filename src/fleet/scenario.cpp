@@ -1,10 +1,13 @@
 #include "fleet/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "trace/generators.hpp"
@@ -71,9 +74,24 @@ namespace {
 double parse_double(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    throw ModelError("FleetScenario: key '" + key + "' needs a number, got '" +
+  if (value.empty() || end != value.c_str() + value.size() || !std::isfinite(v)) {
+    throw ModelError("FleetScenario: key '" + key + "' needs a finite number, got '" +
                      value + "'");
+  }
+  return v;
+}
+
+/// The whole of `value` as a T: a fraction, an exponent, a sign T cannot
+/// hold, NaN or a value outside T's range throws.
+template <typename T>
+T parse_integer(const std::string& key, const std::string& value) {
+  T v{};
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, v);
+  if (ec != std::errc() || end != last) {
+    throw ModelError("FleetScenario: key '" + key + "' needs " +
+                     (std::is_signed_v<T> ? "an" : "a non-negative") +
+                     " integer in range, got '" + value + "'");
   }
   return v;
 }
@@ -94,6 +112,64 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
+void FleetScenario::set(const std::string& key, const std::string& value) {
+  if (key == "name") {
+    name = value;
+  } else if (key == "nodes") {
+    nodes = parse_integer<int>(key, value);
+  } else if (key == "seed") {
+    seed = parse_integer<std::uint64_t>(key, value);
+  } else if (key == "day_length_s") {
+    day_length = Seconds(parse_double(key, value));
+  } else if (key == "time_step_us") {
+    time_step = Seconds(parse_double(key, value) * 1e-6);
+  } else if (key == "waveform_interval_us") {
+    waveform_interval = Seconds(parse_double(key, value) * 1e-6);
+  } else if (key == "trace") {
+    trace_kind = trace_kind_from_string(value);
+  } else if (key == "shared_trace") {
+    shared_trace = parse_bool(key, value);
+  } else if (key == "constant_g") {
+    constant_g = parse_double(key, value);
+  } else if (key == "trace_csv") {
+    trace_csv = value;
+  } else if (key == "trace_coarsen_eps") {
+    trace_coarsen_eps = parse_double(key, value);
+  } else if (key == "pv_scale_min") {
+    pv_scale_min = parse_double(key, value);
+  } else if (key == "pv_scale_max") {
+    pv_scale_max = parse_double(key, value);
+  } else if (key == "solar_cap_min_uf") {
+    solar_cap_min = Farads(parse_double(key, value) * 1e-6);
+  } else if (key == "solar_cap_max_uf") {
+    solar_cap_max = Farads(parse_double(key, value) * 1e-6);
+  } else if (key == "vdd_cap_uf") {
+    vdd_cap = Farads(parse_double(key, value) * 1e-6);
+  } else if (key == "corner_ss") {
+    corner_weights[0] = parse_double(key, value);
+  } else if (key == "corner_tt") {
+    corner_weights[1] = parse_double(key, value);
+  } else if (key == "corner_ff") {
+    corner_weights[2] = parse_double(key, value);
+  } else if (key == "temperature_mean_c") {
+    temperature_mean_c = parse_double(key, value);
+  } else if (key == "temperature_sigma_c") {
+    temperature_sigma_c = parse_double(key, value);
+  } else if (key == "min_energy_fraction") {
+    min_energy_fraction = parse_double(key, value);
+  } else if (key == "policy") {
+    policy = value;
+  } else if (key == "job_cycles") {
+    job_cycles = parse_double(key, value);
+  } else if (key == "job_period_ms") {
+    job_period = Seconds(parse_double(key, value) * 1e-3);
+  } else if (key == "job_deadline_ms") {
+    job_deadline = Seconds(parse_double(key, value) * 1e-3);
+  } else {
+    throw ModelError("FleetScenario: unknown key '" + key + "'");
+  }
+}
+
 FleetScenario FleetScenario::from_string(const std::string& text) {
   FleetScenario s;
   std::istringstream in(text);
@@ -111,65 +187,7 @@ FleetScenario FleetScenario::from_string(const std::string& text) {
       throw ModelError("FleetScenario: line " + std::to_string(lineno) +
                        ": expected 'key = value', got '" + line + "'");
     }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-
-    if (key == "name") {
-      s.name = value;
-    } else if (key == "nodes") {
-      s.nodes = static_cast<int>(parse_double(key, value));
-    } else if (key == "seed") {
-      s.seed = static_cast<std::uint64_t>(parse_double(key, value));
-    } else if (key == "day_length_s") {
-      s.day_length = Seconds(parse_double(key, value));
-    } else if (key == "time_step_us") {
-      s.time_step = Seconds(parse_double(key, value) * 1e-6);
-    } else if (key == "waveform_interval_us") {
-      s.waveform_interval = Seconds(parse_double(key, value) * 1e-6);
-    } else if (key == "trace") {
-      s.trace_kind = trace_kind_from_string(value);
-    } else if (key == "shared_trace") {
-      s.shared_trace = parse_bool(key, value);
-    } else if (key == "constant_g") {
-      s.constant_g = parse_double(key, value);
-    } else if (key == "trace_csv") {
-      s.trace_csv = value;
-    } else if (key == "trace_coarsen_eps") {
-      s.trace_coarsen_eps = parse_double(key, value);
-    } else if (key == "pv_scale_min") {
-      s.pv_scale_min = parse_double(key, value);
-    } else if (key == "pv_scale_max") {
-      s.pv_scale_max = parse_double(key, value);
-    } else if (key == "solar_cap_min_uf") {
-      s.solar_cap_min = Farads(parse_double(key, value) * 1e-6);
-    } else if (key == "solar_cap_max_uf") {
-      s.solar_cap_max = Farads(parse_double(key, value) * 1e-6);
-    } else if (key == "vdd_cap_uf") {
-      s.vdd_cap = Farads(parse_double(key, value) * 1e-6);
-    } else if (key == "corner_ss") {
-      s.corner_weights[0] = parse_double(key, value);
-    } else if (key == "corner_tt") {
-      s.corner_weights[1] = parse_double(key, value);
-    } else if (key == "corner_ff") {
-      s.corner_weights[2] = parse_double(key, value);
-    } else if (key == "temperature_mean_c") {
-      s.temperature_mean_c = parse_double(key, value);
-    } else if (key == "temperature_sigma_c") {
-      s.temperature_sigma_c = parse_double(key, value);
-    } else if (key == "min_energy_fraction") {
-      s.min_energy_fraction = parse_double(key, value);
-    } else if (key == "policy") {
-      s.policy = value;
-    } else if (key == "job_cycles") {
-      s.job_cycles = parse_double(key, value);
-    } else if (key == "job_period_ms") {
-      s.job_period = Seconds(parse_double(key, value) * 1e-3);
-    } else if (key == "job_deadline_ms") {
-      s.job_deadline = Seconds(parse_double(key, value) * 1e-3);
-    } else {
-      throw ModelError("FleetScenario: line " + std::to_string(lineno) +
-                       ": unknown key '" + key + "'");
-    }
+    s.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
   }
   s.validate();
   return s;

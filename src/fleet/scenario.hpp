@@ -90,9 +90,15 @@ struct FleetScenario {
            trace_kind == TraceKind::kConstant;
   }
 
+  /// Set one field from its scenario-file key and value text, the one
+  /// parser behind scenario files and command-line overrides.  An unknown
+  /// key or a malformed value throws ModelError; `nodes` and `seed` take
+  /// whole integers only.  Does not validate().
+  void set(const std::string& key, const std::string& value);
+
   /// Parse a scenario from `key = value` text ('#' comments, blank lines
-  /// allowed).  Unknown keys throw ModelError — typos must not silently
-  /// fall back to defaults.
+  /// allowed) through set(), then validate().  Unknown keys throw
+  /// ModelError — typos must not silently fall back to defaults.
   static FleetScenario from_string(const std::string& text);
   /// Parse a scenario file.
   static FleetScenario from_file(const std::string& path);

@@ -88,12 +88,7 @@ struct FastEngine : flat::StepCore {
     deadline(dt, hint.next_deadline_s);
 
     flat::WatchAccum ws, wd;
-    // Comparator bank levels, direction-resolved by the latched outputs.
-    for (std::size_t i = 0; i < comparators->size(); ++i) {
-      const double th = comparators->thresholds()[i].value();
-      ws.level(v_s, comparators->output(i) ? th - flat::kCompHalfHyst
-                                           : th + flat::kCompHalfHyst);
-    }
+    watch_bank(ws, *comparators);
     for (std::size_t i = 0; i < hint.solar_watch_count; ++i) {
       ws.level(v_s, hint.solar_watch[i]);
     }

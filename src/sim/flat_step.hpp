@@ -12,6 +12,8 @@
 //                   and trace knots, then the engine's timed events, then the
 //                   rail settle episode, the bypass swing cap, the analytic
 //                   watch bounds and whole-tick quantization;
+//   * watch_comparator(), watch_bank() — a latched comparator's next toggle
+//                   level (a ThresholdTimer's or a ComparatorBank's);
 //   * integrate() — the regulated rail episode with per-regime loss pricing,
 //                   the merged bypass step, or the detached node update;
 //   * account()   — the step's cause count, cycles, delivered energy and
@@ -35,6 +37,7 @@
 #include "common/solver_stats.hpp"
 #include "sim/flat_model.hpp"
 #include "sim/soc_system.hpp"
+#include "storage/comparator.hpp"
 
 namespace hemp::flat {
 
@@ -169,6 +172,21 @@ struct StepCore {
     if (when > t && when - t < dt) {
       dt = when - t;
       step_cause = solver_stats::StepCause::kDeadline;
+    }
+  }
+
+  /// Watch the level where a latched solar-node comparator toggles next:
+  /// its threshold less the half-hysteresis while its output is high, plus
+  /// the half-hysteresis while low.
+  HEMP_HOT void watch_comparator(WatchAccum& ws, Volts threshold, bool output) const {
+    ws.level(v_s, output ? threshold.value() - kCompHalfHyst
+                         : threshold.value() + kCompHalfHyst);
+  }
+
+  /// watch_comparator over every comparator of `bank`.
+  HEMP_HOT void watch_bank(WatchAccum& ws, const ComparatorBank& bank) const {
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+      watch_comparator(ws, bank.thresholds()[i], bank.output(i));
     }
   }
 

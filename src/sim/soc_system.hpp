@@ -100,7 +100,8 @@ struct SocCommand {
 /// expiry, comparator edge, tracker window crossing) is observed late.
 struct SocStepHint {
   /// Controller supports long steps from this state.  Left false (default),
-  /// the engine falls back to dense ticks for this run.
+  /// the engine takes one reference tick for this step and asks again after
+  /// it; the run stays on the event engine.
   bool event_driven = false;
   double next_deadline_s = std::numeric_limits<double>::infinity();
   std::array<double, 8> solar_watch{};

@@ -79,6 +79,9 @@ class ThresholdTimer {
 
   [[nodiscard]] Volts v_high() const { return high_.threshold(); }
   [[nodiscard]] Volts v_low() const { return low_.threshold(); }
+  /// Latched outputs of the window comparators: the direction each toggles next.
+  [[nodiscard]] bool high_output() const { return high_.output(); }
+  [[nodiscard]] bool low_output() const { return low_.output(); }
   [[nodiscard]] bool armed() const { return armed_; }
   void reset(Volts v);
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -92,7 +93,9 @@ TEST(CsvWriter, WideRowsMatchOstreamBytes) {
   std::vector<std::string> cols;
   for (int i = 0; i < 600; ++i) {
     row.push_back(-1.2345678901234e-300 * (i + 1));
-    cols.push_back("c" + std::to_string(i));
+    std::string name = std::to_string(i);
+    name.insert(name.begin(), 'c');
+    cols.push_back(std::move(name));
   }
   const std::string path = temp_path("wide.csv");
   std::ostringstream expect;

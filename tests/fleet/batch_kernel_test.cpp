@@ -419,22 +419,23 @@ TEST(BatchFleetKernel, StepTraceNeverSkipsComparatorCrossing) {
   const BatchFleetKernel kernel(s);
   int total_events = 0;
   for (int node = 0; node < s.nodes; ++node) {
-    std::vector<BatchComparatorEvent> events;
+    std::vector<ComparatorEvent> events;
     (void)kernel.run_node_traced(node, events);
     total_events += static_cast<int>(events.size());
-    std::map<int, bool> last_rising;
+    std::map<double, Edge> last_edge;  // by threshold (V)
     Seconds last_time{-1.0};
-    for (const BatchComparatorEvent& e : events) {
+    for (const ComparatorEvent& e : events) {
       EXPECT_GE(e.time.value(), last_time.value());
       last_time = e.time;
-      const auto it = last_rising.find(e.comparator);
-      if (it != last_rising.end()) {
-        EXPECT_NE(it->second, e.rising)
-            << "comparator " << e.comparator << " emitted two "
-            << (e.rising ? "rising" : "falling") << " edges in a row at t="
-            << e.time.value();
+      const double th = e.threshold.value();
+      const auto it = last_edge.find(th);
+      if (it != last_edge.end()) {
+        EXPECT_NE(it->second, e.edge)
+            << "comparator " << th << " V emitted two "
+            << (e.edge == Edge::kRising ? "rising" : "falling")
+            << " edges in a row at t=" << e.time.value();
       }
-      last_rising[e.comparator] = e.rising;
+      last_edge[th] = e.edge;
     }
   }
   EXPECT_GT(total_events, 0);
@@ -442,7 +443,7 @@ TEST(BatchFleetKernel, StepTraceNeverSkipsComparatorCrossing) {
 
 TEST(BatchFleetKernel, TracedRunMatchesUntraced) {
   const BatchFleetKernel kernel(quick_scenario());
-  std::vector<BatchComparatorEvent> events;
+  std::vector<ComparatorEvent> events;
   const NodeResult traced = kernel.run_node_traced(1, events);
   const NodeResult plain = kernel.run_node(1);
   // Tracing adds comparator watch levels, which only tightens steps; the

@@ -9,6 +9,7 @@
 // that is meant to move results, and say why where the change is recorded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -294,6 +295,27 @@ TEST(HashPin, BatchFleetKernelForcedNoBypass) {
   expect_pin("batch forced no-bypass", r.summary_hash, 0x18d20b833e4bc168ULL);
 }
 
+// The batch lane under the two forced bypass windows other than the legacy
+// 0.9/1.2 one: a flipped comparison in the shared hysteresis rule moves
+// these fleets' bypass decisions.
+void expect_forced_batch_pin(const char* policy, std::uint64_t pin) {
+  FleetScenario s = pin_scenario();
+  s.nodes = 32;
+  s.policy = policy;
+  const FleetReport r = BatchFleetKernel(s).run({.parallel = false});
+  expect_pin(policy, r.summary_hash, pin);
+}
+
+TEST(HashPin, BatchFleetKernelForcedHystEager) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  expect_forced_batch_pin("hyst_eager", 0x940b56999cd9542aULL);
+}
+
+TEST(HashPin, BatchFleetKernelForcedHystReluctant) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  expect_forced_batch_pin("hyst_reluctant", 0x92d6bf79ae0d0666ULL);
+}
+
 TEST(HashPin, BatchFleetKernelTracedComparatorEvents) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
   // Indoor on/off light walks the solar node through the whole bank.
@@ -303,15 +325,19 @@ TEST(HashPin, BatchFleetKernelTracedComparatorEvents) {
   const BatchFleetKernel kernel(s);
   Fnv f;
   std::size_t total = 0;
+  // Each edge hashes as its index in the descending threshold bank.
+  const std::vector<Volts>& bank = SocConfig{}.comparator_thresholds;
   for (int node = 0; node < s.nodes; ++node) {
-    std::vector<BatchComparatorEvent> events;
+    std::vector<ComparatorEvent> events;
     const NodeResult r = kernel.run_node_traced(node, events);
     total += events.size();
     f.add(r.cycles);
     f.add(r.harvested.value());
-    for (const BatchComparatorEvent& e : events) {
-      f.add(static_cast<std::uint64_t>(e.comparator));
-      f.add(static_cast<std::uint64_t>(e.rising));
+    for (const ComparatorEvent& e : events) {
+      const auto index = std::find(bank.begin(), bank.end(), e.threshold) - bank.begin();
+      ASSERT_LT(index, std::ssize(bank));
+      f.add(static_cast<std::uint64_t>(index));
+      f.add(static_cast<std::uint64_t>(e.edge == Edge::kRising));
       f.add(e.time.value());
     }
   }

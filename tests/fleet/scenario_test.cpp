@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace hemp {
@@ -78,6 +80,57 @@ TEST(FleetScenario, MalformedLineThrows) {
   EXPECT_THROW(FleetScenario::from_string("nodes 10\n"), ModelError);
   EXPECT_THROW(FleetScenario::from_string("nodes = ten\n"), ModelError);
   EXPECT_THROW(FleetScenario::from_string("shared_trace = maybe\n"), ModelError);
+}
+
+TEST(FleetScenario, NodesAndSeedTakeWholeIntegersOnly) {
+  for (const char* bad : {"2.7", "1e3", "nan", "inf", "abc", "", "+4",
+                          "99999999999"}) {
+    SCOPED_TRACE(bad);
+    FleetScenario s;
+    EXPECT_THROW(s.set("nodes", bad), ModelError);
+    EXPECT_EQ(s.nodes, FleetScenario{}.nodes);
+  }
+  for (const char* bad : {"-1", "3.5", "nan", "18446744073709551616", "0x10"}) {
+    SCOPED_TRACE(bad);
+    FleetScenario s;
+    EXPECT_THROW(s.set("seed", bad), ModelError);
+    EXPECT_EQ(s.seed, FleetScenario{}.seed);
+  }
+  EXPECT_THROW(FleetScenario::from_string("nodes = 2.7\n"), ModelError);
+  EXPECT_THROW(FleetScenario::from_string("seed = -1\n"), ModelError);
+  // A negative node count parses and fails validation.
+  EXPECT_THROW(FleetScenario::from_string("nodes = -3\n"), ModelError);
+  EXPECT_EQ(FleetScenario::from_string("seed = 18446744073709551615\n").seed,
+            18446744073709551615ULL);
+}
+
+TEST(FleetScenario, NumbersMustBeFinite) {
+  // An infinite capacitance or job size would otherwise run to a hash.
+  for (const char* key : {"vdd_cap_uf", "solar_cap_max_uf", "job_cycles",
+                          "day_length_s", "trace_coarsen_eps"}) {
+    for (const char* bad : {"inf", "-inf", "nan", "1e400"}) {
+      SCOPED_TRACE(std::string(key) + " = " + bad);
+      FleetScenario s;
+      EXPECT_THROW(s.set(key, bad), ModelError);
+    }
+  }
+}
+
+TEST(FleetScenario, SetOverridesOneFieldLikeTheFile) {
+  FleetScenario s;
+  s.set("nodes", "5");
+  s.set("seed", "0");
+  s.set("trace_coarsen_eps", "0");
+  s.set("job_period_ms", "20");
+  EXPECT_EQ(s.nodes, 5);
+  EXPECT_EQ(s.seed, 0u);
+  EXPECT_EQ(s.trace_coarsen_eps, 0.0);
+  EXPECT_DOUBLE_EQ(s.job_period.value(), 0.02);
+  EXPECT_NO_THROW(s.validate());
+  EXPECT_THROW(s.set("nodez", "5"), ModelError);
+  EXPECT_THROW(s.set("trace_coarsen_eps", "abc"), ModelError);
+  s.set("trace_coarsen_eps", "-1");  // set parses; validate() judges
+  EXPECT_THROW(s.validate(), ModelError);
 }
 
 TEST(FleetScenario, TraceKindRoundTrips) {

@@ -18,6 +18,8 @@
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "fleet/batch_kernel.hpp"
@@ -68,9 +70,8 @@ int main(int argc, char** argv) {
   bool serial = false;
   bool write_files = true;
   bool use_batch = false;
-  int override_nodes = -1;
-  long long override_seed = -1;
-  double override_coarsen_eps = -1.0;
+  // --nodes/--seed/--coarsen-eps, applied through FleetScenario::set.
+  std::vector<std::pair<std::string, std::string>> overrides;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -98,15 +99,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-files") {
       write_files = false;
     } else if (arg == "--nodes") {
-      override_nodes = std::atoi(next("--nodes"));
+      overrides.emplace_back("nodes", next("--nodes"));
     } else if (arg == "--seed") {
-      override_seed = std::atoll(next("--seed"));
+      overrides.emplace_back("seed", next("--seed"));
     } else if (arg == "--coarsen-eps") {
-      override_coarsen_eps = std::atof(next("--coarsen-eps"));
-      if (override_coarsen_eps < 0.0) {
-        std::fprintf(stderr, "fleetsim: --coarsen-eps must be >= 0\n");
-        return 2;
-      }
+      overrides.emplace_back("trace_coarsen_eps", next("--coarsen-eps"));
     } else if (arg == "--out") {
       out_dir = next("--out");
     } else if (arg == "--help" || arg == "-h") {
@@ -130,13 +127,7 @@ int main(int argc, char** argv) {
 
   try {
     FleetScenario scenario = FleetScenario::from_file(scenario_path);
-    if (override_nodes > 0) scenario.nodes = override_nodes;
-    if (override_seed >= 0) {
-      scenario.seed = static_cast<std::uint64_t>(override_seed);
-    }
-    if (override_coarsen_eps >= 0.0) {
-      scenario.trace_coarsen_eps = override_coarsen_eps;
-    }
+    for (const auto& [key, value] : overrides) scenario.set(key, value);
     if (!forced_policy.empty()) {
       // Resolve eagerly so a typo reports the registry's names, not a
       // kernel-specific error later.

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -141,7 +142,7 @@ int main(int argc, char** argv) {
   std::string out_dir = "out";
   std::string json_name = "tournament.json";
   std::string bench_json;
-  int override_nodes = -1;
+  std::optional<std::string> nodes_arg;  // --nodes, via FleetScenario::set
   bool serial = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--corners") {
       corners_arg = next("--corners");
     } else if (arg == "--nodes") {
-      override_nodes = std::atoi(next("--nodes"));
+      nodes_arg = next("--nodes");
     } else if (arg == "--serial") {
       serial = true;
     } else if (arg == "--out") {
@@ -197,12 +198,15 @@ int main(int argc, char** argv) {
 
     std::vector<Cell> cells;
     for (const std::string& path : scenario_paths) {
-      const FleetScenario base = FleetScenario::from_file(path);
+      FleetScenario base = FleetScenario::from_file(path);
+      if (nodes_arg) {
+        base.set("nodes", *nodes_arg);
+        base.validate();
+      }
       for (const std::string& corner : corners) {
         for (const std::string& policy_name : policies) {
           const EnergyPolicy& policy = registry.at(policy_name);
           FleetScenario sc = base;
-          if (override_nodes > 0) sc.nodes = override_nodes;
           apply_corner(sc, corner);
           sc.policy = policy_name;
 
