@@ -312,40 +312,4 @@ void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
   }
 }
 
-PeriodicJobController::PeriodicJobController(EnergyManager& manager,
-                                             double job_cycles, Seconds period,
-                                             Seconds deadline, Seconds phase)
-    : manager_(&manager), job_cycles_(job_cycles), period_(period),
-      deadline_(deadline), next_submit_(phase) {
-  HEMP_REQUIRE(job_cycles >= 0.0, "PeriodicJobController: negative job cycles");
-  if (job_cycles > 0.0) {
-    HEMP_REQUIRE(period.value() > 0.0 && deadline.value() > 0.0,
-                 "PeriodicJobController: jobs need positive period and deadline");
-  }
-}
-
-void PeriodicJobController::on_start(const SocState& state, SocCommand& cmd) {
-  manager_->on_start(state, cmd);
-}
-
-void PeriodicJobController::on_tick(const SocState& state, SocCommand& cmd) {
-  if (job_cycles_ > 0.0 && state.time >= next_submit_) {
-    manager_->submit_at({job_cycles_, deadline_}, state.time);
-    ++jobs_submitted_;
-    next_submit_ += period_;
-  }
-  manager_->on_tick(state, cmd);
-}
-
-void PeriodicJobController::on_comparator(const ComparatorEvent& event,
-                                          const SocState& state,
-                                          SocCommand& cmd) {
-  manager_->on_comparator(event, state, cmd);
-}
-
-void PeriodicJobController::step_hint(const SocState& state, SocStepHint& hint) const {
-  manager_->step_hint(state, hint);
-  if (job_cycles_ > 0.0) hint.deadline(next_submit_.value());
-}
-
 }  // namespace hemp

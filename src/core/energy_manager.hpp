@@ -103,8 +103,6 @@ class EnergyManager : public SocController {
   [[nodiscard]] int jobs_missed() const { return jobs_missed_; }
   [[nodiscard]] bool in_bypass() const { return low_light_bypass_; }
   [[nodiscard]] bool sprinting() const { return sprint_.has_value(); }
-  /// Latest steady-state estimate of the incoming solar power.
-  [[nodiscard]] std::optional<Watts> light_estimate() const { return p_in_estimate_; }
 
  private:
   struct ActiveSprint {
@@ -165,31 +163,6 @@ class EnergyManager : public SocController {
   std::optional<Watts> p_in_estimate_;
   Seconds next_reassess_{0.0};
   Volts prev_v_solar_{0.0};
-};
-
-/// Wraps an EnergyManager and submits one deadline job every `period`,
-/// starting at `phase` — the stand-in for a sense/compute duty cycle used by
-/// the fleet simulator and the managed policies.
-class PeriodicJobController : public SocController {
- public:
-  PeriodicJobController(EnergyManager& manager, double job_cycles,
-                        Seconds period, Seconds deadline, Seconds phase);
-
-  void on_start(const SocState& state, SocCommand& cmd) override;
-  void on_tick(const SocState& state, SocCommand& cmd) override;
-  void on_comparator(const ComparatorEvent& event, const SocState& state,
-                     SocCommand& cmd) override;
-  void step_hint(const SocState& state, SocStepHint& hint) const override;
-
-  [[nodiscard]] int jobs_submitted() const { return jobs_submitted_; }
-
- private:
-  EnergyManager* manager_;
-  double job_cycles_;
-  Seconds period_;
-  Seconds deadline_;
-  Seconds next_submit_;
-  int jobs_submitted_ = 0;
 };
 
 }  // namespace hemp

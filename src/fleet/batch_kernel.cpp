@@ -39,10 +39,11 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Model constants come from the component parameter defaults: the fleet
-// builds every node from SocConfig{}, EnergyManagerParams{},
-// MppTrackerParams{}, SwitchedCapParams{} and PvCellParams{} plus the sampled
-// scale factors, and each node's processor from make_test_chip_at.  The step
-// physics is the shared flat::StepCore (sim/flat_step.hpp).
+// builds every node from SocConfig{}, SwitchedCapParams{} and PvCellParams{}
+// plus the sampled scale factors, and each node's processor from
+// make_test_chip_at.  Manager and tracker constants come from the lane's
+// EnergyManagerParams (Shared::mgr).  The step physics is the shared
+// flat::StepCore (sim/flat_step.hpp).
 // ---------------------------------------------------------------------------
 
 using flat::FlatTrace;
@@ -52,11 +53,9 @@ using PvFlat = flat::FlatPv;
 using WatchAccum = flat::WatchAccum;
 
 const SocConfig kSoc{};
-const EnergyManagerParams kMgr{};
-const MppTrackerParams kTrk{};
 
 // The DVFS ladder length sizes per-node arrays, so it stays a compile-time
-// constant, checked against the tracker's default.
+// constant; runs() admits only managers whose tracker uses it.
 constexpr int kLadderSteps = 48;
 static_assert(kLadderSteps == MppTrackerParams{}.dvfs_steps);
 
@@ -64,7 +63,6 @@ static_assert(kLadderSteps == MppTrackerParams{}.dvfs_steps);
 constexpr int kSurfaceSKnots = 13;
 constexpr int kSurfaceGKnots = 61;
 constexpr double kSurfaceGMin = 0.005;
-constexpr double kSurfaceGMax = 1.25;
 constexpr int kCrossTempKnots = 6;
 constexpr int kCrossSKnots = 7;
 constexpr double kCrossMinG = 0.045;  // below resolution: "no crossover"
@@ -74,13 +72,10 @@ constexpr double kCrossMinG = 0.045;  // below resolution: "no crossover"
 constexpr std::size_t kCtorNodeBlock = 16;
 
 // Terminal-current surface i(v, g): the stepped loop's only cell-model
-// evaluation (bilinear in (v, g), scale-blended across two pv-scale slices).
-// 1.7 V covers the largest open-circuit voltage any sampled cell reaches;
-// the v pitch (~11 mV) keeps the bilinear error on the diode knee (curvature
-// scale n*Vt ~ 116 mV) well under a percent.
-constexpr int kIvVKnots = 160;
+// evaluation (bilinear in (v, g), scale-blended across two pv-scale slices,
+// at flat::kIvVKnots x flat::kIvGKnots).  1.7 V covers the largest
+// open-circuit voltage any sampled cell reaches.
 constexpr double kIvVMax = 1.7;
-constexpr int kIvGKnots = 64;
 
 // ---------------------------------------------------------------------------
 // Flattened component math: hemp::flat mirrors, specialized to the fleet's
@@ -96,15 +91,6 @@ PvCellParams scaled_pv_params(double pv_scale) {
   PvCellParams p;
   p.isc_full_sun = p.isc_full_sun * pv_scale;
   return p;
-}
-
-/// Regulator envelope: mirrors Regulator::supports via output_range.
-bool sc_supports(double vin, double vout) {
-  return flat::sc_supports(kScFlat, vin, vout);
-}
-
-double sc_efficiency(double vin, double vout, double pout) {
-  return flat::sc_efficiency(kScFlat, vin, vout, pout);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,12 +206,9 @@ struct BatchFleetKernel::Shared {
   bool shared_sky = false;
   FlatTrace sky;  ///< valid when shared_sky
 
-  /// Bypass hysteresis window every lane uses.  The defaults are the legacy
-  /// manager constants; a forced scenario policy with a batch spec overrides
-  /// them fleet-wide (per-node policies always agree: the scenario either
-  /// forces one policy or runs the legacy mix, which shares this window).
-  double bypass_enter = kMgr.bypass_enter_ratio;
-  double bypass_exit = kMgr.bypass_exit_ratio;
+  /// Manager and tracker parameters of every lane: the legacy mix's defaults
+  /// (mode per node from the sampled min_energy) or a forced policy's.
+  EnergyManagerParams mgr;
 
   // SoA node-parameter plane (index-parallel arrays).
   std::vector<NodeSample> samples;
@@ -245,14 +228,6 @@ struct BatchFleetKernel::Shared {
   // (plan() only touches the processor, but the model wants references).
   PvCell ref_cell{PvCellParams{}};
   SwitchedCapRegulator ref_reg;
-
-  [[nodiscard]] double vmpp_at(double s, double g) const {
-    return surfaces->mpp.vmpp_at(s, g);
-  }
-
-  [[nodiscard]] double pmpp_at(double s, double g) const {
-    return surfaces->mpp.pmpp_at(s, g);
-  }
 };
 
 BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
@@ -263,20 +238,18 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   sh.scenario.validate();
   const FleetScenario& sc = sh.scenario;
 
-  // --- Forced scenario policy: only policies with a batch spec (an
-  // EnergyManager parameterization the flattened lane implements) can ride
-  // this kernel; everything else must use the reference engine. -------------
-  std::optional<BatchPolicySpec> forced_spec;
-  if (!sc.policy.empty()) {
+  // --- Forced scenario policy: only managers the lane implements (runs())
+  // ride this kernel; everything else must use the reference engine. --------
+  const bool forced = !sc.policy.empty();
+  if (forced) {
     const EnergyPolicy& policy = PolicyRegistry::global().at(sc.policy);
-    forced_spec = policy.batch_spec();
-    if (!forced_spec) {
+    if (!runs(policy)) {
       throw ModelError("BatchFleetKernel: policy '" + sc.policy +
                        "' has no batch-kernel lane; run it on the reference "
                        "kernel (fleetsim --kernel reference)");
     }
-    sh.bypass_enter = forced_spec->bypass_enter_ratio;
-    sh.bypass_exit = forced_spec->bypass_exit_ratio;
+    sh.mgr = *policy.manager_params();
+    sh.mgr.validate();
   }
 
   // Everything below up to the crossover-power pass is a set of independent
@@ -297,9 +270,10 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     // Shared MPP + terminal-current surfaces: exact solves sampled once by
     // the hemp::flat builders, one unit per pv-scale row.
     fresh->mpp = flat::size_mpp_surface(s_lo, s_hi, kSurfaceSKnots, kSurfaceGMin,
-                                        kSurfaceGMax, kSurfaceGKnots);
-    fresh->iv = flat::size_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots),
-                                      kIvVMax, kIvVKnots, kSurfaceGMax, kIvGKnots);
+                                        flat::kSurfaceGMax, kSurfaceGKnots);
+    fresh->iv =
+        flat::size_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots), kIvVMax,
+                              flat::kIvVKnots, flat::kSurfaceGMax, flat::kIvGKnots);
   }
 
   // --- Low-light crossover tables: exact RegulatorSelector bisection per
@@ -357,7 +331,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     s = draw_node(sc, static_cast<int>(i), rng);
     // A forced policy overrides the sampled mode (the effective mode lands
     // in the report's CSV); the Bernoulli draw still happened.
-    if (forced_spec) s.min_energy = forced_spec->min_energy;
+    if (forced) s.min_energy = sh.mgr.mode == ManagerMode::kMinEnergy;
     if (!sh.shared_sky) {
       sh.traces[i] = flatten_trace(draw_sky(sc, rng), sc.day_length.value());
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
@@ -417,15 +391,21 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     const double g_cross = sh.surfaces->cross[static_cast<std::size_t>(corner_ix)](
         s.conditions.temperature_c, s.pv_scale);
     sh.crossover_power[i] =
-        g_cross >= kCrossMinG ? sh.pmpp_at(s.pv_scale, g_cross) : 0.0;
+        g_cross >= kCrossMinG ? sh.surfaces->mpp.pmpp_at(s.pv_scale, g_cross) : 0.0;
     // A zero crossover power is exactly how the manager encodes "bypass off".
-    if (forced_spec && !forced_spec->bypass_enabled) sh.crossover_power[i] = 0.0;
+    if (!sh.mgr.low_light_bypass_enabled) sh.crossover_power[i] = 0.0;
   }
 
   shared_ = std::move(shared);
 }
 
 BatchFleetKernel::~BatchFleetKernel() = default;
+
+bool BatchFleetKernel::runs(const EnergyPolicy& policy) {
+  const std::optional<EnergyManagerParams> params = policy.manager_params();
+  return params && params->queue_discipline == QueueDiscipline::kFifo &&
+         params->tracker.dvfs_steps == kLadderSteps;
+}
 
 const FleetScenario& BatchFleetKernel::scenario() const {
   return shared_->scenario;
@@ -449,6 +429,8 @@ struct MepSlot {
 
 struct NodeRunner : flat::StepCore {
   const BatchFleetKernel::Shared& sh;
+  const EnergyManagerParams& mgr_params;
+  const MppTrackerParams& trk;
   const NodeSample& s;
   const PvFlat& pv;
   double crossover_power;
@@ -472,7 +454,7 @@ struct NodeRunner : flat::StepCore {
   long level = 0;
   double next_control = 0.0;
   double prev_v_trk = 0.0;
-  ThresholdTimer timer{kTrk.v_high, kTrk.v_low};
+  ThresholdTimer timer;
   bool timer_watched = false;  ///< tracker ran this eval -> watch its levels
 
   // --- periodic jobs
@@ -502,10 +484,13 @@ struct NodeRunner : flat::StepCore {
   NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i,
              std::vector<ComparatorEvent>* traced)
       : sh(shared),
+        mgr_params(shared.mgr),
+        trk(shared.mgr.tracker),
         s(shared.samples[i]),
         pv(shared.pv[i]),
         crossover_power(shared.crossover_power[i]),
-        events(traced) {
+        events(traced),
+        timer(trk.v_high, trk.v_low) {
     trace = shared.shared_sky ? &shared.sky : &shared.traces[i];
     sc = kScFlat;
     pc = shared.proc[i];
@@ -526,7 +511,7 @@ struct NodeRunner : flat::StepCore {
 
   void build_ladder() {
     const double lo = pc.vmin;
-    const double hi = std::min(kTrk.vdd_ceiling.value(), pc.vmax);
+    const double hi = std::min(trk.vdd_ceiling.value(), pc.vmax);
     for (int i = 0; i < kLadderSteps; ++i) {
       const double v = lo + (hi - lo) * i / (kLadderSteps - 1);
       ladder_v[static_cast<std::size_t>(i)] = v;
@@ -538,7 +523,7 @@ struct NodeRunner : flat::StepCore {
   /// fast Newton solve, at MppLut's default knots, and map power -> (Vmpp,
   /// Pmpp) via the shared surfaces.
   void build_lut() {
-    const double v_meas = 0.5 * (kTrk.v_high.value() + kTrk.v_low.value());
+    const double v_meas = 0.5 * (trk.v_high.value() + trk.v_low.value());
     std::vector<double> p, vmpp, pmpp;
     double last_p = -1.0;
     double warm = 0.0;
@@ -548,8 +533,8 @@ struct NodeRunner : flat::StepCore {
       const double p_meas = v_meas * pv_current(pv, v_meas, g, warm);
       if (p_meas <= last_p) continue;
       p.push_back(p_meas);
-      vmpp.push_back(sh.vmpp_at(s.pv_scale, g));
-      pmpp.push_back(sh.pmpp_at(s.pv_scale, g));
+      vmpp.push_back(sh.surfaces->mpp.vmpp_at(s.pv_scale, g));
+      pmpp.push_back(sh.surfaces->mpp.pmpp_at(s.pv_scale, g));
       last_p = p_meas;
     }
     lut_p2v.emplace(p, vmpp);
@@ -561,7 +546,7 @@ struct NodeRunner : flat::StepCore {
     build_lut();
     next_submit = s.job_phase.value();
     // MppTrackingController::on_start
-    v_target = sh.vmpp_at(s.pv_scale, 1.0);
+    v_target = sh.surfaces->mpp.vmpp_at(s.pv_scale, 1.0);
     timer.reset(Volts(v_s));
     level = 0;
     cmd_path = PowerPath::kRegulated;
@@ -585,7 +570,7 @@ struct NodeRunner : flat::StepCore {
   }
 
   // ---------------------------------------------------------------------
-  // Controller (flattened PeriodicJobController + EnergyManager +
+  // Controller (flattened ManagedPolicyController + EnergyManager +
   // MppTrackingController; branch order mirrors the reference sources).
   // ---------------------------------------------------------------------
 
@@ -599,8 +584,8 @@ struct NodeRunner : flat::StepCore {
   /// at the present command (unconverted where the regulator cannot run).
   [[nodiscard]] double source_draw() const {
     double p_draw = p_processor;
-    if (p_draw > 0.0 && sc_supports(v_s, cmd_vdd)) {
-      const double eta = sc_efficiency(v_s, cmd_vdd, p_draw);
+    if (p_draw > 0.0 && sc_supports(sc, v_s, cmd_vdd)) {
+      const double eta = sc_efficiency(sc, v_s, cmd_vdd, p_draw);
       if (eta > 0.0) p_draw /= eta;
     }
     return p_draw;
@@ -613,12 +598,12 @@ struct NodeRunner : flat::StepCore {
     if (!slot.computed) {
       slot.computed = true;
       const double g = std::max(bucket, 1) / 20.0;
-      const double vmpp = sh.vmpp_at(s.pv_scale, g);
+      const double vmpp = sh.surfaces->mpp.vmpp_at(s.pv_scale, g);
       auto objective = [&](double v) {
-        if (!sc_supports(vmpp, v)) {
+        if (!sc_supports(sc, vmpp, v)) {
           return std::numeric_limits<double>::infinity();
         }
-        const double eta = sc_efficiency(vmpp, v, proc_max_power(pc, v));
+        const double eta = sc_efficiency(sc, vmpp, v, proc_max_power(pc, v));
         if (eta <= 0.0) return std::numeric_limits<double>::infinity();
         return proc_epc(pc, v) / eta;
       };
@@ -647,7 +632,7 @@ struct NodeRunner : flat::StepCore {
 
   void refresh_light_estimate() {
     if (t < next_reassess) return;
-    next_reassess = t + kMgr.reassess_period.value();
+    next_reassess = t + mgr_params.reassess_period.value();
     const double dv = std::fabs(v_s - prev_v_mgr);
     prev_v_mgr = v_s;
     if (dv > 0.01) return;
@@ -655,7 +640,8 @@ struct NodeRunner : flat::StepCore {
     if (p_draw > 0.0) p_est = p_draw;
     if (p_est) {
       bypass = low_light_bypass_next(bypass, Watts(*p_est), Watts(crossover_power),
-                                     sh.bypass_enter, sh.bypass_exit);
+                                     mgr_params.bypass_enter_ratio,
+                                     mgr_params.bypass_exit_ratio);
     }
   }
 
@@ -663,9 +649,9 @@ struct NodeRunner : flat::StepCore {
     std::size_t chosen = 0;
     for (std::size_t i = 0; i < kLadderSteps; ++i) {
       const double v = ladder_v[i];
-      if (!sc_supports(v_s, v)) continue;
+      if (!sc_supports(sc, v_s, v)) continue;
       const double pout = proc_max_power(pc, v);
-      const double eta = sc_efficiency(v_s, v, pout);
+      const double eta = sc_efficiency(sc, v_s, v, pout);
       if (eta <= 0.0) continue;
       if (pout / eta <= budget) chosen = i;
     }
@@ -678,21 +664,21 @@ struct NodeRunner : flat::StepCore {
     if (const auto fall = timer.update(Volts(v_s), Seconds(t));
         fall && fall->value() > 0.0) {
       const double p_in =
-          estimate_input_power(Watts(source_draw()), kTrk.solar_capacitance,
-                               kTrk.v_high, kTrk.v_low, *fall)
+          estimate_input_power(Watts(source_draw()), trk.solar_capacitance,
+                               trk.v_high, trk.v_low, *fall)
               .value();
       v_target = (*lut_p2v)(p_in);
       seed_for_budget((*lut_p2p)(p_in));
-      next_control = t + kTrk.control_period.value();
+      next_control = t + trk.control_period.value();
       return;
     }
     if (timer.armed()) return;
     if (t < next_control) return;
-    next_control = t + kTrk.control_period.value();
+    next_control = t + trk.control_period.value();
     const double err = v_s - v_target;
     const double dv = v_s - prev_v_trk;
     prev_v_trk = v_s;
-    if (const int delta = po_ladder_step(kTrk, err, dv)) {
+    if (const int delta = po_ladder_step(trk, err, dv)) {
       level += delta;
       ladder_apply();
     }
@@ -708,7 +694,8 @@ struct NodeRunner : flat::StepCore {
       plan =
           // hemp-analyzer: allow(hot-path-purity) — once-per-node plan
           SprintScheduler(model).plan(sh.scenario.job_cycles,
-                                      sh.scenario.job_deadline, kMgr.sprint_factor);
+                                      sh.scenario.job_deadline,
+                                      mgr_params.sprint_factor);
     }
     if (!plan->feasible) {
       ++jobs_missed;
@@ -744,10 +731,9 @@ struct NodeRunner : flat::StepCore {
     if (!s.min_energy) {
       tracker_tick();
     } else {
+      const double p_full = sh.surfaces->mpp.pmpp_at(s.pv_scale, 1.0);
       const double g =
-          p_est ? std::clamp(*p_est / std::max(sh.pmpp_at(s.pv_scale, 1.0), 1e-9),
-                             0.05, 1.0)
-                : 0.5;
+          p_est ? std::clamp(*p_est / std::max(p_full, 1e-9), 0.05, 1.0) : 0.5;
       apply_mep(g);
     }
   }
@@ -782,7 +768,7 @@ struct NodeRunner : flat::StepCore {
         elapsed < plan->phase_time.value() ? plan->slow : plan->fast;
     cmd_vdd = op.vdd.value();
     cmd_freq = op.frequency.value();
-    const bool no_headroom = !sc_supports(v_s, cmd_vdd);
+    const bool no_headroom = !sc_supports(sc, v_s, cmd_vdd);
     const bool sagging =
         v_d < cmd_vdd - kSprintSagMargin && elapsed > kSprintSagArmTime;
     if (no_headroom || sagging) {
@@ -794,13 +780,13 @@ struct NodeRunner : flat::StepCore {
   void tick_recovering() {
     cmd_run = false;
     cmd_path = PowerPath::kRegulated;
-    if (v_s >= kMgr.recover_voltage.value() || queue > 0) enter_tracking();
+    if (v_s >= mgr_params.recover_voltage.value() || queue > 0) enter_tracking();
   }
 
   HEMP_HOT void controller_eval() {
     timer_watched = false;
     if (bank) update_bank();
-    // PeriodicJobController::on_tick
+    // ManagedPolicyController::on_tick
     if (sh.scenario.job_cycles > 0.0 && t >= next_submit) {
       ++queue;
       ++jobs_submitted;
@@ -851,7 +837,7 @@ struct NodeRunner : flat::StepCore {
     }
     if (bank) watch_bank(ws, *bank);
     if (mgr == MgrState::kRecovering) {
-      ws.level(v_s, kMgr.recover_voltage.value());
+      ws.level(v_s, mgr_params.recover_voltage.value());
     }
     if (mgr == MgrState::kSprinting && !sprint_bypassed &&
         t - sprint_started > kSprintSagArmTime) {
@@ -864,9 +850,9 @@ struct NodeRunner : flat::StepCore {
   /// metric.  Exact-key memo (the PowMemo rule): a hit returns the bits a
   /// fresh sh.vmpp_at call would, so results never change.
   HEMP_HOT double mppt_vmpp(std::size_t k, double g_q) {
-    if (k >= vmpp_memo.size()) return sh.vmpp_at(s.pv_scale, g_q);
+    if (k >= vmpp_memo.size()) return sh.surfaces->mpp.vmpp_at(s.pv_scale, g_q);
     double& v = vmpp_memo[k];
-    if (std::isnan(v)) v = sh.vmpp_at(s.pv_scale, g_q);
+    if (std::isnan(v)) v = sh.surfaces->mpp.vmpp_at(s.pv_scale, g_q);
     return v;
   }
 

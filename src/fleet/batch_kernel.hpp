@@ -41,6 +41,8 @@
 
 namespace hemp {
 
+class EnergyPolicy;
+
 struct BatchKernelOptions {
   /// Pool to shard nodes (and the constructor's work units) onto; nullptr
   /// uses ThreadPool::shared().
@@ -73,6 +75,10 @@ class BatchFleetKernel {
   explicit BatchFleetKernel(FleetScenario scenario,
                             const BatchKernelOptions& opts = {});
   ~BatchFleetKernel();
+
+  /// The lane rule: `policy` exposes EnergyManager params with a FIFO job
+  /// queue and a 48-step DVFS ladder.  A forced scenario policy must pass it.
+  [[nodiscard]] static bool runs(const EnergyPolicy& policy);
 
   BatchFleetKernel(const BatchFleetKernel&) = delete;
   BatchFleetKernel& operator=(const BatchFleetKernel&) = delete;

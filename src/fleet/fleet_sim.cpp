@@ -76,6 +76,7 @@ NodeResult FleetSimulator::run_node(int index,
   cfg.vdd_capacitance = scenario_.vdd_cap;
   cfg.time_step = scenario_.time_step;
   cfg.waveform_interval = scenario_.waveform_interval;
+  cfg.trace_coarsen_eps = scenario_.trace_coarsen_eps;
 
   const PvCell cell(cfg.pv);
   const SwitchedCapRegulator model_regulator;
@@ -85,8 +86,8 @@ NodeResult FleetSimulator::run_node(int index,
   // --- Controller: the node's policy + the periodic job workload. -----------
   // Without a forced scenario policy the legacy sampled mix routes each node
   // through the ported mpp_track / mep_hold policies — which rebuild exactly
-  // the EnergyManager + PeriodicJobController pair the pre-policy fleet
-  // hardwired, so summary hashes are unchanged.
+  // the EnergyManager and periodic job clock the pre-policy fleet hardwired,
+  // so summary hashes are unchanged.
   const EnergyPolicy& policy =
       forced_policy_ != nullptr
           ? *forced_policy_

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "common/thread_pool.hpp"
-#include "core/energy_manager.hpp"  // PeriodicJobController lives here now
 #include "fleet/report.hpp"
 #include "fleet/scenario.hpp"
 #include "harvester/light_environment.hpp"

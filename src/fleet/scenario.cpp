@@ -41,6 +41,11 @@ void FleetScenario::validate() const {
   HEMP_REQUIRE(time_step.value() > 0.0, "FleetScenario: time_step must be positive");
   HEMP_REQUIRE(waveform_interval >= time_step,
                "FleetScenario: waveform_interval must be >= time_step");
+  // The dense loop steps every tick; both engines reserve every sample.
+  HEMP_REQUIRE(day_length.value() / time_step.value() <= 1e8,
+               "FleetScenario: time_step_us too small: over 1e8 ticks a day");
+  HEMP_REQUIRE(day_length.value() / waveform_interval.value() <= 1e6,
+               "FleetScenario: waveform_interval_us too small: over 1e6 samples a day");
   HEMP_REQUIRE(constant_g >= 0.0 && constant_g <= 1.0,
                "FleetScenario: constant_g must be in [0, 1]");
   HEMP_REQUIRE(trace_kind != TraceKind::kCsv || !trace_csv.empty(),

@@ -49,11 +49,12 @@ struct FleetScenario {
   bool shared_trace = false;
   double constant_g = 1.0;  ///< level for TraceKind::kConstant
   std::string trace_csv;    ///< recording path for TraceKind::kCsv
-  /// Knot-coarsening budget for the batch kernel's flattened traces: the
+  /// Knot-coarsening budget for the event engines' flattened traces: the
   /// absorbed-irradiance error allowed per simulated second (sun fraction;
   /// the per-trace budget handed to flat::FlatTrace::coarsen is this times
-  /// day_length).  Zero keeps every flattened knot.  Only the batch kernel
-  /// reads it — the reference engine samples the exact profile.
+  /// day_length).  Zero keeps every flattened knot.  The batch kernel and
+  /// the reference kernel's fast-path nodes (SocConfig::trace_coarsen_eps)
+  /// read it; dense-loop nodes sample the exact profile.
   double trace_coarsen_eps = 1e-3;
 
   // --- Node heterogeneity: PV size (Isc scale), storage capacitance

@@ -19,8 +19,8 @@
 //                    scored, never simulated.
 //
 // The two ported modes are the bit-compatibility contract: they construct
-// exactly the EnergyManager + PeriodicJobController pair the pre-policy
-// fleet hardwired (default params, fast path off), so legacy scenarios hash
+// exactly the EnergyManager and periodic job clock the pre-policy fleet
+// hardwired (default params, fast path off), so legacy scenarios hash
 // identically.  Every other policy is new surface and opts into the
 // single-node fast path and/or the batch kernel where its semantics allow.
 
@@ -47,14 +47,8 @@ class ManagedPolicy final : public EnergyPolicy {
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] std::string description() const override { return description_; }
-  /// The batch kernel's manager lane over a FIFO job queue, the only
-  /// discipline the lane implements.
-  [[nodiscard]] std::optional<BatchPolicySpec> batch_spec() const override {
-    if (params_.queue_discipline != QueueDiscipline::kFifo) return std::nullopt;
-    return BatchPolicySpec{params_.mode == ManagerMode::kMinEnergy,
-                           params_.low_light_bypass_enabled,
-                           params_.bypass_enter_ratio,
-                           params_.bypass_exit_ratio};
+  [[nodiscard]] std::optional<EnergyManagerParams> manager_params() const override {
+    return params_;
   }
   [[nodiscard]] bool fast_path() const override { return fast_path_; }
 
@@ -158,15 +152,23 @@ class OraclePolicy final : public EnergyPolicy {
 
 }  // namespace
 
+std::unique_ptr<EnergyPolicy> make_managed_policy(std::string name,
+                                                  std::string description,
+                                                  const EnergyManagerParams& params,
+                                                  bool fast_path) {
+  return std::make_unique<ManagedPolicy>(std::move(name), std::move(description),
+                                         params, fast_path);
+}
+
 void register_builtin_policies(PolicyRegistry& registry) {
   {
     // Ported legacy max-performance mode — default params, exactly as the
     // pre-policy fleet constructed it.  No fast path: the legacy hash
-    // contract runs through the reference engine (its batch spec is the
-    // batch kernel's default lane).
+    // contract runs through the reference engine (its params are the batch
+    // kernel's default lane).
     EnergyManagerParams params;
     params.mode = ManagerMode::kMaxPerformance;
-    registry.add(std::make_unique<ManagedPolicy>(
+    registry.add(make_managed_policy(
         "mpp_track",
         "legacy max-performance: MPP-tracking DVFS + bypass + sprints",
         params, false));
@@ -175,7 +177,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     // Ported legacy min-energy mode.
     EnergyManagerParams params;
     params.mode = ManagerMode::kMinEnergy;
-    registry.add(std::make_unique<ManagedPolicy>(
+    registry.add(make_managed_policy(
         "mep_hold",
         "legacy min-energy: hold the holistic MEP + bypass + sprints",
         params, false));
@@ -184,7 +186,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     EnergyManagerParams params;
     params.bypass_enter_ratio = 1.1;
     params.bypass_exit_ratio = 1.5;
-    registry.add(std::make_unique<ManagedPolicy>(
+    registry.add(make_managed_policy(
         "hyst_eager",
         "mpp_track with an eager bypass window (enter 1.1x, exit 1.5x)",
         params, true));
@@ -193,7 +195,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
     EnergyManagerParams params;
     params.bypass_enter_ratio = 0.5;
     params.bypass_exit_ratio = 0.7;
-    registry.add(std::make_unique<ManagedPolicy>(
+    registry.add(make_managed_policy(
         "hyst_reluctant",
         "mpp_track with a reluctant bypass window (enter 0.5x, exit 0.7x)",
         params, true));
@@ -201,7 +203,7 @@ void register_builtin_policies(PolicyRegistry& registry) {
   {
     EnergyManagerParams params;
     params.queue_discipline = QueueDiscipline::kEdf;
-    registry.add(std::make_unique<ManagedPolicy>(
+    registry.add(make_managed_policy(
         "edf_sprint",
         "mpp_track draining the job queue earliest-deadline-first",
         params, true));

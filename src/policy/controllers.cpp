@@ -63,32 +63,37 @@ void JobTracker::hint(SocStepHint& hint) const {
 ManagedPolicyController::ManagedPolicyController(const SystemModel& model,
                                                  const EnergyManagerParams& params,
                                                  const PolicyWorkload& workload)
-    : manager_(model, params),
-      jobs_(manager_, workload.job_cycles, workload.period, workload.deadline,
-            workload.phase) {}
+    : manager_(model, params), workload_(workload), next_submit_(workload.phase) {
+  HEMP_REQUIRE(workload.job_cycles >= 0.0,
+               "ManagedPolicyController: negative job cycles");
+  if (workload.job_cycles > 0.0) {
+    HEMP_REQUIRE(workload.period.value() > 0.0 && workload.deadline.value() > 0.0,
+                 "ManagedPolicyController: jobs need positive period and deadline");
+  }
+}
 
 void ManagedPolicyController::on_start(const SocState& state, SocCommand& cmd) {
-  jobs_.on_start(state, cmd);
+  next_submit_ = workload_.phase;
+  manager_.on_start(state, cmd);
 }
 
 void ManagedPolicyController::on_tick(const SocState& state, SocCommand& cmd) {
-  jobs_.on_tick(state, cmd);
-}
-
-void ManagedPolicyController::on_comparator(const ComparatorEvent& event,
-                                            const SocState& state,
-                                            SocCommand& cmd) {
-  jobs_.on_comparator(event, state, cmd);
+  if (workload_.job_cycles > 0.0 && state.time >= next_submit_) {
+    manager_.submit_at({workload_.job_cycles, workload_.deadline}, state.time);
+    ++jobs_submitted_;
+    next_submit_ += workload_.period;
+  }
+  manager_.on_tick(state, cmd);
 }
 
 void ManagedPolicyController::step_hint(const SocState& state,
                                         SocStepHint& hint) const {
-  jobs_.step_hint(state, hint);
+  manager_.step_hint(state, hint);
+  if (workload_.job_cycles > 0.0) hint.deadline(next_submit_.value());
 }
 
 PolicyJobStats ManagedPolicyController::job_stats() const {
-  return {jobs_.jobs_submitted(), manager_.jobs_completed(),
-          manager_.jobs_missed()};
+  return {jobs_submitted_, manager_.jobs_completed(), manager_.jobs_missed()};
 }
 
 // --- GreedyMppController ----------------------------------------------------

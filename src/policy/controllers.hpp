@@ -62,26 +62,28 @@ class JobTracker {
 };
 
 /// The full EnergyManager behind the PolicyController interface: an owned
-/// manager (mode / hysteresis / queue discipline from `params`) fed by the
-/// periodic job workload.  Built exactly like the pre-policy fleet wired it,
-/// so the ported legacy modes reproduce the original summary hashes.
+/// manager (mode / hysteresis / queue discipline from `params`) fed one
+/// deadline job per workload period from the phase on (a sense/compute duty
+/// cycle).  Built exactly like the pre-policy fleet wired it, so the ported
+/// legacy modes reproduce the original summary hashes.
 class ManagedPolicyController final : public PolicyController {
  public:
   ManagedPolicyController(const SystemModel& model,
                           const EnergyManagerParams& params,
                           const PolicyWorkload& workload);
 
+  /// Starts the manager and re-arms the job clock at the workload phase.
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
-  void on_comparator(const ComparatorEvent& event, const SocState& state,
-                     SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] PolicyJobStats job_stats() const override;
 
  private:
   EnergyManager manager_;
-  PeriodicJobController jobs_;
+  PolicyWorkload workload_;
+  Seconds next_submit_;
+  int jobs_submitted_ = 0;
 };
 
 /// MPP-tracking DVFS and nothing else: always regulated, always running,

@@ -9,11 +9,12 @@
 // scenarios, CLIs, and the tournament harness select policies by string.
 //
 // Three execution tiers, fastest first:
-//   * batch_spec()      — policies expressible as the flattened EnergyManager
-//     parameterization run on the SoA batch fleet kernel;
-//   * make_controller() — every policy builds a SocController; controllers
-//     that implement SocController::step_hint run on the single-node
-//     surface-only fast path (policies opt in via fast_path());
+//   * manager_params()  — EnergyManager-backed policies expose their
+//     parameters; the SoA batch fleet kernel runs those its lane implements
+//     (BatchFleetKernel::runs: a FIFO job queue on the 48-step DVFS ladder);
+//   * make_controller() — every online policy builds a SocController;
+//     controllers that implement SocController::step_hint run on the
+//     single-node surface-only fast path (policies opt in via fast_path());
 //   * offline()         — policies that need the whole irradiance trace ahead
 //     of time (the DP oracle) return an analytic per-node score.
 #pragma once
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "common/units.hpp"
+#include "core/energy_manager.hpp"
 #include "core/system_model.hpp"
 #include "harvester/light_environment.hpp"
 #include "sim/soc_system.hpp"
@@ -67,17 +69,6 @@ class PolicyController : public SocController {
   [[nodiscard]] virtual PolicyJobStats job_stats() const = 0;
 };
 
-/// Flattened parameterization consumed by the batch fleet kernel: a policy
-/// representable as the kernel's built-in manager lane (MPP tracking or MEP
-/// hold plus the hysteretic low-light bypass rule) returns one of these and
-/// rides the SoA fast path; everything else runs the reference engine.
-struct BatchPolicySpec {
-  bool min_energy = false;      ///< MEP hold instead of MPP-tracking DVFS
-  bool bypass_enabled = true;   ///< false: never take the low-light bypass
-  double bypass_enter_ratio = 0.9;  ///< enter bypass below ratio * crossover
-  double bypass_exit_ratio = 1.2;   ///< leave bypass above ratio * crossover
-};
-
 /// Analytic per-node score returned by offline policies (the DP oracle):
 /// the outcome the fleet reduction records *instead of* simulating the node.
 struct OfflineScore {
@@ -109,8 +100,9 @@ class EnergyPolicy {
     return std::nullopt;
   }
 
-  /// Flattened spec for the batch fleet kernel; nullopt -> reference engine.
-  [[nodiscard]] virtual std::optional<BatchPolicySpec> batch_spec() const {
+  /// The EnergyManager parameters behind the policy's controller; nullopt
+  /// for policies that do not run an EnergyManager.
+  [[nodiscard]] virtual std::optional<EnergyManagerParams> manager_params() const {
     return std::nullopt;
   }
 

@@ -51,6 +51,13 @@ class PolicyRegistry {
   std::map<std::string, std::unique_ptr<EnergyPolicy>> policies_;
 };
 
+/// An EnergyManager-backed policy: a ManagedPolicyController per node, built
+/// from `params` (every built-in managed policy is one); `fast_path` opts its
+/// nodes into the single-node fast path.
+[[nodiscard]] std::unique_ptr<EnergyPolicy> make_managed_policy(
+    std::string name, std::string description, const EnergyManagerParams& params,
+    bool fast_path);
+
 /// Register the built-in policy zoo into `registry` (idempotent only in the
 /// sense that global() calls it exactly once; adding twice throws).
 void register_builtin_policies(PolicyRegistry& registry);

@@ -7,8 +7,8 @@
 // sim/flat_step.hpp; the fleet batch kernel runs the same one) over the
 // precomputed hemp::flat surfaces, and adds what only a SocController
 // needs: the controller's hint deadlines and watch levels, the waveform
-// decimation cadence, the comparator bank, and an exact replay of the
-// reference RC tick through the bypass-entry transient.
+// decimation cadence, SocConfig's comparator levels as a step bound, and an
+// exact replay of the reference RC tick through the bypass-entry transient.
 //
 // Steps are quantized to whole reference ticks so controller decisions land
 // on the same instants the fixed-step loop uses.  Zero exact solves run
@@ -30,6 +30,7 @@
 #include "sim/flat_model.hpp"
 #include "sim/flat_step.hpp"
 #include "sim/soc_system.hpp"
+#include "storage/comparator.hpp"
 
 namespace hemp {
 
@@ -61,8 +62,9 @@ constexpr double kBypassMergeBand = 0.02;
 struct FastEngine : flat::StepCore {
   // Wiring (set once in run_fast).
   SocController* controller = nullptr;
+  /// SocConfig's comparator bank, a step bound only (`edges`: its scratch).
   ComparatorBank* comparators = nullptr;
-  std::vector<ComparatorEvent>* events = nullptr;
+  std::vector<ComparatorEvent>* edges = nullptr;
   Waveform* waveform = nullptr;
   double interval = 0.0;
 
@@ -159,7 +161,7 @@ struct FastEngine : flat::StepCore {
       integrate(dt, trace->at(t + 0.5 * dt, cur));
       account(dt);
 
-      // --- Post-step state, comparator edges, decimated waveform. ----------
+      // --- Post-step state, comparator latches, decimated waveform. -------
       state.v_solar = Volts(v_s);
       state.v_dd = Volts(v_d);
       state.p_processor = Watts(p_load);
@@ -167,20 +169,9 @@ struct FastEngine : flat::StepCore {
       state.processor_running = can_run;
       state.regulator_ok = reg_ok;
       state.cycles_retired = cycles;
-      comparators->update_into(Volts(v_s), Seconds(t + dt), *events);
-      for (const ComparatorEvent& ev : *events) {
-        controller->on_comparator(ev, state, cmd);
-      }
+      comparators->update_into(Volts(v_s), Seconds(t + dt), *edges);
       if (t >= next_sample) {
-        const double row[8] = {v_s,
-                               v_d,
-                               g0,
-                               f_eff,
-                               state.p_harvest.value(),
-                               p_load,
-                               static_cast<double>(static_cast<int>(cmd.path)),
-                               cycles};
-        waveform->record(t, row);
+        record_soc_sample(*waveform, t, state, cmd.path);
         next_sample = t + interval;
       }
       t += dt;
@@ -215,7 +206,7 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
   const double g_peak =
       trace.constant ? trace.g_const
                      : *std::max_element(trace.gs.begin(), trace.gs.end());
-  const double g_need = std::max(1.25, g_peak * 1.05);
+  const double g_need = std::max(flat::kSurfaceGMax, g_peak * 1.05);
 
   if (!fast_ctx_ || fast_ctx_->g_max < g_need) {
     auto ctx = std::make_shared<FastSocContext>();
@@ -229,8 +220,8 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
     // peak irradiance plus margin, and the configured start voltage.
     const double v_max = std::max(1.15 * config_.pv.voc_full_sun.value(),
                                   config_.solar_start_voltage.value() + 0.1);
-    ctx->iv = flat::size_iv_surface({1.0}, v_max, /*v_knots=*/160, g_need,
-                                    /*g_knots=*/64);
+    ctx->iv = flat::size_iv_surface({1.0}, v_max, flat::kIvVKnots, g_need,
+                                    flat::kIvGKnots);
     ctx->fill = flat::IvSurface::Filler(ctx->iv, config_.pv);
     ctx->g_max = g_need;
     fast_ctx_ = std::move(ctx);
@@ -241,20 +232,16 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
 
   ComparatorBank comparators(config_.comparator_thresholds);
   comparators.reset(config_.solar_start_voltage);
-  std::vector<ComparatorEvent> events;
-  events.reserve(comparators.size());
-  Waveform waveform({"v_solar", "v_dd", "irradiance", "frequency_hz",
-                     "p_harvest_w", "p_processor_w", "path", "cycles"});
-  waveform.reserve_samples(
-      static_cast<std::size_t>(t_end.value() / config_.waveform_interval.value()) +
-      2);
+  std::vector<ComparatorEvent> edges;
+  edges.reserve(comparators.size());
+  Waveform waveform = make_soc_waveform(t_end, config_.waveform_interval);
 
   FastEngine e;
   e.sc = fast_ctx_->sc;
   e.pc = fast_ctx_->pc;
   e.controller = &controller;
   e.comparators = &comparators;
-  e.events = &events;
+  e.edges = &edges;
   e.waveform = &waveform;
   e.trace = &trace;
   e.iv = fast_ctx_->iv.bind(1.0);

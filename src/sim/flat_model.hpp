@@ -255,6 +255,15 @@ FlatTrace flatten_constant(double g);
 /// and the block a first-touch surface solves at once.
 inline constexpr int kIvRowLanes = 4;
 
+/// IV-surface resolution of both event engines: over the fleet's 1.7 V the
+/// ~11 mV v pitch keeps the bilinear error on the diode knee (n*Vt ~ 116 mV)
+/// well under a percent.
+inline constexpr int kIvVKnots = 160;
+inline constexpr int kIvGKnots = 64;
+/// Irradiance (suns) every IV and MPP surface covers, more for a brighter
+/// trace on the fast path.
+inline constexpr double kSurfaceGMax = 1.25;
+
 struct IvSurface {
   std::vector<double> s_knots;  ///< uniform pv-scale knots (>= 1)
   std::vector<double> vals;     ///< [scale][v][g], g fastest; NaN until solved

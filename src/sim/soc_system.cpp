@@ -46,13 +46,7 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
 
   Capacitor solar_cap(config_.solar_capacitance, config_.solar_start_voltage);
   Capacitor vdd_cap(config_.vdd_capacitance, config_.vdd_start_voltage);
-  ComparatorBank comparators(config_.comparator_thresholds);
-  comparators.reset(solar_cap.voltage());
-
-  Waveform waveform({"v_solar", "v_dd", "irradiance", "frequency_hz", "p_harvest_w",
-                     "p_processor_w", "path", "cycles"});
-  waveform.reserve_samples(
-      static_cast<std::size_t>(t_end.value() / config_.waveform_interval.value()) + 2);
+  Waveform waveform = make_soc_waveform(t_end, config_.waveform_interval);
   SimTotals totals;
   SocState state;
   SocCommand cmd;
@@ -67,9 +61,6 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
   const bool audit = config_.audit;
   bool was_running = false;
   double next_sample = 0.0;
-  std::vector<ComparatorEvent> comparator_events;
-  // hemp-analyzer: allow(hot-path-purity) — one-time setup, before the loop
-  comparator_events.reserve(comparators.size());
 
   for (double t = 0.0; t < t_end.value(); t += dt) {
     const Seconds now(t);
@@ -189,7 +180,7 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
       totals.audit_checks = auditor.checks_run();
     }
 
-    // --- Comparator bank on the solar node. ----------------------------------
+    // --- Post-step state. -----------------------------------------------------
     state.v_solar = solar_cap.voltage();
     state.v_dd = vdd_cap.voltage();
     state.p_processor = p_load;
@@ -197,18 +188,10 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
     state.processor_running = can_run;
     state.regulator_ok = regulator_ok;
     state.cycles_retired = totals.cycles;
-    comparators.update_into(state.v_solar, now, comparator_events);
-    for (const ComparatorEvent& e : comparator_events) {
-      controller.on_comparator(e, state, cmd);
-    }
 
     // --- Waveform decimation. -------------------------------------------------
     if (t >= next_sample) {
-      const double row[8] = {state.v_solar.value(), state.v_dd.value(), g,
-                             f_eff.value(), p_harvest.value(), p_load.value(),
-                             static_cast<double>(static_cast<int>(cmd.path)),
-                             totals.cycles};
-      waveform.record(t, row);
+      record_soc_sample(waveform, t, state, cmd.path);
       next_sample = t + config_.waveform_interval.value();
     }
 
@@ -218,6 +201,24 @@ SimResult SocSystem::run_reference(const IrradianceTrace& trace,
 
   waveform.finalize();
   return SimResult{std::move(waveform), totals, state};
+}
+
+Waveform make_soc_waveform(Seconds t_end, Seconds interval) {
+  Waveform waveform({"v_solar", "v_dd", "irradiance", "frequency_hz",
+                     "p_harvest_w", "p_processor_w", "path", "cycles"});
+  waveform.reserve_samples(
+      static_cast<std::size_t>(t_end.value() / interval.value()) + 2);
+  return waveform;
+}
+
+void record_soc_sample(Waveform& waveform, double t, const SocState& state,
+                       PowerPath path) {
+  const double row[8] = {state.v_solar.value(),  state.v_dd.value(),
+                         state.irradiance,        state.frequency.value(),
+                         state.p_harvest.value(), state.p_processor.value(),
+                         static_cast<double>(static_cast<int>(path)),
+                         state.cycles_retired};
+  waveform.record(t, row);
 }
 
 FixedPointController::FixedPointController(PowerPath path, Volts vdd_target,

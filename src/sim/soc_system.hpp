@@ -6,10 +6,11 @@
 //                  |--- on-chip regulator ---> Vdd node (rail cap) --> uP
 //                  '--- bypass switch     ---'
 //
-// Fixed-timestep integration of both capacitor nodes.  A SocController (the
-// energy manager, or a simple fixed-point policy) observes the state each
-// tick — plus comparator edges, exactly the observability the real chip has —
-// and commands the power path, the regulator's Vdd target, and DVFS.
+// Fixed-timestep integration of both capacitor nodes.  A SocController (a
+// policy controller, or a simple fixed-point one) observes the state each
+// tick and commands the power path, the regulator's Vdd target, and DVFS.
+// Comparator edges are not dispatched: a controller that watches the solar
+// node (the MPP tracker's Fig. 8 window) runs its own ThresholdTimer.
 #pragma once
 
 #include <array>
@@ -27,7 +28,6 @@
 #include "regulator/regulator.hpp"
 #include "sim/waveform.hpp"
 #include "storage/capacitor.hpp"
-#include "storage/comparator.hpp"
 
 namespace hemp {
 
@@ -43,7 +43,8 @@ struct SocConfig {
   Farads vdd_capacitance{10e-6};
   Volts solar_start_voltage{1.2};
   Volts vdd_start_voltage{0.5};
-  /// Descending comparator thresholds on the solar node (Fig. 8's V0, V1, V2).
+  /// Descending comparator thresholds on the solar node (Fig. 8's V0, V1,
+  /// V2).  The fast path bounds its steps by them; no controller reads them.
   std::vector<Volts> comparator_thresholds{Volts(1.1), Volts(1.0), Volts(0.9)};
   BypassParams bypass{};
   Seconds time_step{2e-6};
@@ -133,18 +134,12 @@ class SocController {
     (void)state;
     (void)cmd;
   }
-  virtual void on_comparator(const ComparatorEvent& event, const SocState& state,
-                             SocCommand& cmd) {
-    (void)event;
-    (void)state;
-    (void)cmd;
-  }
   /// Return true to stop the simulation early.
   virtual bool finished(const SocState& state) {
     (void)state;
     return false;
   }
-  /// Fast-path stepping advice, queried after on_tick / on_comparator.  A
+  /// Fast-path stepping advice, queried after on_tick.  A
   /// controller that can bound its next decision point sets event_driven and
   /// registers deadlines / watch levels; the default refuses long steps.
   virtual void step_hint(const SocState& state, SocStepHint& hint) const {
@@ -172,6 +167,13 @@ struct SimResult {
   SimTotals totals;
   SocState final_state;
 };
+
+/// The waveform both engines record (v_solar, v_dd, irradiance, frequency_hz,
+/// p_harvest_w, p_processor_w, path, cycles), sized for `t_end` / `interval`
+/// rows; record_soc_sample appends the post-step `state` and commanded `path`.
+Waveform make_soc_waveform(Seconds t_end, Seconds interval);
+void record_soc_sample(Waveform& waveform, double t, const SocState& state,
+                       PowerPath path);
 
 /// Opaque cache of the fast engine's precomputed surfaces (fast_soc.cpp);
 /// built lazily on the first fast run and reused while it still covers the

@@ -155,29 +155,21 @@ TEST(BatchFleetKernel, CloudsParallelBitIdenticalAcrossBlockSizes) {
 // --- Constructor determinism: the work units may run in any order on any
 // number of workers, and the kernel must come out bit-identical. ------------
 
-/// A batch lane that never takes the low-light bypass (no built-in policy
-/// disables it), registered once for the constructor tests.
-class NoBypassPolicy final : public EnergyPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "test_no_bypass"; }
-  [[nodiscard]] std::string description() const override {
-    return "mpp_track without the low-light bypass (tests only)";
-  }
-  [[nodiscard]] std::optional<BatchPolicySpec> batch_spec() const override {
-    return BatchPolicySpec{false, false, 0.9, 1.2};
-  }
-  [[nodiscard]] std::unique_ptr<PolicyController> make_controller(
-      const PolicyContext& /*ctx*/) const override {
-    throw ModelError("test_no_bypass runs on the batch kernel only");
-  }
-};
+/// Registers a managed policy built from `params` under `name` (call once).
+std::string register_managed(const std::string& name,
+                             const EnergyManagerParams& params) {
+  PolicyRegistry::global().add(
+      make_managed_policy(name, name + " (tests only)", params, false));
+  return name;
+}
 
+/// A batch lane that never takes the low-light bypass (no built-in policy
+/// disables it), for the constructor tests.
 const std::string& no_bypass_policy() {
   static const std::string name = [] {
-    auto policy = std::make_unique<NoBypassPolicy>();
-    std::string n = policy->name();
-    PolicyRegistry::global().add(std::move(policy));
-    return n;
+    EnergyManagerParams params;
+    params.low_light_bypass_enabled = false;
+    return register_managed("test_no_bypass", params);
   }();
   return name;
 }
@@ -257,6 +249,25 @@ TEST(BatchFleetKernel, ParallelCtorBitIdenticalForcedNoBypass) {
   s.shared_trace = false;
   s.policy = no_bypass_policy();
   expect_ctor_deterministic(s);
+}
+
+TEST(BatchFleetKernel, ForcedRecoverVoltageMovesTheLane) {
+  // The lane reads every manager constant from the forced policy's params:
+  // idling after each sprint until the solar node is back at 1.3 V instead
+  // of the default 1.05 V moves a half-sun fleet.
+  static const std::string late_recovery = [] {
+    EnergyManagerParams params;
+    params.recover_voltage = Volts(1.3);
+    return register_managed("test_late_recovery", params);
+  }();
+  FleetScenario s = quick_scenario();
+  s.constant_g = 0.5;
+  s.policy = "mpp_track";
+  const FleetReport defaults = BatchFleetKernel(s).run({.parallel = false});
+  s.policy = late_recovery;
+  const FleetReport late = BatchFleetKernel(s).run({.parallel = false});
+  EXPECT_NE(defaults.summary_hash, late.summary_hash);
+  EXPECT_NE(defaults.total_cycles, late.total_cycles);
 }
 
 TEST(BatchFleetKernel, CtorInsidePoolWorkerCompletes) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/audit.hpp"
 #include "common/error.hpp"
 #include "policy/registry.hpp"
 
@@ -68,6 +69,23 @@ TEST(FleetSimulator, SamplingDependsOnlyOnSeedAndIndex) {
   EXPECT_EQ(first.conditions.temperature_c, again.conditions.temperature_c);
   EXPECT_EQ(first.conditions.corner, again.conditions.corner);
   EXPECT_EQ(first.min_energy, again.min_energy);
+}
+
+TEST(FleetSimulator, CoarsenEpsReachesFastPathNodes) {
+  // The scenario's trace_coarsen_eps reaches the reference kernel's
+  // fast-path nodes: keeping every flattened knot moves a greedy_mpp fleet.
+  // Audit builds run those nodes on the dense loop, which reads no knots.
+  FleetScenario s = quick_scenario();
+  s.trace_kind = TraceKind::kClouds;
+  s.policy = "greedy_mpp";
+  const FleetReport coarsened = FleetSimulator(s).run({.parallel = false});
+  s.trace_coarsen_eps = 0.0;
+  const FleetReport exact = FleetSimulator(s).run({.parallel = false});
+  if (audit_compiled_in()) {
+    EXPECT_EQ(coarsened.summary_hash, exact.summary_hash);
+  } else {
+    EXPECT_NE(coarsened.summary_hash, exact.summary_hash);
+  }
 }
 
 TEST(FleetSimulator, PopulationIsHeterogeneous) {

@@ -25,6 +25,7 @@
 #include "core/energy_manager.hpp"
 #include "fleet/batch_kernel.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "policy/controllers.hpp"
 #include "policy/registry.hpp"
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
@@ -244,9 +245,9 @@ TEST(HashPin, FastSocManagedJobs) {
   const SwitchedCapRegulator model_regulator;
   const Processor processor = Processor::make_test_chip();
   const SystemModel model(cell, model_regulator, processor);
-  EnergyManager manager(model, EnergyManagerParams{});
-  PeriodicJobController controller(manager, 2e5, Seconds(5e-3), Seconds(2e-3),
-                                   Seconds(1e-3));
+  ManagedPolicyController controller(
+      model, EnergyManagerParams{},
+      PolicyWorkload{2e5, Seconds(5e-3), Seconds(2e-3), Seconds(1e-3)});
   SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
   const SimResult r = soc.run(trace, controller, Seconds(0.02));
   expect_pin("fast managed totals", totals_hash(r), 0x46eaee719287e388ULL);
@@ -263,30 +264,17 @@ TEST(HashPin, BatchFleetKernelSharedIndoorSky) {
   expect_pin("batch shared indoor", r.summary_hash, 0x93845089103f1552ULL);
 }
 
-/// The batch lane with the low-light bypass forced off (no built-in policy
-/// disables it).
-class PinNoBypassPolicy final : public EnergyPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "pin_no_bypass"; }
-  [[nodiscard]] std::string description() const override {
-    return "mpp_track without the low-light bypass (hash pin only)";
-  }
-  [[nodiscard]] std::optional<BatchPolicySpec> batch_spec() const override {
-    return BatchPolicySpec{false, false, 0.9, 1.2};
-  }
-  [[nodiscard]] std::unique_ptr<PolicyController> make_controller(
-      const PolicyContext& /*ctx*/) const override {
-    throw ModelError("pin_no_bypass runs on the batch kernel only");
-  }
-};
-
 TEST(HashPin, BatchFleetKernelForcedNoBypass) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // The batch lane with the low-light bypass forced off (no built-in policy
+  // disables it).
   static const std::string policy = [] {
-    auto p = std::make_unique<PinNoBypassPolicy>();
-    std::string n = p->name();
-    PolicyRegistry::global().add(std::move(p));
-    return n;
+    EnergyManagerParams params;
+    params.low_light_bypass_enabled = false;
+    PolicyRegistry::global().add(make_managed_policy(
+        "pin_no_bypass", "mpp_track without the low-light bypass", params,
+        false));
+    return std::string("pin_no_bypass");
   }();
   FleetScenario s = pin_scenario();
   s.nodes = 32;

@@ -174,6 +174,42 @@ TEST(FleetScenario, ValidationCatchesBadRanges) {
   EXPECT_THROW(s.validate(), ModelError);
 }
 
+/// The ModelError message `s.validate()` throws, or "" when it passes.
+std::string validation_error(const FleetScenario& s) {
+  try {
+    s.validate();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FleetScenario, RejectsAbsurdTickAndSampleCounts) {
+  // 1e-6 us steps and samples over a 0.01 s day would ask for 1e10 of each:
+  // the reference engine used to die reserving the waveform.
+  FleetScenario s = FleetScenario::from_string(
+      "day_length_s = 0.01\n"
+      "time_step_us = 10\n"
+      "waveform_interval_us = 10\n");
+  s.set("time_step_us", "1e-6");
+  s.set("waveform_interval_us", "1e-6");
+  EXPECT_NE(validation_error(s).find("time_step_us"), std::string::npos);
+
+  // 1e7 ticks are fine; 2e6 waveform samples are not.
+  s.set("time_step_us", "0.001");
+  s.set("waveform_interval_us", "1");
+  EXPECT_EQ(validation_error(s), "");
+  s.set("waveform_interval_us", "0.005");
+  EXPECT_NE(validation_error(s).find("waveform_interval_us"), std::string::npos);
+
+  // Exactly at the caps: 1e8 ticks and 1e6 samples of a one-second day.
+  s = FleetScenario{};
+  s.day_length = Seconds(1.0);
+  s.time_step = Seconds(1e-8);
+  s.waveform_interval = Seconds(1e-6);
+  EXPECT_EQ(validation_error(s), "");
+}
+
 TEST(FleetScenario, JobsCanBeDisabled) {
   FleetScenario s;
   s.job_cycles = 0.0;

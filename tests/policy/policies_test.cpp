@@ -91,36 +91,57 @@ TEST(PolicyZoo, BatchKernelRejectsPoliciesWithoutBatchSpec) {
 
 TEST(PolicyZoo, ManagedBatchSpecsCarryTheirParams) {
   const EnergyManagerParams defaults;
-  const auto spec = [](const char* name) {
-    return PolicyRegistry::global().at(name).batch_spec();
-  };
   struct Want {
     const char* name;
-    bool min_energy;
+    ManagerMode mode;
     double enter;
     double exit;
+    QueueDiscipline queue;
+    bool batch;
   };
-  for (const Want& w : {Want{"mpp_track", false, defaults.bypass_enter_ratio,
-                             defaults.bypass_exit_ratio},
-                        Want{"mep_hold", true, defaults.bypass_enter_ratio,
-                             defaults.bypass_exit_ratio},
-                        Want{"hyst_eager", false, 1.1, 1.5},
-                        Want{"hyst_reluctant", false, 0.5, 0.7}}) {
+  for (const Want& w :
+       {Want{"mpp_track", ManagerMode::kMaxPerformance, defaults.bypass_enter_ratio,
+             defaults.bypass_exit_ratio, QueueDiscipline::kFifo, true},
+        Want{"mep_hold", ManagerMode::kMinEnergy, defaults.bypass_enter_ratio,
+             defaults.bypass_exit_ratio, QueueDiscipline::kFifo, true},
+        Want{"hyst_eager", ManagerMode::kMaxPerformance, 1.1, 1.5,
+             QueueDiscipline::kFifo, true},
+        Want{"hyst_reluctant", ManagerMode::kMaxPerformance, 0.5, 0.7,
+             QueueDiscipline::kFifo, true},
+        // EDF is not a discipline the batch lane implements.
+        Want{"edf_sprint", ManagerMode::kMaxPerformance,
+             defaults.bypass_enter_ratio, defaults.bypass_exit_ratio,
+             QueueDiscipline::kEdf, false}}) {
     SCOPED_TRACE(w.name);
-    const std::optional<BatchPolicySpec> s = spec(w.name);
-    ASSERT_TRUE(s.has_value());
-    EXPECT_EQ(s->min_energy, w.min_energy);
-    EXPECT_EQ(s->bypass_enabled, defaults.low_light_bypass_enabled);
-    EXPECT_EQ(s->bypass_enter_ratio, w.enter);
-    EXPECT_EQ(s->bypass_exit_ratio, w.exit);
+    const EnergyPolicy& policy = PolicyRegistry::global().at(w.name);
+    const std::optional<EnergyManagerParams> p = policy.manager_params();
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->mode, w.mode);
+    EXPECT_EQ(p->low_light_bypass_enabled, defaults.low_light_bypass_enabled);
+    EXPECT_EQ(p->bypass_enter_ratio, w.enter);
+    EXPECT_EQ(p->bypass_exit_ratio, w.exit);
+    EXPECT_EQ(p->queue_discipline, w.queue);
+    EXPECT_EQ(p->recover_voltage, defaults.recover_voltage);
+    EXPECT_EQ(p->tracker.dvfs_steps, defaults.tracker.dvfs_steps);
+    EXPECT_EQ(BatchFleetKernel::runs(policy), w.batch);
   }
-  // EDF is not a discipline the batch lane implements.
-  EXPECT_FALSE(spec("edf_sprint").has_value());
+  // Policies without a manager have no lane either.
+  for (const char* name : {"greedy_mpp", "duty25", "duty50", "oracle_dp"}) {
+    SCOPED_TRACE(name);
+    const EnergyPolicy& policy = PolicyRegistry::global().at(name);
+    EXPECT_FALSE(policy.manager_params().has_value());
+    EXPECT_FALSE(BatchFleetKernel::runs(policy));
+  }
+  // The lane's ladder has 48 steps: a manager on another ladder is refused.
+  EnergyManagerParams coarse;
+  coarse.tracker.dvfs_steps = 24;
+  EXPECT_FALSE(BatchFleetKernel::runs(*make_managed_policy("coarse", "", coarse, false)));
+  EXPECT_TRUE(BatchFleetKernel::runs(*make_managed_policy("fine", "", defaults, false)));
 }
 
 TEST(PolicyZoo, OracleIsOfflineOnly) {
   const EnergyPolicy& oracle = PolicyRegistry::global().at("oracle_dp");
-  EXPECT_FALSE(oracle.batch_spec().has_value());
+  EXPECT_FALSE(oracle.manager_params().has_value());
   EXPECT_THROW((void)oracle.make_controller(PolicyContext{}), ModelError);
 }
 

@@ -7,8 +7,8 @@
 // the contract mirrors the batch-kernel one (see DESIGN.md): open-loop
 // fixed-point runs track the reference tightly, while closed-loop managed
 // runs are compared modally — exact on discrete observable counts (job
-// submissions, comparator edges), within a few percent on energies, and
-// within ladder-cadence jitter on cycles.
+// submissions), within one on the MPP tracker's retargets, within a few
+// percent on energies, and within ladder-cadence jitter on cycles.
 #include "sim/soc_system.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +23,9 @@
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
 #include "core/energy_manager.hpp"
+#include "core/mpp_tracker.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "policy/controllers.hpp"
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
 #include "storage/capacitor.hpp"
@@ -147,7 +149,8 @@ TEST(FastSoc, WaveformSampledAtSameCadence) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-loop managed runs: EnergyManager + periodic job workload.
+// Closed-loop managed runs: ManagedPolicyController (EnergyManager + periodic
+// job workload).
 // ---------------------------------------------------------------------------
 
 struct ManagedOutcome {
@@ -164,13 +167,13 @@ ManagedOutcome run_managed(const SocConfig& cfg, const IrradianceTrace& trace,
   const SystemModel model(cell, model_regulator, processor);
   EnergyManagerParams params;
   params.mode = mode;
-  EnergyManager manager(model, params);
-  PeriodicJobController controller(manager, job_cycles, Seconds(5e-3),
-                                   Seconds(2e-3), Seconds(1e-3));
+  ManagedPolicyController controller(
+      model, params,
+      PolicyWorkload{job_cycles, Seconds(5e-3), Seconds(2e-3), Seconds(1e-3)});
   SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
   SimResult sim = soc.run(trace, controller, t_end);
-  return ManagedOutcome{std::move(sim), controller.jobs_submitted(),
-                        manager.jobs_completed()};
+  const PolicyJobStats jobs = controller.job_stats();
+  return ManagedOutcome{std::move(sim), jobs.submitted, jobs.completed};
 }
 
 /// The modal contract the batch kernel documents applies here verbatim: the
@@ -258,53 +261,30 @@ TEST(FastSoc, ManagedScenariosMatchReferenceModally) {
 }
 
 // ---------------------------------------------------------------------------
-// Discrete observability: comparator edges must not be skipped or invented.
+// Discrete observability: the edges a controller reads must not be skipped
+// or invented.  The MPP tracker watches its Fig. 8 window through its own
+// ThresholdTimer; each completed fall through it is one Eq. 7 retarget.
 // ---------------------------------------------------------------------------
 
-/// Forwarding wrapper that counts comparator edges delivered to the inner
-/// controller (the fast path integrates through long steps, so the watch
-/// bounds — not the tick cadence — guarantee edge delivery).
-class EdgeCountingController : public SocController {
- public:
-  explicit EdgeCountingController(SocController& inner) : inner_(&inner) {}
-  void on_start(const SocState& s, SocCommand& c) override {
-    inner_->on_start(s, c);
-  }
-  void on_tick(const SocState& s, SocCommand& c) override {
-    inner_->on_tick(s, c);
-  }
-  void on_comparator(const ComparatorEvent& e, const SocState& s,
-                     SocCommand& c) override {
-    ++edges_;
-    inner_->on_comparator(e, s, c);
-  }
-  bool finished(const SocState& s) override { return inner_->finished(s); }
-  void step_hint(const SocState& s, SocStepHint& h) const override {
-    inner_->step_hint(s, h);
-  }
-  [[nodiscard]] int edges() const { return edges_; }
-
- private:
-  SocController* inner_;
-  int edges_ = 0;
-};
-
-TEST(FastSoc, ComparatorEdgeCountMatchesReference) {
-  // A deep light step drives the solar node down through the whole bank and
-  // (after recovery headroom at the lower level) partially back up.
+TEST(FastSoc, TrackerRetargetCountMatchesReference) {
+  // The deep light step drops the solar node through the tracker's window.
   const IrradianceTrace trace = IrradianceTrace::step(1.0, 0.02, 10.0_ms);
+  const SocConfig base;
+  const PvCell cell(base.pv);
+  const SwitchedCapRegulator model_regulator;
+  const Processor processor = Processor::make_test_chip();
+  const SystemModel model(cell, model_regulator, processor);
   int counts[2] = {0, 0};
   for (int pass = 0; pass < 2; ++pass) {
-    SocConfig cfg = pass == 0 ? SocConfig{} : fast({});
-    SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(),
-                  Processor::make_test_chip());
-    FixedPointController inner(PowerPath::kRegulated, 0.5_V, 300.0_MHz);
-    EdgeCountingController ctrl(inner);
+    SocSystem soc(pass == 0 ? base : fast(base),
+                  std::make_unique<SwitchedCapRegulator>(), processor);
+    MppTrackingController ctrl(model, MppTrackerParams{});
     (void)soc.run(trace, ctrl, 30.0_ms);
-    counts[pass] = ctrl.edges();
+    counts[pass] = ctrl.retarget_count();
   }
-  EXPECT_GT(counts[0], 0);
-  EXPECT_NEAR(counts[0], counts[1], 2);
+  EXPECT_GE(counts[0], 1);
+  EXPECT_GE(counts[1], 1);
+  EXPECT_NEAR(counts[0], counts[1], 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,18 +311,13 @@ TEST(FastSoc, NoExactSolvesWarmedManager) {
   const SwitchedCapRegulator model_regulator;
   const Processor processor = Processor::make_test_chip();
   const SystemModel model(cell, model_regulator, processor);
-  EnergyManagerParams params;
-  EnergyManager manager(model, params);
+  ManagedPolicyController controller(
+      model, EnergyManagerParams{},
+      PolicyWorkload{2e5, Seconds(5e-3), Seconds(2e-3), Seconds(1e-3)});
   SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
   const IrradianceTrace trace = IrradianceTrace::constant(0.9);
-  {
-    PeriodicJobController warmup(manager, 2e5, Seconds(5e-3), Seconds(2e-3),
-                                 Seconds(1e-3));
-    (void)soc.run(trace, warmup, 20.0_ms);
-  }
+  (void)soc.run(trace, controller, 20.0_ms);  // warm-up: on_start re-arms jobs
   const auto before = solver_stats::snapshot();
-  PeriodicJobController controller(manager, 2e5, Seconds(5e-3), Seconds(2e-3),
-                                   Seconds(1e-3));
   (void)soc.run(trace, controller, 20.0_ms);
   const auto delta = solver_stats::delta_since(before);
   EXPECT_EQ(delta.mpp_solves, 0u);

@@ -6,9 +6,9 @@
 //                     [--json NAME.json] [--bench-json PATH]
 //
 // Runs every (policy, scenario, corner) cell on the fleet engine — the batch
-// SoA kernel when the policy has a batch spec, the reference engine (with the
-// policy's fast-path opt-in) otherwise, and analytic offline scoring for the
-// DP oracle — then emits:
+// SoA kernel when it runs the policy (BatchFleetKernel::runs), the reference
+// engine (with the policy's fast-path opt-in) otherwise, and analytic offline
+// scoring for the DP oracle — then emits:
 //   * <out>/<json>: the full grid with per-cell metrics, an FNV-1a
 //     determinism hash per cell, a combined grid hash, and the Pareto front
 //     per (scenario, corner) group over (cycles up, deadline hit-rate up,
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
           apply_corner(sc, corner);
           sc.policy = policy_name;
 
-          const bool batch = policy.batch_spec().has_value();
+          const bool batch = BatchFleetKernel::runs(policy);
           const auto t0 = std::chrono::steady_clock::now();
           FleetReport report;
           if (batch) {
