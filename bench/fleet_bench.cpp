@@ -20,9 +20,10 @@
 // thread and on the pool (`batch_build_parallel_speedup`), and warm, with its
 // pv-range surfaces already in the process-wide cache
 // (`batch_build_warm_speedup`).  Two non-stepping costs of a day1000 job are
-// noted beside them: a serial coarsen of its cloud deck's flattened traces
-// (`flat_coarsen_us_per_node`) and writing its report's summary JSON and
-// node CSV (`batch_day1000_report_write_s`).  Both engines must
+// noted beside them: a serial flatten and coarsen of every node's cloudy sky
+// (`flat_flatten_us_per_node`, `flat_coarsen_us_per_node`, with the knots
+// per node before and after coarsening) and writing its report's summary
+// JSON and node CSV (`batch_day1000_report_write_s`).  Both engines must
 // reproduce their own summary hash across serial/parallel runs, or the bench
 // aborts.
 //
@@ -65,22 +66,54 @@ hemp::FleetScenario bench_scenario(bool quick) {
   return s;
 }
 
-/// Median wall time of `repeats` serial coarsens of `traces` (each repeat
-/// coarsens a fresh, untimed copy), in microseconds per trace.
-double coarsen_us_per_trace(const std::vector<hemp::flat::FlatTrace>& traces,
-                            double budget, int repeats) {
+/// Median wall time of `repeats` serial flattens of `skies` onto `t_end`, in
+/// microseconds per sky; `out` receives the last repeat's traces.
+double flatten_us_per_trace(const std::vector<hemp::IrradianceTrace>& skies,
+                            double t_end, int repeats,
+                            std::vector<hemp::flat::FlatTrace>& out) {
   std::vector<double> secs;
   for (int r = 0; r < repeats; ++r) {
-    std::vector<hemp::flat::FlatTrace> work = traces;
+    out.clear();
+    out.reserve(skies.size());
     const auto start = std::chrono::steady_clock::now();
-    for (hemp::flat::FlatTrace& ft : work) ft.coarsen(budget);
+    for (const hemp::IrradianceTrace& sky : skies) {
+      out.push_back(hemp::flat::flatten_trace(sky, t_end));
+    }
     secs.push_back(std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count());
-    hemp::microbench::keep(work.back().ts.size());
+    hemp::microbench::keep(out.back().ts.size());
+  }
+  std::sort(secs.begin(), secs.end());
+  return 1e6 * secs[secs.size() / 2] / static_cast<double>(skies.size());
+}
+
+/// Median wall time of `repeats` serial coarsens of `traces` (each repeat
+/// coarsens a fresh, untimed copy), in microseconds per trace; `out`
+/// receives the last repeat's coarsened traces.
+double coarsen_us_per_trace(const std::vector<hemp::flat::FlatTrace>& traces,
+                            double budget, int repeats,
+                            std::vector<hemp::flat::FlatTrace>& out) {
+  std::vector<double> secs;
+  for (int r = 0; r < repeats; ++r) {
+    out = traces;
+    const auto start = std::chrono::steady_clock::now();
+    for (hemp::flat::FlatTrace& ft : out) ft.coarsen(budget);
+    secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+    hemp::microbench::keep(out.back().ts.size());
   }
   std::sort(secs.begin(), secs.end());
   return 1e6 * secs[secs.size() / 2] / static_cast<double>(traces.size());
+}
+
+double knots_per_trace(const std::vector<hemp::flat::FlatTrace>& traces) {
+  double knots = 0.0;
+  for (const hemp::flat::FlatTrace& ft : traces) {
+    knots += static_cast<double>(ft.ts.size());
+  }
+  return knots / static_cast<double>(traces.size());
 }
 
 bool check_hash(const char* what, std::uint64_t a, std::uint64_t b) {
@@ -182,7 +215,10 @@ int main(int argc, char** argv) {
   double day1000_build_serial_s = 0.0;
   double day1000_build_parallel_s = 0.0;
   double day1000_build_warm_s = 0.0;
+  double day1000_flatten_us = 0.0;
   double day1000_coarsen_us = 0.0;
+  double day1000_knots_flat = 0.0;
+  double day1000_knots_coarse = 0.0;
   double day1000_write_s = 0.0;
   int day1000_nodes = 0;
   std::uint64_t day1000_hash = 0;
@@ -190,6 +226,7 @@ int main(int argc, char** argv) {
   double day1000_runs = 0.0;
   try {
     FleetScenario day = FleetScenario::from_file(day1000_path);
+    const int sky_nodes = day.nodes;  // every node's sky, also in --quick
     if (quick) day.nodes = 64;
     day.validate();
     day1000_nodes = day.nodes;
@@ -252,23 +289,29 @@ int main(int argc, char** argv) {
         /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
     day1000_write_s = write.seconds_per_batch();
 
-    // The cloud deck's per-node traces on day1000's timeline (one RNG fork
-    // per node), flattened untimed and coarsened under the kernel's budget.
+    // The cloud deck's per-node skies on day1000's timeline (one RNG fork
+    // per node, all of the scenario's nodes), flattened and then coarsened
+    // under the kernel's budget, each timed serially.
     if (day.trace_kind == TraceKind::kClouds) {
       CloudFieldParams deck;
       deck.day.day_length = day.day_length;
       const double stretch = day.day_length.value() / 0.25;
       deck.mean_gap = Seconds(0.03 * stretch);
       deck.mean_duration = Seconds(0.01 * stretch);
-      std::vector<flat::FlatTrace> traces;
-      traces.reserve(static_cast<std::size_t>(day.nodes));
-      for (int i = 0; i < day.nodes; ++i) {
+      std::vector<IrradianceTrace> skies;
+      skies.reserve(static_cast<std::size_t>(sky_nodes));
+      for (int i = 0; i < sky_nodes; ++i) {
         Rng rng = Rng(day.seed).fork(static_cast<std::uint64_t>(i));
-        traces.push_back(flat::flatten_trace(cloud_field(rng, deck),
-                                             day.day_length.value()));
+        skies.push_back(cloud_field(rng, deck));
       }
+      std::vector<flat::FlatTrace> traces, coarse;
+      day1000_flatten_us = flatten_us_per_trace(
+          skies, day.day_length.value(), repeats, traces);
       day1000_coarsen_us = coarsen_us_per_trace(
-          traces, day.trace_coarsen_eps * day.day_length.value(), repeats);
+          traces, day.trace_coarsen_eps * day.day_length.value(), repeats,
+          coarse);
+      day1000_knots_flat = knots_per_trace(traces);
+      day1000_knots_coarse = knots_per_trace(coarse);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr,
@@ -301,7 +344,12 @@ int main(int argc, char** argv) {
     suite.note("batch_day1000_report_write_s", day1000_write_s);
   }
   if (day1000_coarsen_us > 0.0) {
+    suite.note("flat_flatten_us_per_node", day1000_flatten_us);
     suite.note("flat_coarsen_us_per_node", day1000_coarsen_us);
+    // Deterministic knot counts per node, banded tightly: a change to the
+    // flattening or coarsening semantics moves them.
+    suite.note("flat_knots_per_node", day1000_knots_flat);
+    suite.note("flat_coarse_knots_per_node", day1000_knots_coarse);
   }
   // Step-count floor: the event-driven kernel's per-step cost is lean, so
   // throughput is governed by how many steps a node-day takes.  Tracked by

@@ -38,10 +38,9 @@ EnergyManager::EnergyManager(const SystemModel& model,
     crossover_power_ = Watts(0.0);
   }
   full_sun_mpp_power_ = model.mpp(1.0).power;
-  queue_.resize(16);
 }
 
-void EnergyManager::submit(const JobRequest& job) { submit_at(job, now_); }
+void EnergyManager::submit(const JobRequest& job) { submit_at(job, run_.now); }
 
 void EnergyManager::submit_at(const JobRequest& job, Seconds now) {
   // hemp-analyzer: allow(hot-path-purity) — precondition checks on the submit API
@@ -49,56 +48,61 @@ void EnergyManager::submit_at(const JobRequest& job, Seconds now) {
   // hemp-analyzer: allow(hot-path-purity) — precondition checks on the submit API
   HEMP_REQUIRE(job.relative_deadline.value() > 0.0,
                "EnergyManager: job needs a positive deadline");
-  if (q_count_ == queue_.size()) {
+  if (run_.q_count == run_.queue.size()) {
     // hemp-analyzer: allow(hot-path-purity) — amortized ring growth past 16 pending jobs
     grow_queue();
   }
-  queue_[(q_head_ + q_count_) % queue_.size()] =
+  std::vector<PendingJob>& queue = run_.queue;
+  queue[(run_.q_head + run_.q_count) % queue.size()] =
       PendingJob{job, now + job.relative_deadline};
-  ++q_count_;
+  ++run_.q_count;
 }
 
 EnergyManager::PendingJob EnergyManager::pop_job() {
+  std::vector<PendingJob>& queue = run_.queue;
+  const std::size_t head = run_.q_head;
   std::size_t pick = 0;
   if (params_.queue_discipline == QueueDiscipline::kEdf) {
-    for (std::size_t i = 1; i < q_count_; ++i) {
-      const std::size_t at = (q_head_ + i) % queue_.size();
-      const std::size_t best = (q_head_ + pick) % queue_.size();
-      if (queue_[at].absolute_deadline < queue_[best].absolute_deadline) pick = i;
+    for (std::size_t i = 1; i < run_.q_count; ++i) {
+      const std::size_t at = (head + i) % queue.size();
+      const std::size_t best = (head + pick) % queue.size();
+      if (queue[at].absolute_deadline < queue[best].absolute_deadline) pick = i;
     }
   }
-  const PendingJob job = queue_[(q_head_ + pick) % queue_.size()];
+  const PendingJob job = queue[(head + pick) % queue.size()];
   // Close the gap by shifting earlier entries up one slot (FIFO picks the
   // head, so the loop body never runs and the original pop survives intact).
   for (std::size_t i = pick; i > 0; --i) {
-    queue_[(q_head_ + i) % queue_.size()] = queue_[(q_head_ + i - 1) % queue_.size()];
+    queue[(head + i) % queue.size()] = queue[(head + i - 1) % queue.size()];
   }
-  q_head_ = (q_head_ + 1) % queue_.size();
-  --q_count_;
+  run_.q_head = (head + 1) % queue.size();
+  --run_.q_count;
   return job;
 }
 
 void EnergyManager::grow_queue() {
-  std::vector<PendingJob> bigger(queue_.size() * 2);
-  for (std::size_t i = 0; i < q_count_; ++i) {
-    bigger[i] = queue_[(q_head_ + i) % queue_.size()];
+  std::vector<PendingJob> bigger(run_.queue.size() * 2);
+  for (std::size_t i = 0; i < run_.q_count; ++i) {
+    bigger[i] = run_.queue[(run_.q_head + i) % run_.queue.size()];
   }
-  queue_ = std::move(bigger);
-  q_head_ = 0;
+  run_.queue = std::move(bigger);
+  run_.q_head = 0;
 }
 
 void EnergyManager::on_start(const SocState& state, SocCommand& cmd) {
-  now_ = state.time;
+  if (started_) run_ = RunState{};
+  started_ = true;
+  run_.now = state.time;
   tracker_.on_start(state, cmd);
-  prev_v_solar_ = state.v_solar;
+  run_.prev_v_solar = state.v_solar;
   enter_tracking(cmd);
 }
 
 void EnergyManager::enter_tracking(SocCommand& cmd) {
-  state_ = State::kTracking;
-  cmd.path = low_light_bypass_ ? PowerPath::kBypass : PowerPath::kRegulated;
+  run_.state = State::kTracking;
+  cmd.path = run_.low_light_bypass ? PowerPath::kBypass : PowerPath::kRegulated;
   cmd.run = true;
-  if (params_.mode == ManagerMode::kMinEnergy && !low_light_bypass_) {
+  if (params_.mode == ManagerMode::kMinEnergy && !run_.low_light_bypass) {
     apply_mep_point(cmd, 0.5);
   }
 }
@@ -120,8 +124,8 @@ void EnergyManager::apply_mep_point(SocCommand& cmd, double g_estimate) {
 }
 
 HEMP_HOT void EnergyManager::on_tick(const SocState& state, SocCommand& cmd) {
-  now_ = state.time;
-  switch (state_) {
+  run_.now = state.time;
+  switch (run_.state) {
     case State::kTracking: tick_tracking(state, cmd); break;
     case State::kSprinting: tick_sprinting(state, cmd); break;
     case State::kRecovering: tick_recovering(state, cmd); break;
@@ -130,27 +134,27 @@ HEMP_HOT void EnergyManager::on_tick(const SocState& state, SocCommand& cmd) {
 
 void EnergyManager::refresh_light_estimate(const SocState& state,
                                            const SocCommand& cmd) {
-  if (state.time < next_reassess_) return;
-  next_reassess_ = state.time + params_.reassess_period;
+  if (state.time < run_.next_reassess) return;
+  run_.next_reassess = state.time + params_.reassess_period;
   // Near equilibrium the node voltage is steady and the source draw equals
   // the incoming solar power — the only observable a real board has without
   // a current sensor.
-  const double dv = std::fabs(state.v_solar.value() - prev_v_solar_.value());
-  prev_v_solar_ = state.v_solar;
+  const double dv = std::fabs(state.v_solar.value() - run_.prev_v_solar.value());
+  run_.prev_v_solar = state.v_solar;
   if (dv > 0.01) return;  // node still slewing; estimate would be biased
   double p_draw = state.p_processor.value();
-  if (!low_light_bypass_ && p_draw > 0.0) {
+  if (!run_.low_light_bypass && p_draw > 0.0) {
     const Regulator& reg = model_->regulator();
     if (reg.supports(state.v_solar, cmd.vdd_target)) {
       const double eta = reg.efficiency(state.v_solar, cmd.vdd_target, Watts(p_draw));
       if (eta > 0.0) p_draw /= eta;
     }
   }
-  if (p_draw > 0.0) p_in_estimate_ = Watts(p_draw);
+  if (p_draw > 0.0) run_.p_in_estimate = Watts(p_draw);
 
-  if (p_in_estimate_) {
-    low_light_bypass_ = low_light_bypass_next(
-        low_light_bypass_, *p_in_estimate_, crossover_power_,
+  if (run_.p_in_estimate) {
+    run_.low_light_bypass = low_light_bypass_next(
+        run_.low_light_bypass, *run_.p_in_estimate, crossover_power_,
         params_.bypass_enter_ratio, params_.bypass_exit_ratio);
   }
 }
@@ -164,7 +168,7 @@ void EnergyManager::start_next_job(const SocState& state, SocCommand& cmd) {
     // only its remaining slack, and a stale job is dropped rather than run.
     budget = pending.absolute_deadline - state.time;
     if (budget.value() <= 0.0) {
-      ++jobs_missed_;
+      ++run_.jobs_missed;
       return;
     }
   }
@@ -172,11 +176,11 @@ void EnergyManager::start_next_job(const SocState& state, SocCommand& cmd) {
   const SprintPlan plan =
       scheduler_.plan(job.cycles, budget, params_.sprint_factor);
   if (!plan.feasible) {
-    ++jobs_missed_;
+    ++run_.jobs_missed;
     return;
   }
-  sprint_ = ActiveSprint{plan, state.time, state.cycles_retired, false};
-  state_ = State::kSprinting;
+  run_.sprint = ActiveSprint{plan, state.time, state.cycles_retired, false};
+  run_.state = State::kSprinting;
   cmd.path = PowerPath::kRegulated;
   cmd.vdd_target = plan.slow.vdd;
   cmd.frequency = plan.slow.frequency;
@@ -189,7 +193,7 @@ void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
     return;
   }
   refresh_light_estimate(state, cmd);
-  if (low_light_bypass_) {
+  if (run_.low_light_bypass) {
     cmd.path = PowerPath::kBypass;
     // Ride the shared node: clock as fast as the rail allows.
     if (state.v_dd >= model_->processor().min_voltage() &&
@@ -205,8 +209,8 @@ void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
   if (params_.mode == ManagerMode::kMaxPerformance) {
     tracker_.on_tick(state, cmd);
   } else {
-    const double g = p_in_estimate_
-                         ? std::clamp(p_in_estimate_->value() /
+    const double g = run_.p_in_estimate
+                         ? std::clamp(run_.p_in_estimate->value() /
                                           std::max(full_sun_mpp_power_.value(), 1e-9),
                                       0.05, 1.0)
                          : 0.5;
@@ -215,22 +219,22 @@ void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
 }
 
 void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
-  ActiveSprint& s = *sprint_;
+  ActiveSprint& s = *run_.sprint;
   const double done_cycles = state.cycles_retired - s.start_cycles;
   const Seconds elapsed = state.time - s.started;
 
   if (done_cycles >= s.plan.cycles) {
-    ++jobs_completed_;
-    sprint_.reset();
-    state_ = State::kRecovering;
+    ++run_.jobs_completed;
+    run_.sprint.reset();
+    run_.state = State::kRecovering;
     cmd.run = false;
     cmd.path = PowerPath::kRegulated;
     return;
   }
   if (elapsed > s.plan.deadline * 1.5) {
-    ++jobs_missed_;
-    sprint_.reset();
-    state_ = State::kRecovering;
+    ++run_.jobs_missed;
+    run_.sprint.reset();
+    run_.state = State::kRecovering;
     cmd.run = false;
     cmd.path = PowerPath::kRegulated;
     return;
@@ -272,21 +276,21 @@ void EnergyManager::tick_recovering(const SocState& state, SocCommand& cmd) {
 
 void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
   hint.event_driven = true;
-  switch (state_) {
+  switch (run_.state) {
     case State::kTracking:
       if (!queue_empty()) {
         hint.deadline(state.time.value());  // job pending: decide immediately
         return;
       }
-      hint.deadline(next_reassess_.value());
-      if (!low_light_bypass_ && params_.mode == ManagerMode::kMaxPerformance) {
+      hint.deadline(run_.next_reassess.value());
+      if (!run_.low_light_bypass && params_.mode == ManagerMode::kMaxPerformance) {
         tracker_.step_hint(state, hint);
       }
       // Bypass mode rides the shared node; the engine's own physics bounds
       // (dt cap, comparator levels) limit how stale max_frequency(v_dd) gets.
       break;
     case State::kSprinting: {
-      const ActiveSprint& s = *sprint_;
+      const ActiveSprint& s = *run_.sprint;
       hint.deadline((s.started + s.plan.deadline * 1.5).value());
       if (!s.bypassed) {
         hint.deadline((s.started + s.plan.phase_time).value());

@@ -99,10 +99,10 @@ class EnergyManager : public SocController {
   void on_tick(const SocState& state, SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
-  [[nodiscard]] int jobs_completed() const { return jobs_completed_; }
-  [[nodiscard]] int jobs_missed() const { return jobs_missed_; }
-  [[nodiscard]] bool in_bypass() const { return low_light_bypass_; }
-  [[nodiscard]] bool sprinting() const { return sprint_.has_value(); }
+  [[nodiscard]] int jobs_completed() const { return run_.jobs_completed; }
+  [[nodiscard]] int jobs_missed() const { return run_.jobs_missed; }
+  [[nodiscard]] bool in_bypass() const { return run_.low_light_bypass; }
+  [[nodiscard]] bool sprinting() const { return run_.sprint.has_value(); }
 
  private:
   struct ActiveSprint {
@@ -127,9 +127,34 @@ class EnergyManager : public SocController {
     Seconds absolute_deadline{0.0};
   };
 
-  [[nodiscard]] bool queue_empty() const { return q_count_ == 0; }
+  [[nodiscard]] bool queue_empty() const { return run_.q_count == 0; }
   [[nodiscard]] PendingJob pop_job();
   void grow_queue();
+
+  enum class State { kTracking, kSprinting, kRecovering };
+
+  /// Everything one run changes, at its constructed value.  on_start restores
+  /// it for every run after the first (jobs submitted before the first run
+  /// are that run's), so a manager run twice behaves as a fresh one.
+  struct RunState {
+    State state = State::kTracking;
+    /// Pending jobs as a ring buffer: submit() runs from controller hot paths
+    /// (hemp-analyzer hot-path-purity), so the steady state is an indexed
+    /// write into pre-sized storage rather than a per-job allocation.
+    std::vector<PendingJob> queue = std::vector<PendingJob>(16);
+    std::size_t q_head = 0;
+    std::size_t q_count = 0;
+    /// Last tick time — the deadline clock for submit() without an explicit
+    /// now.
+    Seconds now{0.0};
+    std::optional<ActiveSprint> sprint;
+    int jobs_completed = 0;
+    int jobs_missed = 0;
+    bool low_light_bypass = false;
+    std::optional<Watts> p_in_estimate;
+    Seconds next_reassess{0.0};
+    Volts prev_v_solar{0.0};
+  };
 
   const SystemModel* model_;
   EnergyManagerParams params_;
@@ -137,22 +162,6 @@ class EnergyManager : public SocController {
   SprintScheduler scheduler_;
   MepOptimizer mep_;
 
-  enum class State { kTracking, kSprinting, kRecovering };
-  State state_ = State::kTracking;
-
-  /// Pending jobs as a ring buffer: submit() runs from controller hot paths
-  /// (hemp-analyzer hot-path-purity), so the steady state is an indexed write
-  /// into pre-sized storage rather than a per-job allocation.
-  std::vector<PendingJob> queue_;
-  std::size_t q_head_ = 0;
-  std::size_t q_count_ = 0;
-  /// Last tick time — the deadline clock for submit() without an explicit now.
-  Seconds now_{0.0};
-  std::optional<ActiveSprint> sprint_;
-  int jobs_completed_ = 0;
-  int jobs_missed_ = 0;
-
-  bool low_light_bypass_ = false;
   Watts crossover_power_{0.0};
   /// model().mpp(1.0).power solved once at construction — kMinEnergy mode
   /// normalizes the light estimate against it every tick.
@@ -160,9 +169,9 @@ class EnergyManager : public SocController {
   /// Holistic MEP solutions memoized per quantized irradiance bucket — the
   /// MEP solve is a grid optimization and must not run every tick.
   std::map<int, MepPoint> mep_cache_;
-  std::optional<Watts> p_in_estimate_;
-  Seconds next_reassess_{0.0};
-  Volts prev_v_solar_{0.0};
+
+  RunState run_;
+  bool started_ = false;
 };
 
 }  // namespace hemp

@@ -144,9 +144,15 @@ void MppTrackingController::on_start(const SocState& state, SocCommand& cmd) {
   // Cold start: assume strong light (track toward the full-sun MPP) and begin
   // at a low ladder level; the proportional loop climbs as the node proves it
   // can hold the target.  The first dimming transient re-seeds via Eq. 7.
+  // Every per-run field restarts at its constructed value, so a controller
+  // run twice behaves as a fresh one; the lookup table's knots are kept.
   v_target_ = v_mpp_full_sun_;
   timer_.reset(state.v_solar);
   level_ = 0;
+  prev_v_solar_ = Volts(0.0);
+  next_control_ = Seconds(0.0);
+  last_estimate_.reset();
+  retargets_ = 0;
   cmd.path = PowerPath::kRegulated;
   cmd.run = true;
   step(0, cmd);

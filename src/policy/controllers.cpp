@@ -74,6 +74,7 @@ ManagedPolicyController::ManagedPolicyController(const SystemModel& model,
 
 void ManagedPolicyController::on_start(const SocState& state, SocCommand& cmd) {
   next_submit_ = workload_.phase;
+  jobs_submitted_ = 0;
   manager_.on_start(state, cmd);
 }
 

@@ -72,7 +72,8 @@ class ManagedPolicyController final : public PolicyController {
                           const EnergyManagerParams& params,
                           const PolicyWorkload& workload);
 
-  /// Starts the manager and re-arms the job clock at the workload phase.
+  /// Starts the manager and re-arms the job clock at the workload phase; a
+  /// second run starts from the constructed state, job counts included.
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;

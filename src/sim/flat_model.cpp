@@ -1,5 +1,6 @@
 #include "sim/flat_model.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -186,26 +187,37 @@ FlatTrace flatten_trace(const IrradianceTrace& trace, double t_end) {
     const double b = bp.value();
     if (b >= -1e-9 && b <= t_end + 1e-9) bps.push_back(b);
   }
-  std::vector<double> knots;
+  // Two ascending runs, merged rather than sorted: the uniform knots, and
+  // each breakpoint's ±1 ns triple.
+  std::vector<double> uniform;
   constexpr int kUniform = 256;
-  knots.reserve(kUniform + 1 + 3 * bps.size());
+  uniform.reserve(kUniform + 1);
+  std::size_t next_bp = 0;  // first breakpoint >= u (u only grows)
   for (int i = 0; i <= kUniform; ++i) {
     const double u = t_end * i / kUniform;
+    while (next_bp < bps.size() && bps[next_bp] < u) ++next_bp;
     // A uniform knot inside a breakpoint's ±1 ns triple would land within
     // nanoseconds of the triple's own samples — a near-duplicate knot the
     // event stepper pays a whole step for.  The triple already covers the
     // kink, so skip the uniform knot instead.
-    const auto it = std::lower_bound(bps.begin(), bps.end(), u);
-    if (it != bps.end() && *it - u <= 1e-9) continue;
-    if (it != bps.begin() && u - *(it - 1) <= 1e-9) continue;
-    knots.push_back(u);
+    if (next_bp < bps.size() && bps[next_bp] - u <= 1e-9) continue;
+    if (next_bp > 0 && u - bps[next_bp - 1] <= 1e-9) continue;
+    uniform.push_back(u);
   }
+  std::vector<double> triples;
+  triples.reserve(3 * bps.size());
   for (const double b : bps) {
-    knots.push_back(std::clamp(b - 1e-9, 0.0, t_end));
-    knots.push_back(std::clamp(b, 0.0, t_end));
-    knots.push_back(std::clamp(b + 1e-9, 0.0, t_end));
+    triples.push_back(std::clamp(b - 1e-9, 0.0, t_end));
+    triples.push_back(std::clamp(b, 0.0, t_end));
+    triples.push_back(std::clamp(b + 1e-9, 0.0, t_end));
   }
-  std::sort(knots.begin(), knots.end());
+  // Triples only interleave when two breakpoints lie within 2 ns.
+  if (!std::is_sorted(triples.begin(), triples.end())) {
+    std::sort(triples.begin(), triples.end());
+  }
+  std::vector<double> knots(uniform.size() + triples.size());
+  std::merge(uniform.begin(), uniform.end(), triples.begin(), triples.end(),
+             knots.begin());
   knots.erase(std::unique(knots.begin(), knots.end()), knots.end());
   // Triples of breakpoints closer than 2 ns to each other can still collide
   // sub-nanosecond; merge anything tighter than a quarter of the triple pitch
@@ -221,90 +233,117 @@ FlatTrace flatten_trace(const IrradianceTrace& trace, double t_end) {
 
 void FlatTrace::coarsen(double eps) {
   if (constant || eps <= 0.0 || ts.size() <= 2) return;
-  const std::size_t n = ts.size();
-  const auto tri = [&](std::size_t p, std::size_t i, std::size_t q) {
+  HEMP_REQUIRE(gs.size() == ts.size() && ts.size() <= (std::size_t{1} << 31),
+               "FlatTrace::coarsen: knot arrays mismatched or too long");
+  const auto n = static_cast<std::uint32_t>(ts.size());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Each knot's key: the triangle area its removal would sweep (the L1
+  // distance between the current polyline and the one with the knot
+  // dropped), then its index.  The greedy removes the live interior knot of
+  // least key while the running total of removed areas stays within eps, so
+  // the removal sequence — and with it the eps-monotone prefix property — is
+  // fully deterministic, ties included.  Areas are >= +0.0 (fabs), and such
+  // doubles order exactly as their bit patterns, so the tree below compares
+  // them as integers.
+  struct Key {
+    std::uint64_t area;  // bit pattern of the area
+    std::uint32_t knot;
+  };
+  const std::uint64_t kInfBits = std::bit_cast<std::uint64_t>(kInf);
+  // Winner (tournament) tree: leaf slot `leaves + i` holds knot i's key, and
+  // each inner node the least key of its subtree, so the root is the
+  // greedy's next removal.  Endpoints, removed knots and padding slots are
+  // keyed +inf and never win while a live knot remains.
+  std::uint32_t leaves = 1;
+  while (leaves < n) leaves *= 2;
+  std::vector<Key> tree(2 * static_cast<std::size_t>(leaves));
+  for (std::uint32_t i = 0; i < leaves; ++i) tree[leaves + i] = {kInfBits, i};
+  // Doubly linked list over the knot indices; the endpoints are never
+  // unlinked, so no sentinel is needed.
+  std::vector<std::uint32_t> prev(n), next(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    prev[i] = i - 1;
+    next[i] = i + 1;
+  }
+  const auto tri = [&](std::uint32_t i) {
+    const std::uint32_t p = prev[i];
+    const std::uint32_t q = next[i];
     return 0.5 * std::fabs((ts[q] - ts[p]) * (gs[i] - gs[p]) -
                            (ts[i] - ts[p]) * (gs[q] - gs[p]));
   };
-  // Doubly linked list over the knot indices (n = none), plus each interior
-  // knot's slot in the heap below.
-  struct Link {
-    std::size_t prev, next, slot;
+  const auto unlink = [&](std::uint32_t i) {
+    next[prev[i]] = next[i];
+    prev[next[i]] = prev[i];
   };
-  // Indexed binary min-heap over the live interior knots, keyed on the
-  // triangle area a knot's removal would sweep (the L1 distance between the
-  // current polyline and the one with the knot dropped) and then its index.
-  // Keys sit inline and Link::slot tracks each knot, so a neighbour whose
-  // area changes is re-keyed in place.  Ties break on the lower index, so the
-  // removal sequence — and with it the eps-monotone prefix property — is
-  // fully deterministic.
-  struct Key {
-    double area;
-    std::size_t knot;
-    bool operator<(const Key& o) const {
-      return area < o.area || (area == o.area && knot < o.knot);
+  // Zero-area pre-pass: while any live knot has area exactly 0 the greedy
+  // takes the lowest-indexed one, at no cost to the budget (eps > 0, and
+  // spent stays +0.0).  A removal changes only its neighbours' areas, so a
+  // left-to-right scan that steps back to re-check p after removing a knot
+  // (then moves on to q) removes those knots in the greedy's own order and
+  // leaves every live leaf keyed with its current area.
+  std::uint32_t live = n - 2;
+  for (std::uint32_t i = 1; i + 1 < n;) {
+    const double a = tri(i);
+    if (a != 0.0) {
+      tree[leaves + i].area = std::bit_cast<std::uint64_t>(a);
+      i = next[i];
+      continue;
     }
-  };
-  std::vector<Link> link(n);
-  std::vector<Key> heap(n - 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    link[i] = {i == 0 ? n : i - 1, i + 1, i - 1};
-    if (i > 0 && i + 1 < n) heap[i - 1] = {tri(i - 1, i, i + 1), i};
+    const std::uint32_t p = prev[i];
+    const std::uint32_t q = next[i];
+    unlink(i);
+    tree[leaves + i].area = kInfBits;
+    --live;
+    i = p > 0 ? p : q;
   }
-  const auto place = [&](std::size_t k, const Key& key) {
-    heap[k] = key;
-    link[key.knot].slot = k;
+  // An inner node takes its left child's key unless the right one's area is
+  // strictly smaller; leaves are in index order, so ties go to the lower
+  // index.  Selects are masks, not branches: which side wins is a coin flip
+  // to a branch predictor, and compilers turn a plain ?: back into one.
+  const auto select = [](Key& into, const Key& other, bool take) {
+    const std::uint64_t mask = 0 - std::uint64_t{take};
+    into.area ^= (into.area ^ other.area) & mask;
+    into.knot ^= (into.knot ^ other.knot) & static_cast<std::uint32_t>(mask);
   };
-  const auto sift_up = [&](std::size_t k) {
-    const Key key = heap[k];
-    while (k > 0 && key < heap[(k - 1) / 2]) {
-      place(k, heap[(k - 1) / 2]);
-      k = (k - 1) / 2;
-    }
-    place(k, key);
-  };
-  const auto sift_down = [&](std::size_t k) {
-    const Key key = heap[k];
-    for (std::size_t c; (c = 2 * k + 1) < heap.size(); k = c) {
-      if (c + 1 < heap.size() && heap[c + 1] < heap[c]) ++c;
-      if (!(heap[c] < key)) break;
-      place(k, heap[c]);
-    }
-    place(k, key);
-  };
-  const auto rekey = [&](std::size_t i, double area) {
-    const std::size_t k = link[i].slot;
-    const Key old = heap[k];
-    heap[k].area = area;
-    if (heap[k] < old) {
-      sift_up(k);
-    } else {
-      sift_down(k);
+  for (std::size_t k = leaves - 1; k > 0; --k) {
+    Key win = tree[2 * k];
+    select(win, tree[2 * k + 1], tree[2 * k + 1].area < win.area);
+    tree[k] = win;
+  }
+  // Re-keying a knot replays its fixed-length path to the root, comparing the
+  // running winner with each sibling (loads that do not wait on the walk).
+  // A left sibling also wins a tie.
+  const auto rekey = [&](std::uint32_t i, double area) {
+    Key win{std::bit_cast<std::uint64_t>(area), i};
+    std::size_t s = leaves + static_cast<std::size_t>(i);
+    tree[s] = win;
+    for (; s > 1; s /= 2) {
+      const Key sib = tree[s ^ 1];
+      select(win, sib, sib.area < win.area + (s & 1));
+      tree[s / 2] = win;
     }
   };
-  for (std::size_t k = heap.size() / 2; k-- > 0;) sift_down(k);
 
   double spent = 0.0;
-  while (!heap.empty()) {
-    const auto [a, i] = heap.front();
-    if (spent + a > eps) break;  // budget exhausted
+  for (; live > 0; --live) {
+    const double a = std::bit_cast<double>(tree[1].area);
+    // A non-finite key means no finite-area knot is left.
+    if (!(a < kInf) || spent + a > eps) break;
     spent += a;
-    heap.front() = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) sift_down(0);
-    const std::size_t p = link[i].prev;
-    const std::size_t q = link[i].next;
-    link[p].next = q;
-    link[q].prev = p;
-    if (link[p].prev != n) rekey(p, tri(link[p].prev, p, q));
-    if (link[q].next != n) rekey(q, tri(p, q, link[q].next));
+    const std::uint32_t i = tree[1].knot;
+    const std::uint32_t p = prev[i];
+    const std::uint32_t q = next[i];
+    unlink(i);
+    rekey(i, kInf);
+    if (p > 0) rekey(p, tri(p));
+    if (q + 1 < n) rekey(q, tri(q));
   }
-  const std::size_t kept = heap.size() + 2;
+  const std::size_t kept = live + 2;
   if (kept == n) return;
   std::vector<double> ts2, gs2;
   ts2.reserve(kept);
   gs2.reserve(kept);
-  for (std::size_t i = 0; i != n; i = link[i].next) {
+  for (std::uint32_t i = 0; i < n; i = next[i]) {
     ts2.push_back(ts[i]);
     gs2.push_back(gs[i]);
   }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,32 +49,83 @@ double l1_gap(const flat::FlatTrace& a, const flat::FlatTrace& b) {
   return total;
 }
 
+/// The three generators' traces on a day of length `day`, one RNG per
+/// (generator, seed).
+std::vector<IrradianceTrace> generated_traces(std::uint64_t seed, double day) {
+  std::vector<IrradianceTrace> traces;
+  {
+    Rng rng(seed);
+    DiurnalArcParams p;
+    p.day_length = Seconds(day);
+    traces.push_back(diurnal_arc(rng, p));
+  }
+  {
+    Rng rng(seed);
+    CloudFieldParams p;
+    p.day.day_length = Seconds(day);
+    traces.push_back(cloud_field(rng, p));
+  }
+  {
+    Rng rng(seed);
+    IndoorDutyParams p;
+    p.duration = Seconds(day);
+    traces.push_back(indoor_duty(rng, p));
+  }
+  return traces;
+}
+
 /// The three stochastic fleet generators, each seeded explicitly so every
 /// (generator, seed) pair is an independent property-test case.
 std::vector<flat::FlatTrace> generator_cases() {
   std::vector<flat::FlatTrace> cases;
   for (const std::uint64_t seed : {1u, 17u, 2018u}) {
-    {
-      Rng rng(seed);
-      cases.push_back(
-          flat::flatten_trace(diurnal_arc(rng, DiurnalArcParams{}), kDay));
-    }
-    {
-      Rng rng(seed);
-      cases.push_back(
-          flat::flatten_trace(cloud_field(rng, CloudFieldParams{}), kDay));
-    }
-    {
-      Rng rng(seed);
-      cases.push_back(
-          flat::flatten_trace(indoor_duty(rng, IndoorDutyParams{}), kDay));
+    for (const IrradianceTrace& trace : generated_traces(seed, kDay)) {
+      cases.push_back(flat::flatten_trace(trace, kDay));
     }
   }
   return cases;
 }
 
-/// The lazy-invalidation priority-queue coarsen that the indexed heap in
-/// FlatTrace::coarsen replaced, kept verbatim as the bit-identity oracle.
+/// The knot grid flatten_trace built before it merged its two sorted runs
+/// (one std::sort of uniform knots plus breakpoint triples, then the same two
+/// unique passes), kept verbatim as the bit-identity oracle.
+flat::FlatTrace sorted_flatten(const IrradianceTrace& trace, double t_end) {
+  flat::FlatTrace flat;
+  std::vector<double> bps;
+  bps.reserve(trace.breakpoints().size());
+  for (const Seconds bp : trace.breakpoints()) {
+    const double b = bp.value();
+    if (b >= -1e-9 && b <= t_end + 1e-9) bps.push_back(b);
+  }
+  std::vector<double> knots;
+  constexpr int kUniform = 256;
+  knots.reserve(kUniform + 1 + 3 * bps.size());
+  for (int i = 0; i <= kUniform; ++i) {
+    const double u = t_end * i / kUniform;
+    const auto it = std::lower_bound(bps.begin(), bps.end(), u);
+    if (it != bps.end() && *it - u <= 1e-9) continue;
+    if (it != bps.begin() && u - *(it - 1) <= 1e-9) continue;
+    knots.push_back(u);
+  }
+  for (const double b : bps) {
+    knots.push_back(std::clamp(b - 1e-9, 0.0, t_end));
+    knots.push_back(std::clamp(b, 0.0, t_end));
+    knots.push_back(std::clamp(b + 1e-9, 0.0, t_end));
+  }
+  std::sort(knots.begin(), knots.end());
+  knots.erase(std::unique(knots.begin(), knots.end()), knots.end());
+  knots.erase(std::unique(knots.begin(), knots.end(),
+                          [](double a, double b) { return b - a < 0.25e-9; }),
+              knots.end());
+  flat.ts = std::move(knots);
+  flat.gs.reserve(flat.ts.size());
+  for (const double t : flat.ts) flat.gs.push_back(trace.at(Seconds(t)));
+  return flat;
+}
+
+/// The lazy-invalidation priority-queue coarsen that FlatTrace::coarsen's
+/// winner tree replaced (by way of an indexed heap), kept verbatim as the
+/// bit-identity oracle.
 void lazy_heap_coarsen(flat::FlatTrace& tr, double eps) {
   std::vector<double>& ts = tr.ts;
   std::vector<double>& gs = tr.gs;
@@ -226,53 +278,157 @@ TEST(CoarsenTrace, LargerBudgetsRemovePrefixOfSameSequence) {
   }
 }
 
-TEST(CoarsenTrace, IndexedHeapBitIdenticalToLazyHeap) {
-  // The indexed heap must remove exactly the knots the lazy heap removed, in
-  // the same order, ties included: indoor traces' flat segments give runs of
-  // exact zero-area knots, so the index tie-break decides which survive.
+/// Coarsen a copy of `original` under `eps` both ways and compare the bits.
+/// Returns whether any knot was removed.
+bool expect_coarsen_matches_lazy_heap(const flat::FlatTrace& original, double eps,
+                                      const std::string& what) {
+  flat::FlatTrace expect = original;
+  lazy_heap_coarsen(expect, eps);
+  flat::FlatTrace got = original;
+  got.coarsen(eps);
+  EXPECT_TRUE(same_bits(got.ts, expect.ts)) << what << " eps=" << eps;
+  EXPECT_TRUE(same_bits(got.gs, expect.gs)) << what << " eps=" << eps;
+  if (got.ts.size() == original.ts.size()) return false;
+  // Survivors live in right-sized storage, not the original's.
+  EXPECT_LE(got.ts.capacity(), got.ts.size()) << what;
+  EXPECT_LE(got.gs.capacity(), got.gs.size()) << what;
+  return true;
+}
+
+TEST(CoarsenTrace, BitIdenticalToLazyHeap) {
+  // The winner tree (after its zero-area pre-pass) must remove exactly the
+  // knots the lazy heap removed, in the same order, ties included: indoor
+  // traces' flat segments give runs of exact zero-area knots, so the index
+  // tie-break decides which survive.
   std::size_t coarsened = 0;
   for (const double day : {0.25, 1.0}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      std::vector<flat::FlatTrace> traces;
-      {
-        Rng rng(seed);
-        DiurnalArcParams p;
-        p.day_length = Seconds(day);
-        traces.push_back(flat::flatten_trace(diurnal_arc(rng, p), day));
-      }
-      {
-        Rng rng(seed);
-        CloudFieldParams p;
-        p.day.day_length = Seconds(day);
-        traces.push_back(flat::flatten_trace(cloud_field(rng, p), day));
-      }
-      {
-        Rng rng(seed);
-        IndoorDutyParams p;
-        p.duration = Seconds(day);
-        traces.push_back(flat::flatten_trace(indoor_duty(rng, p), day));
-      }
-      for (const flat::FlatTrace& original : traces) {
+      for (const IrradianceTrace& trace : generated_traces(seed, day)) {
+        const flat::FlatTrace original = flat::flatten_trace(trace, day);
         for (const double eps : {0.0, 1e-6, 1e-4, 1e-3, 1e-2, 1.0}) {
-          flat::FlatTrace expect = original;
-          lazy_heap_coarsen(expect, eps);
-          flat::FlatTrace got = original;
-          got.coarsen(eps);
-          EXPECT_TRUE(same_bits(got.ts, expect.ts))
-              << "day=" << day << " seed=" << seed << " eps=" << eps;
-          EXPECT_TRUE(same_bits(got.gs, expect.gs))
-              << "day=" << day << " seed=" << seed << " eps=" << eps;
-          if (got.ts.size() < original.ts.size()) {
-            ++coarsened;
-            // Survivors live in right-sized storage, not the original's.
-            EXPECT_LE(got.ts.capacity(), got.ts.size());
-            EXPECT_LE(got.gs.capacity(), got.gs.size());
-          }
+          coarsened += expect_coarsen_matches_lazy_heap(
+              original, eps,
+              trace.description() + " day=" + std::to_string(day) +
+                  " seed=" + std::to_string(seed));
         }
       }
     }
   }
   EXPECT_GT(coarsened, 0u);
+}
+
+flat::FlatTrace polyline(std::vector<double> gs) {
+  flat::FlatTrace tr;
+  tr.ts.resize(gs.size());
+  for (std::size_t i = 0; i < gs.size(); ++i) tr.ts[i] = 1e-3 * static_cast<double>(i);
+  tr.gs = std::move(gs);
+  return tr;
+}
+
+TEST(CoarsenTrace, EdgeCasesBitIdenticalToLazyHeap) {
+  const std::vector<double> budgets = {1e-300, 1e-9, 1e-6, 1e-4, 1e-2, 1.0,
+                                       std::numeric_limits<double>::infinity()};
+  // All zero: the pre-pass empties the interior under any positive budget.
+  const flat::FlatTrace zeros = polyline(std::vector<double>(300, 0.0));
+  for (const double eps : budgets) {
+    expect_coarsen_matches_lazy_heap(zeros, eps, "all-zero");
+    flat::FlatTrace got = zeros;
+    got.coarsen(eps);
+    EXPECT_EQ(got.ts.size(), 2u);
+  }
+  // Three knots: the one interior knot goes only when its area fits.
+  for (const double eps : budgets) {
+    expect_coarsen_matches_lazy_heap(polyline({0.2, 0.9, 0.4}), eps, "three knots");
+    expect_coarsen_matches_lazy_heap(polyline({0.5, 0.5, 0.5}), eps, "three flat");
+  }
+  // Ties among nonzero areas: a uniform zigzag keys every interior knot
+  // alike, so the index order alone picks the removals; flat stretches
+  // between the teeth mix exact zeros in.
+  std::vector<double> zigzag, teeth;
+  for (int i = 0; i < 257; ++i) {
+    zigzag.push_back(i % 2 == 0 ? 0.25 : 0.75);
+    teeth.push_back(i % 8 == 4 ? 1.0 : (i % 16 < 8 ? 0.5 : 0.0));
+  }
+  for (const double eps : budgets) {
+    expect_coarsen_matches_lazy_heap(polyline(zigzag), eps, "zigzag");
+    expect_coarsen_matches_lazy_heap(polyline(teeth), eps, "teeth");
+  }
+}
+
+TEST(CoarsenTrace, DeepTreeBitIdenticalToLazyHeap) {
+  // 70,000 knots: the tree has 2^17 leaves, a depth above 16.  Quantized
+  // random levels with repeats give both exact-zero runs and area ties.
+  Rng rng(2018);
+  std::vector<double> gs(70000);
+  double g = 0.5;
+  for (double& v : gs) {
+    const double r = rng.uniform();
+    if (r < 0.3) g = std::floor(rng.uniform() * 8.0) / 8.0;  // 0.7: hold the level
+    v = g;
+  }
+  const flat::FlatTrace deep = polyline(std::move(gs));
+  for (const double eps : {1e-9, 1e-5, 1e-3, 1e-1}) {
+    EXPECT_TRUE(expect_coarsen_matches_lazy_heap(deep, eps, "deep"));
+  }
+}
+
+TEST(FlattenTrace, BitIdenticalToSortedConstruction) {
+  // The merged knot grid must equal the sorted one bit for bit: generated
+  // skies over several seeds and day lengths, and hand-placed breakpoints
+  // that stress the skip rule, the triples' order and the clamps.
+  std::size_t cases = 0;
+  const auto check = [&](const IrradianceTrace& trace, double t_end,
+                         const std::string& what) {
+    const flat::FlatTrace expect = sorted_flatten(trace, t_end);
+    const flat::FlatTrace got = flat::flatten_trace(trace, t_end);
+    EXPECT_TRUE(same_bits(got.ts, expect.ts)) << what << " t_end=" << t_end;
+    EXPECT_TRUE(same_bits(got.gs, expect.gs)) << what << " t_end=" << t_end;
+    ++cases;
+  };
+  for (const double day : {0.01, 0.25, 1.0, 3.0}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      for (const IrradianceTrace& trace : generated_traces(seed, day)) {
+        check(trace, day, trace.description() + " seed=" + std::to_string(seed));
+      }
+    }
+  }
+  const auto wobble = [](Seconds t) { return 0.5 + 0.4 * std::sin(40.0 * t.value()); };
+  const auto with_breakpoints = [&](std::vector<double> at) {
+    std::vector<Seconds> bps;
+    for (const double b : at) bps.push_back(Seconds(b));
+    return IrradianceTrace(wobble, "wobble", std::move(bps));
+  };
+  const double t_end = kDay;
+  const double pitch = t_end / 256.0;
+  check(IrradianceTrace(wobble, "no breakpoints"), t_end, "no breakpoints");
+  check(IrradianceTrace::constant(0.7), t_end, "constant");
+  // Breakpoints at 0 and at t_end, and just outside (kept by the 1 ns slack)
+  // or far outside (dropped) the range.
+  check(IrradianceTrace::step(1.0, 0.2, Seconds(0.0)), t_end, "step at 0");
+  check(IrradianceTrace::step(1.0, 0.2, Seconds(t_end)), t_end, "step at t_end");
+  check(with_breakpoints({0.0, t_end}), t_end, "both ends");
+  check(with_breakpoints({-0.0, 0.1}), t_end, "negative zero");
+  check(with_breakpoints({-1.0, -2e-9, -0.5e-9, 0.3e-9, t_end - 0.4e-9,
+                          t_end + 0.5e-9, t_end + 2e-9, t_end + 5.0}),
+        t_end, "outside");
+  // Clusters closer than 2 ns: the triples interleave and need the sort.
+  check(with_breakpoints({0.1, 0.1 + 0.5e-9, 0.1 + 1.5e-9, 0.1 + 3e-9,
+                          0.2, 0.2 + 1.9e-9, 0.2 + 2.1e-9}),
+        t_end, "sub-2ns clusters");
+  check(with_breakpoints({0.0, 0.2e-9, 1.1e-9, t_end - 1.7e-9, t_end}), t_end,
+        "clusters at both ends");
+  // Breakpoints within (or just past) 1 ns of a uniform knot.
+  check(with_breakpoints({10 * pitch, 20 * pitch + 0.7e-9, 30 * pitch - 0.99e-9,
+                          40 * pitch + 1.01e-9, 50 * pitch - 1.2e-9,
+                          60 * pitch + 1e-9}),
+        t_end, "near uniform knots");
+  // Breakpoints on every uniform knot, then between every pair.
+  std::vector<double> on_knots, between;
+  for (int i = 0; i <= 256; ++i) on_knots.push_back(t_end * i / 256);
+  for (int i = 0; i < 256; ++i) between.push_back(t_end * (i + 0.5) / 256);
+  check(with_breakpoints(on_knots), t_end, "on every knot");
+  check(with_breakpoints(between), t_end, "between knots");
+  EXPECT_GT(cases, 96u);
 }
 
 }  // namespace
