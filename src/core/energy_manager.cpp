@@ -5,6 +5,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
+#include "core/model_plant.hpp"
 
 namespace hemp {
 
@@ -20,24 +21,24 @@ void EnergyManagerParams::validate() const {
 
 EnergyManager::EnergyManager(const SystemModel& model,
                              const EnergyManagerParams& params)
-    : model_(&model), params_(params), tracker_(model, params.tracker),
-      scheduler_(model), mep_(model) {
+    : EnergyManager(std::make_unique<ModelPlant>(model, params.tracker), params) {}
+
+EnergyManager::EnergyManager(std::unique_ptr<ControlPlant> owned,
+                             const EnergyManagerParams& params)
+    : EnergyManager(*owned, params) {
+  owned_plant_ = std::move(owned);
+}
+
+EnergyManager::EnergyManager(ControlPlant& plant, const EnergyManagerParams& params)
+    : plant_(&plant), params_(params), tracker_(plant, params.tracker) {
   params_.validate();
-  // Precompute the low-light crossover (Fig. 7a): the incoming power below
-  // which bypassing the regulator delivers more to the core.  A zero
-  // crossover power disables the bypass rule entirely (refresh_light_estimate
-  // guards on it), so policies that forbid bypassing skip the solve.
-  if (params_.low_light_bypass_enabled) {
-    RegulatorSelector selector(model);
-    if (const auto g_cross = selector.crossover_irradiance()) {
-      crossover_power_ = model.mpp(*g_cross).power;
-    } else {
-      crossover_power_ = Watts(0.0);  // regulator (or bypass) dominates everywhere
-    }
-  } else {
-    crossover_power_ = Watts(0.0);
-  }
-  full_sun_mpp_power_ = model.mpp(1.0).power;
+  // The low-light crossover (Fig. 7a): the incoming power below which
+  // bypassing the regulator delivers more to the core.  A zero crossover
+  // power disables the bypass rule entirely (low_light_bypass_next guards on
+  // it), so policies that forbid bypassing skip the solve.
+  crossover_power_ =
+      params_.low_light_bypass_enabled ? plant.crossover_power() : Watts(0.0);
+  full_sun_mpp_power_ = plant.full_sun_mpp().power;
 }
 
 void EnergyManager::submit(const JobRequest& job) { submit_at(job, run_.now); }
@@ -114,7 +115,8 @@ void EnergyManager::apply_mep_point(SocCommand& cmd, double g_estimate) {
   auto it = mep_cache_.find(bucket);
   if (it == mep_cache_.end()) {
     // hemp-analyzer: allow(hot-path-purity) — memoized holistic MEP solve, once per light bucket
-    it = mep_cache_.emplace(bucket, mep_.holistic(std::max(bucket, 1) / 20.0)).first;
+    it = mep_cache_.emplace(bucket, plant_->holistic_mep(std::max(bucket, 1) / 20.0))
+             .first;
   }
   const MepPoint& mep = it->second;
   if (mep.feasible) {
@@ -125,6 +127,7 @@ void EnergyManager::apply_mep_point(SocCommand& cmd, double g_estimate) {
 
 HEMP_HOT void EnergyManager::on_tick(const SocState& state, SocCommand& cmd) {
   run_.now = state.time;
+  run_.tracker_ticked = false;
   switch (run_.state) {
     case State::kTracking: tick_tracking(state, cmd); break;
     case State::kSprinting: tick_sprinting(state, cmd); break;
@@ -144,9 +147,8 @@ void EnergyManager::refresh_light_estimate(const SocState& state,
   if (dv > 0.01) return;  // node still slewing; estimate would be biased
   double p_draw = state.p_processor.value();
   if (!run_.low_light_bypass && p_draw > 0.0) {
-    const Regulator& reg = model_->regulator();
-    if (reg.supports(state.v_solar, cmd.vdd_target)) {
-      const double eta = reg.efficiency(state.v_solar, cmd.vdd_target, Watts(p_draw));
+    if (plant_->supports(state.v_solar, cmd.vdd_target)) {
+      const double eta = plant_->efficiency(state.v_solar, cmd.vdd_target, Watts(p_draw));
       if (eta > 0.0) p_draw /= eta;
     }
   }
@@ -173,8 +175,7 @@ void EnergyManager::start_next_job(const SocState& state, SocCommand& cmd) {
     }
   }
   // hemp-analyzer: allow(hot-path-purity) — per-job sprint planning, once per submitted job
-  const SprintPlan plan =
-      scheduler_.plan(job.cycles, budget, params_.sprint_factor);
+  const SprintPlan plan = plant_->sprint_plan(job.cycles, budget, params_.sprint_factor);
   if (!plan.feasible) {
     ++run_.jobs_missed;
     return;
@@ -196,9 +197,8 @@ void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
   if (run_.low_light_bypass) {
     cmd.path = PowerPath::kBypass;
     // Ride the shared node: clock as fast as the rail allows.
-    if (state.v_dd >= model_->processor().min_voltage() &&
-        state.v_dd <= model_->processor().max_voltage()) {
-      cmd.frequency = model_->processor().max_frequency(state.v_dd);
+    if (state.v_dd >= plant_->min_voltage() && state.v_dd <= plant_->max_voltage()) {
+      cmd.frequency = plant_->max_frequency(state.v_dd);
       cmd.run = true;
     } else {
       cmd.run = false;  // wait for the node to charge back up
@@ -207,6 +207,7 @@ void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
   }
   cmd.path = PowerPath::kRegulated;
   if (params_.mode == ManagerMode::kMaxPerformance) {
+    run_.tracker_ticked = true;
     tracker_.on_tick(state, cmd);
   } else {
     const double g = run_.p_in_estimate
@@ -243,9 +244,8 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
   if (s.bypassed) {
     // The shared node can overshoot Vmax under strong sun: clock at the
     // envelope's top there.
-    const Processor& proc = model_->processor();
-    if (state.v_dd >= proc.min_voltage()) {
-      cmd.frequency = proc.max_frequency(std::min(state.v_dd, proc.max_voltage()));
+    if (state.v_dd >= plant_->min_voltage()) {
+      cmd.frequency = plant_->max_frequency(std::min(state.v_dd, plant_->max_voltage()));
     }
     return;
   }
@@ -255,7 +255,7 @@ void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
   cmd.vdd_target = op.vdd;
   cmd.frequency = op.frequency;
 
-  const bool no_headroom = !model_->regulator().supports(state.v_solar, op.vdd);
+  const bool no_headroom = !plant_->supports(state.v_solar, op.vdd);
   const bool sagging = state.v_dd.value() < op.vdd.value() - kSprintSagMargin &&
                        elapsed.value() > kSprintSagArmTime;
   if (no_headroom || sagging) {

@@ -9,16 +9,20 @@
 //   * deadlines: plans and executes a sprint (Sec. VI-B) for each submitted
 //     job, with regulator bypass at the tail, then recovers the storage cap
 //     at a large duty cycle before resuming steady-state operation.
+//
+// Every physics read goes through a ControlPlant (core/control_plant.hpp),
+// so all three engines run this one manager.
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/control_plant.hpp"
 #include "core/mep_optimizer.hpp"
 #include "core/mpp_tracker.hpp"
-#include "core/regulator_selector.hpp"
 #include "core/sprint_scheduler.hpp"
 #include "core/system_model.hpp"
 #include "sim/soc_system.hpp"
@@ -82,7 +86,10 @@ struct JobRequest {
 
 class EnergyManager : public SocController {
  public:
+  /// Manages on its own ModelPlant over `model`.
   EnergyManager(const SystemModel& model, const EnergyManagerParams& params);
+  /// Manages on `plant`, which must outlive the manager.
+  EnergyManager(ControlPlant& plant, const EnergyManagerParams& params);
 
   /// Queue a deadline job; it starts at the next tick after the current
   /// activity finishes (or immediately when tracking).  The deadline clock
@@ -104,13 +111,27 @@ class EnergyManager : public SocController {
   [[nodiscard]] bool in_bypass() const { return run_.low_light_bypass; }
   [[nodiscard]] bool sprinting() const { return run_.sprint.has_value(); }
 
- private:
+  // --- Read-only run state, for an engine that bounds its own steps (the
+  // fleet batch kernel) instead of asking step_hint.
+  enum class State { kTracking, kSprinting, kRecovering };
   struct ActiveSprint {
     SprintPlan plan;
     Seconds started{0.0};
     double start_cycles = 0.0;
     bool bypassed = false;
   };
+  [[nodiscard]] State current_state() const { return run_.state; }
+  [[nodiscard]] const std::optional<ActiveSprint>& sprint() const { return run_.sprint; }
+  [[nodiscard]] std::size_t pending_jobs() const { return run_.q_count; }
+  [[nodiscard]] Seconds next_reassess() const { return run_.next_reassess; }
+  /// Whether the last on_tick ran the MPP tracker.  Not implied by the
+  /// post-tick state: a job whose plan is infeasible leaves the manager
+  /// tracking without ticking the tracker.
+  [[nodiscard]] bool tracker_ticked() const { return run_.tracker_ticked; }
+  [[nodiscard]] const MppTrackingController& tracker() const { return tracker_; }
+
+ private:
+  EnergyManager(std::unique_ptr<ControlPlant> owned, const EnergyManagerParams& params);
 
   void enter_tracking(SocCommand& cmd);
   void start_next_job(const SocState& state, SocCommand& cmd);
@@ -130,8 +151,6 @@ class EnergyManager : public SocController {
   [[nodiscard]] bool queue_empty() const { return run_.q_count == 0; }
   [[nodiscard]] PendingJob pop_job();
   void grow_queue();
-
-  enum class State { kTracking, kSprinting, kRecovering };
 
   /// Everything one run changes, at its constructed value.  on_start restores
   /// it for every run after the first (jobs submitted before the first run
@@ -154,16 +173,16 @@ class EnergyManager : public SocController {
     std::optional<Watts> p_in_estimate;
     Seconds next_reassess{0.0};
     Volts prev_v_solar{0.0};
+    bool tracker_ticked = false;
   };
 
-  const SystemModel* model_;
+  std::unique_ptr<ControlPlant> owned_plant_;  ///< set by the model constructor
+  ControlPlant* plant_;
   EnergyManagerParams params_;
   MppTrackingController tracker_;
-  SprintScheduler scheduler_;
-  MepOptimizer mep_;
 
   Watts crossover_power_{0.0};
-  /// model().mpp(1.0).power solved once at construction — kMinEnergy mode
+  /// The full-sun MPP power, read once at construction — kMinEnergy mode
   /// normalizes the light estimate against it every tick.
   Watts full_sun_mpp_power_{0.0};
   /// Holistic MEP solutions memoized per quantized irradiance bucket — the

@@ -7,6 +7,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
+#include "core/model_plant.hpp"
 
 namespace hemp {
 
@@ -115,15 +116,15 @@ void MppTrackerParams::validate() const {
 
 namespace {
 
-DvfsLadder make_ladder(const Processor& proc, Volts ceiling, int steps) {
-  const double lo = proc.min_voltage().value();
-  const double hi = std::min(ceiling.value(), proc.max_voltage().value());
+DvfsLadder make_ladder(const ControlPlant& plant, Volts ceiling, int steps) {
+  const double lo = plant.min_voltage().value();
+  const double hi = std::min(ceiling.value(), plant.max_voltage().value());
   HEMP_REQUIRE(hi > lo, "MppTracker: empty DVFS range");
   std::vector<OperatingPoint> levels;
   levels.reserve(static_cast<std::size_t>(steps));
   for (int i = 0; i < steps; ++i) {
     const Volts v(lo + (hi - lo) * i / (steps - 1));
-    levels.push_back({v, proc.max_frequency(v)});
+    levels.push_back({v, plant.max_frequency(v)});
   }
   return DvfsLadder(std::move(levels));
 }
@@ -132,12 +133,21 @@ DvfsLadder make_ladder(const Processor& proc, Volts ceiling, int steps) {
 
 MppTrackingController::MppTrackingController(const SystemModel& model,
                                              const MppTrackerParams& params)
-    : model_(&model), params_(params),
-      lut_(model.cell(), Volts(0.5 * (params.v_high.value() + params.v_low.value()))),
-      ladder_(make_ladder(model.processor(), params.vdd_ceiling, params.dvfs_steps)),
+    : MppTrackingController(std::make_unique<ModelPlant>(model, params), params) {}
+
+MppTrackingController::MppTrackingController(std::unique_ptr<ControlPlant> owned,
+                                             const MppTrackerParams& params)
+    : MppTrackingController(*owned, params) {
+  owned_plant_ = std::move(owned);
+}
+
+MppTrackingController::MppTrackingController(ControlPlant& plant,
+                                             const MppTrackerParams& params)
+    : plant_(&plant), params_(params),
+      ladder_(make_ladder(plant, params.vdd_ceiling, params.dvfs_steps)),
       timer_(params.v_high, params.v_low) {
   params_.validate();
-  v_mpp_full_sun_ = model.mpp(1.0).voltage;
+  v_mpp_full_sun_ = plant.full_sun_mpp().voltage;
 }
 
 void MppTrackingController::on_start(const SocState& state, SocCommand& cmd) {
@@ -169,15 +179,13 @@ void MppTrackingController::step(int delta, SocCommand& cmd) {
 
 void MppTrackingController::seed_for_budget(Watts p_budget, const SocState& state,
                                             SocCommand& cmd) {
-  const Processor& proc = model_->processor();
-  const Regulator& reg = model_->regulator();
   // Highest ladder level whose source-side draw fits the budget.
   std::size_t chosen = 0;
   for (std::size_t i = 0; i < ladder_.size(); ++i) {
     const OperatingPoint& op = ladder_.at(i);
-    if (!reg.supports(state.v_solar, op.vdd)) continue;
-    const Watts pout = proc.max_power(op.vdd);
-    const double eta = reg.efficiency(state.v_solar, op.vdd, pout);
+    if (!plant_->supports(state.v_solar, op.vdd)) continue;
+    const Watts pout = plant_->max_power(op.vdd);
+    const double eta = plant_->efficiency(state.v_solar, op.vdd, pout);
     if (eta <= 0.0) continue;
     if (pout.value() / eta <= p_budget.value()) chosen = i;
   }
@@ -191,18 +199,17 @@ HEMP_HOT void MppTrackingController::on_tick(const SocState& state, SocCommand& 
   // --- Eq. 7 transient estimator. --------------------------------------------
   if (auto fall = timer_.update(state.v_solar, state.time);
       fall && fall->value() > 0.0) {
-    const Regulator& reg = model_->regulator();
     double p_draw = state.p_processor.value();
-    if (reg.supports(state.v_solar, cmd.vdd_target) && p_draw > 0.0) {
-      const double eta = reg.efficiency(state.v_solar, cmd.vdd_target,
-                                        Watts(p_draw));
+    if (plant_->supports(state.v_solar, cmd.vdd_target) && p_draw > 0.0) {
+      const double eta = plant_->efficiency(state.v_solar, cmd.vdd_target,
+                                            Watts(p_draw));
       if (eta > 0.0) p_draw /= eta;
     }
     const Watts p_in = estimate_input_power(Watts(p_draw), params_.solar_capacitance,
                                             params_.v_high, params_.v_low, *fall);
     last_estimate_ = p_in;
-    v_target_ = lut_.mpp_voltage_for(p_in);
-    seed_for_budget(lut_.mpp_power_for(p_in), state, cmd);
+    v_target_ = plant_->mpp_voltage_for(p_in);
+    seed_for_budget(plant_->mpp_power_for(p_in), state, cmd);
     ++retargets_;
     next_control_ = state.time + params_.control_period;
     return;

@@ -13,10 +13,12 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/control_plant.hpp"
 #include "core/system_model.hpp"
 #include "processor/processor.hpp"
 #include "sim/soc_system.hpp"
@@ -40,7 +42,7 @@ inline constexpr double kMppLutGMax = 1.2;
 /// (vmpp, pmpp) is solved the first time a lookup reads that knot, so a
 /// controller pays only for the light levels its run visits.  Every lookup
 /// returns the bits an eagerly built PiecewiseLinear table would.  The memo
-/// makes the MPP lookups non-const: one table belongs to one controller.
+/// makes the MPP lookups non-const: one table belongs to one ModelPlant.
 class MppLut {
  public:
   /// Sample the cell's I-V family across irradiance [g_min, g_max]; the
@@ -96,6 +98,11 @@ struct MppTrackerParams {
   Volts vdd_ceiling{0.8};
 
   void validate() const;
+  /// Midpoint of the timer window, where Eq. 7's estimate applies: the
+  /// voltage Eq. 7's table measures the cell's power at.
+  [[nodiscard]] Volts measure_voltage() const {
+    return Volts(0.5 * (v_high.value() + v_low.value()));
+  }
 };
 
 /// The steady-state P&O rule: +1 (draw more) when the solar node sits more
@@ -117,9 +124,15 @@ struct MppTrackerParams {
 /// Transient: when the light collapses, the node falls through the timer
 /// window; Eq. 7 estimates the new input power; the LUT yields the new MPP
 /// target and the ladder is re-seeded near the sustainable level.
+///
+/// Every physics read goes through a ControlPlant: the ladder's envelope,
+/// the regulator, Eq. 7's table and the full-sun MPP.
 class MppTrackingController : public SocController {
  public:
+  /// Tracks on its own ModelPlant over `model`.
   MppTrackingController(const SystemModel& model, const MppTrackerParams& params);
+  /// Tracks on `plant`, which must outlive the controller.
+  MppTrackingController(ControlPlant& plant, const MppTrackerParams& params);
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
@@ -130,16 +143,22 @@ class MppTrackingController : public SocController {
     return last_estimate_;
   }
   [[nodiscard]] int retarget_count() const { return retargets_; }
+  /// Read-only run state, for engines that bound their own steps.
+  [[nodiscard]] const ThresholdTimer& timer() const { return timer_; }
+  [[nodiscard]] Seconds next_control() const { return next_control_; }
 
  private:
+  MppTrackingController(std::unique_ptr<ControlPlant> owned,
+                        const MppTrackerParams& params);
+
   /// Step the DVFS ladder: positive = draw more power (higher level).
   void step(int delta, SocCommand& cmd);
   /// Seed the ladder at the level whose source draw best matches `p_budget`.
   void seed_for_budget(Watts p_budget, const SocState& state, SocCommand& cmd);
 
-  const SystemModel* model_;
+  std::unique_ptr<ControlPlant> owned_plant_;  ///< set by the model constructor
+  ControlPlant* plant_;
   MppTrackerParams params_;
-  MppLut lut_;
   DvfsLadder ladder_;
   ThresholdTimer timer_;
   /// Cold-start MPP target, solved once at construction so on_start (and the

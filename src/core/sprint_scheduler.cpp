@@ -72,10 +72,14 @@ std::optional<Seconds> SprintScheduler::min_completion_time(
 }
 
 SprintPlan SprintScheduler::plan(double cycles, Seconds deadline, double s) const {
+  return plan(model_->processor(), cycles, deadline, s);
+}
+
+SprintPlan SprintScheduler::plan(const Processor& proc, double cycles,
+                                 Seconds deadline, double s) {
   HEMP_CHECK_RANGE(cycles > 0.0, "SprintScheduler: non-positive cycle count");
   HEMP_CHECK_RANGE(deadline.value() > 0.0, "SprintScheduler: non-positive deadline");
   HEMP_CHECK_RANGE(s >= 0.0 && s <= 0.5, "SprintScheduler: sprint factor in [0, 0.5]");
-  const Processor& proc = model_->processor();
 
   SprintPlan p;
   p.cycles = cycles;

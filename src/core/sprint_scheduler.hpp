@@ -59,6 +59,9 @@ class SprintScheduler {
   /// factor `s` in [0, 0.5].  Infeasible (not .feasible) when even the fast
   /// phase exceeds the processor envelope.
   [[nodiscard]] SprintPlan plan(double cycles, Seconds deadline, double s) const;
+  /// The same plan for `proc` alone: planning reads only the processor.
+  [[nodiscard]] static SprintPlan plan(const Processor& proc, double cycles,
+                                       Seconds deadline, double s);
 
   /// Semi-analytic evaluation of Eqs. 12-13: integrate the solar node under
   /// the constant-speed and sprint profiles and compare harvested energy.

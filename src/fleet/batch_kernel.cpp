@@ -18,6 +18,7 @@
 #include "common/numeric.hpp"
 #include "common/rng.hpp"
 #include "common/solver_stats.hpp"
+#include "core/control_plant.hpp"
 #include "core/energy_manager.hpp"
 #include "core/mpp_tracker.hpp"
 #include "core/regulator_selector.hpp"
@@ -25,6 +26,7 @@
 #include "core/system_model.hpp"
 #include "harvester/iv_curve.hpp"
 #include "harvester/pv_cell.hpp"
+#include "policy/controllers.hpp"
 #include "policy/registry.hpp"
 #include "processor/corners.hpp"
 #include "processor/processor.hpp"
@@ -41,9 +43,9 @@ namespace {
 // Model constants come from the component parameter defaults: the fleet
 // builds every node from SocConfig{}, SwitchedCapParams{} and PvCellParams{}
 // plus the sampled scale factors, and each node's processor from
-// make_test_chip_at.  Manager and tracker constants come from the lane's
-// EnergyManagerParams (Shared::mgr).  The step physics is the shared
-// flat::StepCore (sim/flat_step.hpp).
+// make_test_chip_at.  Each node runs the core's ManagedPolicyController on a
+// flat plant, with the lane's EnergyManagerParams (Shared::mgr); the step
+// physics is the shared flat::StepCore (sim/flat_step.hpp).
 // ---------------------------------------------------------------------------
 
 using flat::FlatTrace;
@@ -53,11 +55,6 @@ using PvFlat = flat::FlatPv;
 using WatchAccum = flat::WatchAccum;
 
 const SocConfig kSoc{};
-
-// The DVFS ladder length sizes per-node arrays, so it stays a compile-time
-// constant; runs() admits only managers whose tracker uses it.
-constexpr int kLadderSteps = 48;
-static_assert(kLadderSteps == MppTrackerParams{}.dvfs_steps);
 
 // Surface resolution (shared across the fleet; exact solves, ctor only).
 constexpr int kSurfaceSKnots = 13;
@@ -214,20 +211,15 @@ struct BatchFleetKernel::Shared {
   std::vector<NodeSample> samples;
   std::vector<PvFlat> pv;
   std::vector<flat::FlatProc> proc;
-  std::vector<double> crossover_power;  ///< 0 = no low-light crossover
-  std::vector<FlatTrace> traces;        ///< empty when shared_sky
-  /// Kept for exact sprint planning; optional only so that every slot can
-  /// be constructed in place by its own work unit.
+  std::vector<FlatTrace> traces;  ///< empty when shared_sky
+  /// Kept for sprint planning, which reads the processor model; optional
+  /// only so that every slot can be constructed in place by its own work
+  /// unit.
   std::vector<std::optional<Processor>> processors;
 
   /// Shared MPP + terminal-current surfaces and crossover tables, built by
   /// the hemp::flat layer (exact solves, ctor only) or found in the cache.
   std::shared_ptr<const FleetSurfaces> surfaces;
-
-  // Exact cell/regulator the sprint scheduler's SystemModel plumbs through
-  // (plan() only touches the processor, but the model wants references).
-  PvCell ref_cell{PvCellParams{}};
-  SwitchedCapRegulator ref_reg;
 };
 
 BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
@@ -252,8 +244,8 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     sh.mgr.validate();
   }
 
-  // Everything below up to the crossover-power pass is a set of independent
-  // work units (DESIGN.md Sec. 6j).  The serial set-up is sizing only: each
+  // Everything below is a set of independent work units (DESIGN.md
+  // Sec. 6j).  The serial set-up is sizing only: each
   // unit writes its own preallocated slot, so running the units on the pool
   // in any order gives the bits of the serial loop.
 
@@ -278,7 +270,7 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
 
   // --- Low-light crossover tables: exact RegulatorSelector bisection per
   // corner over a coarse (temperature, pv_scale) grid, one unit per cell;
-  // interpolated per node once every cell is in.
+  // each node's flat plant interpolates them.
   const std::vector<double> temp_knots = linspace(-20.0, 85.0, kCrossTempKnots);
   const std::vector<double> cross_s_knots = linspace(s_lo, s_hi, kCrossSKnots);
   // Corner order: the crossover tables' index (corner_ix below).
@@ -321,7 +313,6 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   sh.samples.resize(n);
   sh.pv.resize(n);
   sh.proc.resize(n);
-  sh.crossover_power.resize(n);
   sh.processors.resize(n);
   if (!sh.shared_sky) sh.traces.resize(n);
 
@@ -381,21 +372,6 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     sh.surfaces = surface_cache().insert(key, std::move(fresh));
   }
 
-  // --- Per-node crossover power: reads the finished crossover tables and
-  // MPP surface, so it runs after every unit. -------------------------------
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeSample& s = sh.samples[i];
-    const int corner_ix = s.conditions.corner == ProcessCorner::kSlowSlow ? 0
-                          : s.conditions.corner == ProcessCorner::kTypical ? 1
-                                                                           : 2;
-    const double g_cross = sh.surfaces->cross[static_cast<std::size_t>(corner_ix)](
-        s.conditions.temperature_c, s.pv_scale);
-    sh.crossover_power[i] =
-        g_cross >= kCrossMinG ? sh.surfaces->mpp.pmpp_at(s.pv_scale, g_cross) : 0.0;
-    // A zero crossover power is exactly how the manager encodes "bypass off".
-    if (!sh.mgr.low_light_bypass_enabled) sh.crossover_power[i] = 0.0;
-  }
-
   shared_ = std::move(shared);
 }
 
@@ -403,8 +379,9 @@ BatchFleetKernel::~BatchFleetKernel() = default;
 
 bool BatchFleetKernel::runs(const EnergyPolicy& policy) {
   const std::optional<EnergyManagerParams> params = policy.manager_params();
+  // The default DVFS ladder is the only one the equivalence suites cover.
   return params && params->queue_discipline == QueueDiscipline::kFifo &&
-         params->tracker.dvfs_steps == kLadderSteps;
+         params->tracker.dvfs_steps == MppTrackerParams{}.dvfs_steps;
 }
 
 const FleetScenario& BatchFleetKernel::scenario() const {
@@ -414,55 +391,145 @@ const FleetScenario& BatchFleetKernel::scenario() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-node runner: the flattened controller on top of the shared step core,
-// integrated to completion one node at a time (everything lives in L1).
+// The flat plant: what a node's EnergyManager and MppTrackingController read
+// of its physics (the ControlPlant seam, DESIGN.md Sec. 6f), answered from
+// the fleet's shared surfaces and the node's flattened regulator and
+// processor.  Nothing here runs an exact solve: the sprint plan reads only
+// the processor model.
 // ---------------------------------------------------------------------------
 
-enum class MgrState { kTracking, kSprinting, kRecovering };
+class FlatPlant final : public ControlPlant {
+ public:
+  FlatPlant(const BatchFleetKernel::Shared& sh, std::size_t i)
+      : surfaces_(*sh.surfaces),
+        s_(sh.samples[i]),
+        pc_(sh.proc[i]),
+        proc_(*sh.processors[i]) {
+    build_lut(sh.pv[i], sh.mgr.tracker.measure_voltage().value());
+  }
 
-struct MepSlot {
-  bool computed = false;
-  bool feasible = false;
-  double vdd = 0.0;
-  double freq = 0.0;
+  bool supports(Volts vin, Volts vout) const override {
+    return flat::sc_supports(kScFlat, vin.value(), vout.value());
+  }
+  double efficiency(Volts vin, Volts vout, Watts pout) const override {
+    return flat::sc_efficiency(kScFlat, vin.value(), vout.value(), pout.value());
+  }
+  Volts min_voltage() const override { return Volts(pc_.vmin); }
+  Volts max_voltage() const override { return Volts(pc_.vmax); }
+  Hertz max_frequency(Volts vdd) const override {
+    return Hertz(flat::proc_fmax(pc_, vdd.value()));
+  }
+  Watts max_power(Volts vdd) const override {
+    return Watts(flat::proc_max_power(pc_, vdd.value()));
+  }
+  Volts mpp_voltage_for(Watts p_in) override {
+    return Volts(lut_vmpp_(p_in.value()));
+  }
+  Watts mpp_power_for(Watts p_in) override {
+    return Watts(lut_pmpp_(p_in.value()));
+  }
+  MaxPowerPoint full_sun_mpp() const override {
+    const double v = surfaces_.mpp.vmpp_at(s_.pv_scale, 1.0);
+    const double p = surfaces_.mpp.pmpp_at(s_.pv_scale, 1.0);
+    return {Volts(v), Amps(p / v), Watts(p)};
+  }
+
+  /// The corner's crossover table at the node's temperature and pv scale,
+  /// as MPP power; crossovers below the tables' resolution read as none.
+  Watts crossover_power() const override {
+    const int corner_ix = s_.conditions.corner == ProcessCorner::kSlowSlow ? 0
+                          : s_.conditions.corner == ProcessCorner::kTypical ? 1
+                                                                            : 2;
+    const double g_cross = surfaces_.cross[static_cast<std::size_t>(corner_ix)](
+        s_.conditions.temperature_c, s_.pv_scale);
+    return Watts(g_cross >= kCrossMinG ? surfaces_.mpp.pmpp_at(s_.pv_scale, g_cross)
+                                       : 0.0);
+  }
+
+  /// MepOptimizer::holistic's objective over the flat regulator and
+  /// processor, with the cell held at the surface's MPP voltage.
+  MepPoint holistic_mep(double g) const override {
+    const double vmpp = surfaces_.mpp.vmpp_at(s_.pv_scale, g);
+    auto objective = [&](double v) {
+      if (!flat::sc_supports(kScFlat, vmpp, v)) {
+        return std::numeric_limits<double>::infinity();
+      }
+      const double eta =
+          flat::sc_efficiency(kScFlat, vmpp, v, flat::proc_max_power(pc_, v));
+      if (eta <= 0.0) return std::numeric_limits<double>::infinity();
+      return flat::proc_epc(pc_, v) / eta;
+    };
+    const auto r = numeric::grid_refine_minimize(
+        objective, pc_.vmin, pc_.vmax, {.x_tol = 1e-6, .grid_points = 160});
+    MepPoint out;
+    if (!std::isfinite(r.value)) return out;
+    out.vdd = Volts(r.x);
+    out.energy_per_cycle = Joules(r.value);
+    out.frequency = Hertz(flat::proc_fmax(pc_, r.x));
+    out.feasible = true;
+    return out;
+  }
+
+  SprintPlan sprint_plan(double cycles, Seconds deadline,
+                         double sprint_factor) const override {
+    return SprintScheduler::plan(proc_, cycles, deadline, sprint_factor);
+  }
+
+ private:
+  /// Eq. 7's table: MppLut's knots, sampled at the measurement voltage with
+  /// the flat Newton solve, mapped to (Vmpp, Pmpp) by the shared surfaces.
+  void build_lut(const PvFlat& pv, double v_meas) {
+    std::vector<double> p, vmpp, pmpp;
+    double last_p = -1.0;
+    double warm = 0.0;
+    for (int i = 0; i < kMppLutSamples; ++i) {
+      const double g =
+          kMppLutGMin + (kMppLutGMax - kMppLutGMin) * i / (kMppLutSamples - 1);
+      const double p_meas = v_meas * pv_current(pv, v_meas, g, warm);
+      if (p_meas <= last_p) continue;
+      p.push_back(p_meas);
+      vmpp.push_back(surfaces_.mpp.vmpp_at(s_.pv_scale, g));
+      pmpp.push_back(surfaces_.mpp.pmpp_at(s_.pv_scale, g));
+      last_p = p_meas;
+    }
+    lut_vmpp_ = PiecewiseLinear(p, vmpp);
+    lut_pmpp_ = PiecewiseLinear(p, pmpp);
+  }
+
+  const FleetSurfaces& surfaces_;
+  const NodeSample& s_;
+  const flat::FlatProc& pc_;
+  const Processor& proc_;
+  PiecewiseLinear lut_vmpp_, lut_pmpp_;
 };
+
+/// The lane's manager parameters in the node's sampled mode.
+EnergyManagerParams node_params(const BatchFleetKernel::Shared& sh,
+                                const NodeSample& s) {
+  EnergyManagerParams params = sh.mgr;
+  params.mode = s.min_energy ? ManagerMode::kMinEnergy : ManagerMode::kMaxPerformance;
+  return params;
+}
+
+// ---------------------------------------------------------------------------
+// Per-node runner: the core's managed controller on the flat plant, stepped
+// by the shared step core under the kernel's own step rule, integrated to
+// completion one node at a time (everything lives in L1).
+// ---------------------------------------------------------------------------
 
 struct NodeRunner : flat::StepCore {
   const BatchFleetKernel::Shared& sh;
-  const EnergyManagerParams& mgr_params;
-  const MppTrackerParams& trk;
   const NodeSample& s;
-  const PvFlat& pv;
-  double crossover_power;
   std::vector<ComparatorEvent>* events;  ///< traced mode when set
 
-  // --- energy manager
-  MgrState mgr = MgrState::kTracking;
-  bool bypass = false;
-  double prev_v_mgr = 0.0;
-  double next_reassess = 0.0;
-  std::optional<double> p_est;  ///< steady-state light estimate (W)
+  FlatPlant plant;
+  /// EnergyManager + MppTrackingController + the periodic job clock.
+  ManagedPolicyController ctl;
+  /// What the controller observes (the fields it reads) and its command
+  /// latch, copied into the core's cmd_* fields every step.
+  SocState state{};
+  SocCommand cmd{};
 
-  // --- sprint: every fleet job is identical, so one plan serves the node
-  std::optional<SprintPlan> plan;
-  double sprint_started = 0.0;
-  double sprint_start_cycles = 0.0;
-  bool sprint_bypassed = false;
-
-  // --- MPP tracker
-  double v_target = 0.0;
-  long level = 0;
-  double next_control = 0.0;
-  double prev_v_trk = 0.0;
-  ThresholdTimer timer;
-  bool timer_watched = false;  ///< tracker ran this eval -> watch its levels
-
-  // --- periodic jobs
-  int queue = 0;
-  double next_submit = 0.0;
-  int jobs_submitted = 0, jobs_completed = 0, jobs_missed = 0;
-
-  double p_processor = 0.0;  ///< previous step's load (controller observable)
   /// mppt_vmpp's memo, indexed by k = round(g0 * 100); NaN = not yet read.
   std::array<double, 160> vmpp_memo = [] {
     std::array<double, 160> m;
@@ -471,26 +538,24 @@ struct NodeRunner : flat::StepCore {
   }();
   double mppt_num = 0.0, mppt_den = 0.0;
 
-  // --- caches
-  std::array<MepSlot, 32> mep_cache{};
-  std::optional<PiecewiseLinear> lut_p2v{}, lut_p2p{};
-  std::array<double, kLadderSteps> ladder_v{}, ladder_f{};
-
   // --- SocConfig's solar-node comparator bank (traced mode only) and the
   // edges of its latest update
   std::optional<ComparatorBank> bank;
   std::vector<ComparatorEvent> bank_edges;
 
+  // ctl holds plant's address: a copy or a move would leave it dangling.
+  NodeRunner(const NodeRunner&) = delete;
+  NodeRunner& operator=(const NodeRunner&) = delete;
+
   NodeRunner(const BatchFleetKernel::Shared& shared, std::size_t i,
              std::vector<ComparatorEvent>* traced)
       : sh(shared),
-        mgr_params(shared.mgr),
-        trk(shared.mgr.tracker),
         s(shared.samples[i]),
-        pv(shared.pv[i]),
-        crossover_power(shared.crossover_power[i]),
         events(traced),
-        timer(trk.v_high, trk.v_low) {
+        plant(shared, i),
+        ctl(plant, node_params(shared, s),
+            PolicyWorkload{shared.scenario.job_cycles, shared.scenario.job_period,
+                           shared.scenario.job_deadline, s.job_phase}) {
     trace = shared.shared_sky ? &shared.sky : &shared.traces[i];
     sc = kScFlat;
     pc = shared.proc[i];
@@ -505,56 +570,11 @@ struct NodeRunner : flat::StepCore {
     v_d = kSoc.vdd_start_voltage.value();
   }
 
-  // ---------------------------------------------------------------------
-  // Setup
-  // ---------------------------------------------------------------------
-
-  void build_ladder() {
-    const double lo = pc.vmin;
-    const double hi = std::min(trk.vdd_ceiling.value(), pc.vmax);
-    for (int i = 0; i < kLadderSteps; ++i) {
-      const double v = lo + (hi - lo) * i / (kLadderSteps - 1);
-      ladder_v[static_cast<std::size_t>(i)] = v;
-      ladder_f[static_cast<std::size_t>(i)] = proc_fmax(pc, v);
-    }
-  }
-
-  /// MppLut surrogate: sample the cell at the mid-threshold voltage with the
-  /// fast Newton solve, at MppLut's default knots, and map power -> (Vmpp,
-  /// Pmpp) via the shared surfaces.
-  void build_lut() {
-    const double v_meas = 0.5 * (trk.v_high.value() + trk.v_low.value());
-    std::vector<double> p, vmpp, pmpp;
-    double last_p = -1.0;
-    double warm = 0.0;
-    for (int i = 0; i < kMppLutSamples; ++i) {
-      const double g =
-          kMppLutGMin + (kMppLutGMax - kMppLutGMin) * i / (kMppLutSamples - 1);
-      const double p_meas = v_meas * pv_current(pv, v_meas, g, warm);
-      if (p_meas <= last_p) continue;
-      p.push_back(p_meas);
-      vmpp.push_back(sh.surfaces->mpp.vmpp_at(s.pv_scale, g));
-      pmpp.push_back(sh.surfaces->mpp.pmpp_at(s.pv_scale, g));
-      last_p = p_meas;
-    }
-    lut_p2v.emplace(p, vmpp);
-    lut_p2p.emplace(p, pmpp);
-  }
-
   void on_start() {
-    build_ladder();
-    build_lut();
-    next_submit = s.job_phase.value();
-    // MppTrackingController::on_start
-    v_target = sh.surfaces->mpp.vmpp_at(s.pv_scale, 1.0);
-    timer.reset(Volts(v_s));
-    level = 0;
-    cmd_path = PowerPath::kRegulated;
-    cmd_run = true;
-    ladder_apply();
-    // EnergyManager::on_start
-    prev_v_mgr = v_s;
-    enter_tracking();
+    state.time = Seconds(t);
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    ctl.on_start(state, cmd);
     if (events != nullptr) {
       bank.emplace(kSoc.comparator_thresholds);
       bank->reset(Volts(v_s));
@@ -570,277 +590,57 @@ struct NodeRunner : flat::StepCore {
   }
 
   // ---------------------------------------------------------------------
-  // Controller (flattened ManagedPolicyController + EnergyManager +
-  // MppTrackingController; branch order mirrors the reference sources).
-  // ---------------------------------------------------------------------
-
-  void ladder_apply() {
-    level = std::clamp<long>(level, 0, kLadderSteps - 1);
-    cmd_vdd = ladder_v[static_cast<std::size_t>(level)];
-    cmd_freq = ladder_f[static_cast<std::size_t>(level)];
-  }
-
-  /// The previous step's load as a source-side draw through the regulator
-  /// at the present command (unconverted where the regulator cannot run).
-  [[nodiscard]] double source_draw() const {
-    double p_draw = p_processor;
-    if (p_draw > 0.0 && sc_supports(sc, v_s, cmd_vdd)) {
-      const double eta = sc_efficiency(sc, v_s, cmd_vdd, p_draw);
-      if (eta > 0.0) p_draw /= eta;
-    }
-    return p_draw;
-  }
-
-  void apply_mep(double g_estimate) {
-    const int bucket = static_cast<int>(g_estimate * 20.0 + 0.5);
-    MepSlot& slot = mep_cache[static_cast<std::size_t>(
-        std::clamp(bucket, 0, 31))];
-    if (!slot.computed) {
-      slot.computed = true;
-      const double g = std::max(bucket, 1) / 20.0;
-      const double vmpp = sh.surfaces->mpp.vmpp_at(s.pv_scale, g);
-      auto objective = [&](double v) {
-        if (!sc_supports(sc, vmpp, v)) {
-          return std::numeric_limits<double>::infinity();
-        }
-        const double eta = sc_efficiency(sc, vmpp, v, proc_max_power(pc, v));
-        if (eta <= 0.0) return std::numeric_limits<double>::infinity();
-        return proc_epc(pc, v) / eta;
-      };
-      // Memoized: at most 32 buckets per node-day reach this solve.
-      // hemp-analyzer: allow(hot-path-purity) — cold memoized MEP branch
-      const auto r = numeric::grid_refine_minimize(
-          objective, pc.vmin, pc.vmax, {.x_tol = 1e-6, .grid_points = 160});
-      if (std::isfinite(r.value)) {
-        slot.feasible = true;
-        slot.vdd = r.x;
-        slot.freq = proc_fmax(pc, r.x);
-      }
-    }
-    if (slot.feasible) {
-      cmd_vdd = slot.vdd;
-      cmd_freq = slot.freq;
-    }
-  }
-
-  void enter_tracking() {
-    mgr = MgrState::kTracking;
-    cmd_path = bypass ? PowerPath::kBypass : PowerPath::kRegulated;
-    cmd_run = true;
-    if (s.min_energy && !bypass) apply_mep(0.5);
-  }
-
-  void refresh_light_estimate() {
-    if (t < next_reassess) return;
-    next_reassess = t + mgr_params.reassess_period.value();
-    const double dv = std::fabs(v_s - prev_v_mgr);
-    prev_v_mgr = v_s;
-    if (dv > 0.01) return;
-    const double p_draw = bypass ? p_processor : source_draw();
-    if (p_draw > 0.0) p_est = p_draw;
-    if (p_est) {
-      bypass = low_light_bypass_next(bypass, Watts(*p_est), Watts(crossover_power),
-                                     mgr_params.bypass_enter_ratio,
-                                     mgr_params.bypass_exit_ratio);
-    }
-  }
-
-  void seed_for_budget(double budget) {
-    std::size_t chosen = 0;
-    for (std::size_t i = 0; i < kLadderSteps; ++i) {
-      const double v = ladder_v[i];
-      if (!sc_supports(sc, v_s, v)) continue;
-      const double pout = proc_max_power(pc, v);
-      const double eta = sc_efficiency(sc, v_s, v, pout);
-      if (eta <= 0.0) continue;
-      if (pout / eta <= budget) chosen = i;
-    }
-    level = static_cast<long>(chosen);
-    ladder_apply();
-  }
-
-  void tracker_tick() {
-    timer_watched = true;
-    if (const auto fall = timer.update(Volts(v_s), Seconds(t));
-        fall && fall->value() > 0.0) {
-      const double p_in =
-          estimate_input_power(Watts(source_draw()), trk.solar_capacitance,
-                               trk.v_high, trk.v_low, *fall)
-              .value();
-      v_target = (*lut_p2v)(p_in);
-      seed_for_budget((*lut_p2p)(p_in));
-      next_control = t + trk.control_period.value();
-      return;
-    }
-    if (timer.armed()) return;
-    if (t < next_control) return;
-    next_control = t + trk.control_period.value();
-    const double err = v_s - v_target;
-    const double dv = v_s - prev_v_trk;
-    prev_v_trk = v_s;
-    if (const int delta = po_ladder_step(trk, err, dv)) {
-      level += delta;
-      ladder_apply();
-    }
-  }
-
-  void start_next_job() {
-    --queue;
-    if (!plan) {
-      // The exact scheduler runs once per node; plan() only exercises the
-      // processor model (no counted solves).
-      const SystemModel model(sh.ref_cell, sh.ref_reg,
-                              *sh.processors[static_cast<std::size_t>(s.index)]);
-      plan =
-          // hemp-analyzer: allow(hot-path-purity) — once-per-node plan
-          SprintScheduler(model).plan(sh.scenario.job_cycles,
-                                      sh.scenario.job_deadline,
-                                      mgr_params.sprint_factor);
-    }
-    if (!plan->feasible) {
-      ++jobs_missed;
-      return;
-    }
-    sprint_started = t;
-    sprint_start_cycles = cycles;
-    sprint_bypassed = false;
-    mgr = MgrState::kSprinting;
-    cmd_path = PowerPath::kRegulated;
-    cmd_vdd = plan->slow.vdd.value();
-    cmd_freq = plan->slow.frequency.value();
-    cmd_run = true;
-  }
-
-  void tick_tracking() {
-    if (queue > 0) {
-      start_next_job();
-      return;
-    }
-    refresh_light_estimate();
-    if (bypass) {
-      cmd_path = PowerPath::kBypass;
-      if (v_d >= pc.vmin && v_d <= pc.vmax) {
-        cmd_freq = proc_fmax(pc, v_d);
-        cmd_run = true;
-      } else {
-        cmd_run = false;
-      }
-      return;
-    }
-    cmd_path = PowerPath::kRegulated;
-    if (!s.min_energy) {
-      tracker_tick();
-    } else {
-      const double p_full = sh.surfaces->mpp.pmpp_at(s.pv_scale, 1.0);
-      const double g =
-          p_est ? std::clamp(*p_est / std::max(p_full, 1e-9), 0.05, 1.0) : 0.5;
-      apply_mep(g);
-    }
-  }
-
-  void end_sprint(bool completed) {
-    if (completed) {
-      ++jobs_completed;
-    } else {
-      ++jobs_missed;
-    }
-    mgr = MgrState::kRecovering;
-    cmd_run = false;
-    cmd_path = PowerPath::kRegulated;
-  }
-
-  void tick_sprinting() {
-    const double done = cycles - sprint_start_cycles;
-    const double elapsed = t - sprint_started;
-    if (done >= plan->cycles) {
-      end_sprint(true);
-      return;
-    }
-    if (elapsed > plan->deadline.value() * 1.5) {
-      end_sprint(false);
-      return;
-    }
-    if (sprint_bypassed) {
-      if (v_d >= pc.vmin) cmd_freq = proc_fmax(pc, std::min(v_d, pc.vmax));
-      return;
-    }
-    const OperatingPoint& op =
-        elapsed < plan->phase_time.value() ? plan->slow : plan->fast;
-    cmd_vdd = op.vdd.value();
-    cmd_freq = op.frequency.value();
-    const bool no_headroom = !sc_supports(sc, v_s, cmd_vdd);
-    const bool sagging =
-        v_d < cmd_vdd - kSprintSagMargin && elapsed > kSprintSagArmTime;
-    if (no_headroom || sagging) {
-      sprint_bypassed = true;
-      cmd_path = PowerPath::kBypass;
-    }
-  }
-
-  void tick_recovering() {
-    cmd_run = false;
-    cmd_path = PowerPath::kRegulated;
-    if (v_s >= mgr_params.recover_voltage.value() || queue > 0) enter_tracking();
-  }
-
-  HEMP_HOT void controller_eval() {
-    timer_watched = false;
-    if (bank) update_bank();
-    // ManagedPolicyController::on_tick
-    if (sh.scenario.job_cycles > 0.0 && t >= next_submit) {
-      ++queue;
-      ++jobs_submitted;
-      next_submit += sh.scenario.job_period.value();
-    }
-    switch (mgr) {
-      case MgrState::kTracking: tick_tracking(); break;
-      case MgrState::kSprinting: tick_sprinting(); break;
-      case MgrState::kRecovering: tick_recovering(); break;
-    }
-  }
-
-  // ---------------------------------------------------------------------
-  // Event-driven stepping: the shared flat::StepCore, bounded by this
+  // Event-driven stepping: the shared flat::StepCore, bounded by the
   // controller's timed events and watch levels.
   // ---------------------------------------------------------------------
 
   /// Step length: the core's ceiling and trace knots, the controller's
   /// timed events, then the core's settle, swing and watch bounds over the
   /// controller's levels (timer window, traced bank, recovery, rail sag).
+  /// The kernel's own rule, read off the manager's state rather than its
+  /// step_hint: past deadlines are ignored, the tracker's control deadline
+  /// binds even while its timer is armed, and the rail-sag level is watched
+  /// only once the sag check has armed.
   HEMP_HOT double choose_dt(double g0) {
     using solver_stats::StepCause;
+    using State = EnergyManager::State;
+    const EnergyManager& mgr = ctl.manager();
+    const State st = mgr.current_state();
     double dt = open_dt();
-    if (sh.scenario.job_cycles > 0.0) deadline(dt, next_submit);
-    if (mgr == MgrState::kTracking) {
-      deadline(dt, next_reassess);
-      if (timer_watched) deadline(dt, next_control);
-      if (queue > 0) {  // a job starts at the very next eval
+    if (sh.scenario.job_cycles > 0.0) deadline(dt, ctl.next_submit().value());
+    if (st == State::kTracking) {
+      deadline(dt, mgr.next_reassess().value());
+      if (mgr.tracker_ticked()) deadline(dt, mgr.tracker().next_control().value());
+      if (mgr.pending_jobs() > 0) {  // a job starts at the very next eval
         dt = dt_min;
         step_cause = StepCause::kDeadline;
       }
-    } else if (mgr == MgrState::kSprinting) {
-      deadline(dt, sprint_started + 1.5 * plan->deadline.value());
-      if (!sprint_bypassed) {
-        deadline(dt, sprint_started + plan->phase_time.value());
-        deadline(dt, sprint_started + kSprintSagArmTime);
+    } else if (st == State::kSprinting) {
+      const EnergyManager::ActiveSprint& sprint = *mgr.sprint();
+      const double started = sprint.started.value();
+      deadline(dt, started + 1.5 * sprint.plan.deadline.value());
+      if (!sprint.bypassed) {
+        deadline(dt, started + sprint.plan.phase_time.value());
+        deadline(dt, started + kSprintSagArmTime);
       }
       if (f_eff > 0.0) {
-        const double remaining = plan->cycles - (cycles - sprint_start_cycles);
+        const double remaining = sprint.plan.cycles - (cycles - sprint.start_cycles);
         deadline(dt, t + remaining / f_eff);
       }
     }
 
     WatchAccum ws, wd;
-    if (timer_watched) {
+    if (mgr.tracker_ticked()) {
+      const ThresholdTimer& timer = mgr.tracker().timer();
       watch_comparator(ws, timer.v_high(), timer.high_output());
       watch_comparator(ws, timer.v_low(), timer.low_output());
     }
     if (bank) watch_bank(ws, *bank);
-    if (mgr == MgrState::kRecovering) {
-      ws.level(v_s, mgr_params.recover_voltage.value());
+    if (st == State::kRecovering) {
+      ws.level(v_s, sh.mgr.recover_voltage.value());
     }
-    if (mgr == MgrState::kSprinting && !sprint_bypassed &&
-        t - sprint_started > kSprintSagArmTime) {
+    if (st == State::kSprinting && !mgr.sprint()->bypassed &&
+        t - mgr.sprint()->started.value() > kSprintSagArmTime) {
       wd.level(v_d, cmd_vdd - kSprintSagMargin);
     }
     return close_dt(dt, g0, ws, wd);
@@ -862,11 +662,21 @@ struct NodeRunner : flat::StepCore {
 
   bool done() const { return t >= t_end - 1e-15; }
 
-  /// One event-driven step: controller, then the core's load, dt selection,
-  /// integration and metrics, then the MPPT-error metric and time advance.
+  /// One event-driven step: the controller, then the core's load, dt
+  /// selection, integration and metrics, then the MPPT-error metric and
+  /// time advance.
   HEMP_HOT void step() {
     const double g0 = trace->at(t, cur);
-    controller_eval();
+    if (bank) update_bank();
+    state.time = Seconds(t);
+    state.v_solar = Volts(v_s);
+    state.v_dd = Volts(v_d);
+    state.cycles_retired = cycles;
+    ctl.on_tick(state, cmd);
+    cmd_path = cmd.path;
+    cmd_vdd = cmd.vdd_target.value();
+    cmd_freq = cmd.frequency.value();
+    cmd_run = cmd.run;
     load();
     const double dt = choose_dt(g0);
     integrate(dt, trace->at(t + 0.5 * dt, cur));
@@ -884,7 +694,7 @@ struct NodeRunner : flat::StepCore {
         }
       }
     }
-    p_processor = p_load;
+    state.p_processor = Watts(p_load);  // the load the next evaluation sees
     t += dt;
   }
 
@@ -893,29 +703,29 @@ struct NodeRunner : flat::StepCore {
     if (bank) update_bank();  // final edge flush at day end
     flush_step_counts();
 
+    const PolicyJobStats jobs = ctl.job_stats();
     NodeResult out;
     out.sample = s;
     out.cycles = cycles;
     out.brownouts = brownouts;
     out.timing_faults = timing_faults;
-    out.jobs_submitted = jobs_submitted;
-    out.jobs_completed = jobs_completed;
-    out.jobs_missed = jobs_missed;
-    const int adjudicated = jobs_completed + jobs_missed;
+    out.jobs_submitted = jobs.submitted;
+    out.jobs_completed = jobs.completed;
+    out.jobs_missed = jobs.missed;
+    const int adjudicated = jobs.completed + jobs.missed;
     out.deadline_hit_rate =
-        adjudicated > 0 ? static_cast<double>(jobs_completed) / adjudicated
+        adjudicated > 0 ? static_cast<double>(jobs.completed) / adjudicated
                         : 1.0;
     out.mppt_error = mppt_den > 0.0 ? mppt_num / mppt_den : 0.0;
     out.harvested = Joules(harvested);
     out.delivered = Joules(delivered);
     out.halted = Seconds(halted);
     out.energy_per_job =
-        jobs_completed > 0 ? Joules(delivered / jobs_completed) : Joules(0.0);
+        jobs.completed > 0 ? Joules(delivered / jobs.completed) : Joules(0.0);
     return out;
   }
 
   HEMP_HOT NodeResult run() {
-    // One-time setup before the stepped loop (builds LUT/ladder buffers).
     // hemp-analyzer: allow(hot-path-purity) — setup edge, not per-step
     on_start();
     while (!done()) step();

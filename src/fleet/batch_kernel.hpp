@@ -20,10 +20,11 @@
 //     occur strictly inside a step (see DESIGN.md).  Typical days integrate
 //     in a few hundred steps instead of ~50k ticks.
 //
-// Each node's controller is the reference state machine flattened onto the
-// shared surfaces; its pure-logic parts are the core's own: the Eq. 7
-// ThresholdTimer and estimate_input_power, the SprintPlan, the P&O step and
-// bypass hysteresis rules, and (traced mode) SocConfig's ComparatorBank.
+// Each node runs the core's own controller, ManagedPolicyController
+// (EnergyManager + MppTrackingController), on a flat plant: the
+// ControlPlant whose physics answers come from the shared surfaces.  Only
+// the step rule is the kernel's own: it reads the manager's state, not its
+// step_hint (DESIGN.md Sec. 6m).
 //
 // Equivalence: the kernel reproduces the reference FleetSimulator aggregates
 // within tolerance (see tests/fleet/batch_kernel_test.cpp) but is not

@@ -6,16 +6,24 @@
 
 namespace hemp {
 
+// --- PolicyWorkload ---------------------------------------------------------
+
+void PolicyWorkload::validate() const {
+  HEMP_REQUIRE(job_cycles >= 0.0, "PolicyWorkload: negative job cycles");
+  if (job_cycles > 0.0) {
+    HEMP_REQUIRE(period.value() > 0.0 && deadline.value() > 0.0,
+                 "PolicyWorkload: jobs need positive period and deadline");
+  }
+}
+
 // --- JobTracker -------------------------------------------------------------
 
 JobTracker::JobTracker(const PolicyWorkload& workload, Seconds slack)
     : workload_(workload), slack_(slack), next_submit_(workload.phase) {
-  HEMP_REQUIRE(workload.job_cycles >= 0.0, "JobTracker: negative job cycles");
-  if (workload.job_cycles > 0.0) {
-    HEMP_REQUIRE(workload.period.value() > 0.0 && workload.deadline.value() > 0.0,
-                 "JobTracker: jobs need positive period and deadline");
-  }
+  workload.validate();
 }
+
+void JobTracker::reset() { *this = JobTracker(workload_, slack_); }
 
 void JobTracker::update(Seconds now, double cycles_retired) {
   if (workload_.job_cycles <= 0.0) return;
@@ -64,12 +72,14 @@ ManagedPolicyController::ManagedPolicyController(const SystemModel& model,
                                                  const EnergyManagerParams& params,
                                                  const PolicyWorkload& workload)
     : manager_(model, params), workload_(workload), next_submit_(workload.phase) {
-  HEMP_REQUIRE(workload.job_cycles >= 0.0,
-               "ManagedPolicyController: negative job cycles");
-  if (workload.job_cycles > 0.0) {
-    HEMP_REQUIRE(workload.period.value() > 0.0 && workload.deadline.value() > 0.0,
-                 "ManagedPolicyController: jobs need positive period and deadline");
-  }
+  workload.validate();
+}
+
+ManagedPolicyController::ManagedPolicyController(ControlPlant& plant,
+                                                 const EnergyManagerParams& params,
+                                                 const PolicyWorkload& workload)
+    : manager_(plant, params), workload_(workload), next_submit_(workload.phase) {
+  workload.validate();
 }
 
 void ManagedPolicyController::on_start(const SocState& state, SocCommand& cmd) {
@@ -105,6 +115,7 @@ GreedyMppController::GreedyMppController(const SystemModel& model,
     : tracker_(model, params), jobs_(workload) {}
 
 void GreedyMppController::on_start(const SocState& state, SocCommand& cmd) {
+  jobs_.reset();
   tracker_.on_start(state, cmd);
   cmd.path = PowerPath::kRegulated;
   cmd.run = true;
@@ -146,6 +157,7 @@ void DutyCycleController::apply(const SocState& state, SocCommand& cmd) {
 }
 
 void DutyCycleController::on_start(const SocState& state, SocCommand& cmd) {
+  jobs_.reset();
   apply(state, cmd);
   jobs_.update(state.time, state.cycles_retired);
 }

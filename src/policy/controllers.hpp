@@ -33,6 +33,9 @@ class JobTracker {
  public:
   JobTracker(const PolicyWorkload& workload, Seconds slack = Seconds(0.0));
 
+  /// Restore the constructed state: nothing submitted, no job pending.
+  void reset();
+
   /// Advance the accounting to `now` given the cumulative retired cycles.
   void update(Seconds now, double cycles_retired);
 
@@ -68,8 +71,12 @@ class JobTracker {
 /// legacy modes reproduce the original summary hashes.
 class ManagedPolicyController final : public PolicyController {
  public:
+  /// Manages on the exact ModelPlant over `model`.
   ManagedPolicyController(const SystemModel& model,
                           const EnergyManagerParams& params,
+                          const PolicyWorkload& workload);
+  /// Manages on `plant`, which must outlive the controller.
+  ManagedPolicyController(ControlPlant& plant, const EnergyManagerParams& params,
                           const PolicyWorkload& workload);
 
   /// Starts the manager and re-arms the job clock at the workload phase; a
@@ -79,6 +86,10 @@ class ManagedPolicyController final : public PolicyController {
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] PolicyJobStats job_stats() const override;
+
+  [[nodiscard]] const EnergyManager& manager() const { return manager_; }
+  /// The job clock: when the next periodic job is submitted.
+  [[nodiscard]] Seconds next_submit() const { return next_submit_; }
 
  private:
   EnergyManager manager_;
@@ -94,6 +105,7 @@ class GreedyMppController final : public PolicyController {
   GreedyMppController(const SystemModel& model, const MppTrackerParams& params,
                       const PolicyWorkload& workload);
 
+  /// Restarts the job accounting too: a second run starts afresh.
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;
@@ -114,6 +126,7 @@ class DutyCycleController final : public PolicyController {
   DutyCycleController(const SystemModel& model, double duty, Seconds window,
                       const PolicyWorkload& workload);
 
+  /// Restarts the job accounting too: a second run starts afresh.
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
   void step_hint(const SocState& state, SocStepHint& hint) const override;

@@ -10,8 +10,9 @@
 //
 // Three execution tiers, fastest first:
 //   * manager_params()  — EnergyManager-backed policies expose their
-//     parameters; the SoA batch fleet kernel runs those its lane implements
-//     (BatchFleetKernel::runs: a FIFO job queue on the 48-step DVFS ladder);
+//     parameters; the SoA batch fleet kernel runs those its lane admits
+//     (BatchFleetKernel::runs: a FIFO job queue on the 48-step DVFS ladder),
+//     stepping the same EnergyManager on its flat plant of shared surfaces;
 //   * make_controller() — every online policy builds a SocController;
 //     controllers that implement SocController::step_hint run on the
 //     single-node surface-only fast path (policies opt in via fast_path());
@@ -38,6 +39,10 @@ struct PolicyWorkload {
   Seconds period{0.0};
   Seconds deadline{0.0};
   Seconds phase{0.0};
+
+  /// Cycles must be non-negative; a workload with jobs needs a positive
+  /// period and deadline.
+  void validate() const;
 };
 
 /// Everything a policy needs to build (or score) one node's controller.

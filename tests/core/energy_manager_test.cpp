@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/solver_stats.hpp"
+#include "core/control_plant.hpp"
 #include "regulator/switched_cap.hpp"
 #include "sim/soc_system.hpp"
 
@@ -192,6 +195,182 @@ TEST(EnergyManagerParams, Validation) {
   p.bypass_enter_ratio = 1.5;  // above exit ratio
   p.bypass_exit_ratio = 1.2;
   EXPECT_THROW(EnergyManager(f.model, p), ModelError);
+}
+
+// --- The manager on a scripted plant ----------------------------------------
+//
+// A ControlPlant with no physics behind it: every answer is a fixed rule, so
+// these tests set the manager's inputs directly, step it by hand and run no
+// solver at all.
+
+struct ScriptedPlant final : ControlPlant {
+  Watts crossover{1e-3};
+  SprintPlan plan{};
+  Volts lut_vmpp{0.95};
+  Watts lut_budget{0.5e-3};
+  /// holistic_mep calls per light level.
+  mutable std::map<double, int> mep_calls;
+
+  bool supports(Volts vin, Volts vout) const override {
+    return vout.value() <= 0.9 * vin.value();
+  }
+  double efficiency(Volts, Volts, Watts) const override { return 1.0; }
+  Volts min_voltage() const override { return Volts(0.3); }
+  Volts max_voltage() const override { return Volts(1.0); }
+  Hertz max_frequency(Volts vdd) const override { return Hertz(100e6 * vdd.value()); }
+  Watts max_power(Volts vdd) const override { return Watts(1e-3 * vdd.value()); }
+  Volts mpp_voltage_for(Watts) override { return lut_vmpp; }
+  Watts mpp_power_for(Watts) override { return lut_budget; }
+  MaxPowerPoint full_sun_mpp() const override {
+    return {Volts(1.0), Amps(10e-3), Watts(10e-3)};
+  }
+  Watts crossover_power() const override { return crossover; }
+  MepPoint holistic_mep(double g) const override {
+    ++mep_calls[g];
+    return {Volts(0.4 + 0.1 * g), Joules(1e-12), Hertz(40e6), true};
+  }
+  SprintPlan sprint_plan(double, Seconds, double) const override { return plan; }
+};
+
+/// Drives a controller by hand: each tick sets the observed state.
+struct Driver {
+  SocController& ctl;
+  SocState state{};
+  SocCommand cmd{};
+  solver_stats::Snapshot before = solver_stats::snapshot();
+
+  void start(Volts v_solar) {
+    state.v_solar = v_solar;
+    ctl.on_start(state, cmd);
+  }
+  void tick(Seconds t, Volts v_solar, Volts v_dd, Watts p_processor,
+            double cycles = 0.0) {
+    state.time = t;
+    state.v_solar = v_solar;
+    state.v_dd = v_dd;
+    state.p_processor = p_processor;
+    state.cycles_retired = cycles;
+    ctl.on_tick(state, cmd);
+  }
+  [[nodiscard]] std::uint64_t solves() const {
+    return solver_stats::delta_since(before).total();
+  }
+};
+
+TEST(EnergyManagerScripted, BypassHysteresisAcrossEnterAndExitRatios) {
+  // Crossover 1 mW, enter below 0.9 mW, leave above 1.2 mW; the steady node
+  // lets every 2 ms reassessment take the load as the light estimate.
+  ScriptedPlant plant;
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(0.95e-3));
+  EXPECT_FALSE(mgr.in_bypass());
+  d.tick(2.0_ms, 1.2_V, 0.5_V, Watts(0.85e-3));
+  EXPECT_TRUE(mgr.in_bypass());
+  EXPECT_EQ(d.cmd.path, PowerPath::kBypass);
+  EXPECT_EQ(d.cmd.frequency.value(), 50e6);  // rides the rail at f_max(v_dd)
+  d.tick(4.0_ms, 1.2_V, 0.5_V, Watts(1.1e-3));
+  EXPECT_TRUE(mgr.in_bypass());
+  d.tick(6.0_ms, 1.2_V, 0.5_V, Watts(1.25e-3));
+  EXPECT_FALSE(mgr.in_bypass());
+  EXPECT_EQ(d.cmd.path, PowerPath::kRegulated);
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(EnergyManagerScripted, JobSprintsBypassesOnSagRecoversAndTracks) {
+  ScriptedPlant plant;
+  plant.plan.feasible = true;
+  plant.plan.cycles = 1e6;
+  plant.plan.deadline = 10.0_ms;
+  plant.plan.phase_time = 5.0_ms;
+  plant.plan.slow = {0.5_V, 50.0_MHz};
+  plant.plan.fast = {0.6_V, 150.0_MHz};
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  mgr.submit_at({1e6, 10.0_ms}, 0.0_ms);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(0.0));
+  ASSERT_EQ(mgr.current_state(), EnergyManager::State::kSprinting);
+  EXPECT_EQ(d.cmd.vdd_target.value(), 0.5);
+  EXPECT_EQ(d.cmd.frequency.value(), 50e6);
+  // The rail sags 0.1 V, but the sag check arms only after 100 us.
+  d.tick(0.05_ms, 1.2_V, 0.4_V, Watts(1e-4), 2.5e3);
+  EXPECT_EQ(d.cmd.path, PowerPath::kRegulated);
+  d.tick(0.2_ms, 1.2_V, 0.4_V, Watts(1e-4), 1e4);
+  EXPECT_EQ(d.cmd.path, PowerPath::kBypass);
+  ASSERT_TRUE(mgr.sprint().has_value());
+  EXPECT_TRUE(mgr.sprint()->bypassed);
+  d.tick(0.3_ms, 1.1_V, 0.6_V, Watts(1e-4), 2e5);
+  EXPECT_EQ(d.cmd.frequency.value(), 60e6);  // bypassed: f_max of the rail
+  d.tick(1.0_ms, 1.0_V, 0.6_V, Watts(1e-4), 1e6);
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kRecovering);
+  EXPECT_EQ(mgr.jobs_completed(), 1);
+  EXPECT_FALSE(d.cmd.run);
+  d.tick(1.1_ms, 1.0_V, 0.5_V, Watts(0.0), 1e6);  // below the 1.05 V recovery
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kRecovering);
+  d.tick(1.2_ms, 1.1_V, 0.5_V, Watts(0.0), 1e6);
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kTracking);
+  EXPECT_TRUE(d.cmd.run);
+  EXPECT_EQ(mgr.jobs_missed(), 0);
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(EnergyManagerScripted, InfeasiblePlanCountsAsMissed) {
+  ScriptedPlant plant;  // plan.feasible stays false
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  mgr.submit_at({1e6, 10.0_ms}, 0.0_ms);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(0.0));
+  EXPECT_EQ(mgr.jobs_missed(), 1);
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kTracking);
+  EXPECT_FALSE(mgr.sprinting());
+  // Still tracking, yet the tracker did not run this tick.
+  EXPECT_FALSE(mgr.tracker_ticked());
+  d.tick(0.1_ms, 1.2_V, 0.5_V, Watts(0.0));
+  EXPECT_TRUE(mgr.tracker_ticked());
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(EnergyManagerScripted, MepSolvedOncePerLightBucket) {
+  ScriptedPlant plant;
+  EnergyManagerParams params;
+  params.mode = ManagerMode::kMinEnergy;
+  EnergyManager mgr(plant, params);
+  Driver d{mgr};
+  d.start(1.2_V);  // holds the 0.5-sun MEP until a light estimate exists
+  EXPECT_EQ(d.cmd.vdd_target.value(), 0.45);
+  // Estimates over a 10 mW full-sun MPP: 0.5 and 0.51 share a 0.05-sun
+  // bucket, 0.2 has its own, and the return to 0.5 hits the memo.
+  for (const auto& [t, p] : {std::pair{0.0_ms, 5e-3}, std::pair{2.0_ms, 5.1e-3},
+                             std::pair{4.0_ms, 2e-3}, std::pair{6.0_ms, 5e-3}}) {
+    d.tick(t, 1.2_V, 0.5_V, Watts(p));
+  }
+  EXPECT_EQ(plant.mep_calls, (std::map<double, int>{{0.2, 1}, {0.5, 1}}));
+  EXPECT_EQ(d.cmd.vdd_target.value(), 0.45);
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(MppTrackerScripted, ReseedPicksHighestLadderLevelWithinBudget) {
+  // The node falls through the 1.0 V -> 0.9 V window; the table's 0.5 mW
+  // budget at 1 mW per volt admits every level up to 0.5 V.
+  ScriptedPlant plant;
+  MppTrackingController tracker(plant, MppTrackerParams{});
+  Driver d{tracker};
+  d.start(1.2_V);
+  d.tick(1.0_ms, 0.98_V, 0.5_V, Watts(1e-3));
+  d.tick(3.0_ms, 0.88_V, 0.5_V, Watts(1e-3));
+  ASSERT_EQ(tracker.retarget_count(), 1);
+  EXPECT_EQ(tracker.target_voltage().value(), 0.95);
+  // The 48-level ladder spans 0.3 V to the 0.8 V ceiling.
+  const double level_18 = 0.3 + (0.8 - 0.3) * 18 / 47;
+  const double level_19 = 0.3 + (0.8 - 0.3) * 19 / 47;
+  ASSERT_LE(level_18, 0.5);
+  ASSERT_GT(level_19, 0.5);
+  EXPECT_EQ(d.cmd.vdd_target.value(), level_18);
+  EXPECT_EQ(d.cmd.frequency.value(), 100e6 * level_18);
+  EXPECT_EQ(d.solves(), 0U);
 }
 
 }  // namespace

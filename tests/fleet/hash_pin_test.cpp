@@ -107,6 +107,46 @@ TEST(HashPin, BatchFleetKernelWarmSurfaces) {
   EXPECT_EQ(r.summary_hash, 0x54da0addaa98ab59ULL);
 }
 
+// The fleet benchmark's three workloads (perfbench/run.py), at the seed and
+// sizes it pins: day1000's 1000-node batch fleet on per-node clouds and on
+// one shared indoor sky, and 256 greedy_mpp nodes on the fast engine.  Each
+// runs serial and on the pool, as the benchmark does.
+FleetScenario day1000() {
+  return FleetScenario::from_file(HEMP_SCENARIO_DIR "/day1000.scn");
+}
+
+void expect_day1000_batch_pin(const FleetScenario& s, std::uint64_t pin) {
+  const BatchFleetKernel kernel(s);
+  EXPECT_EQ(kernel.run({.parallel = false}).summary_hash, pin);
+  EXPECT_EQ(kernel.run({.parallel = true}).summary_hash, pin);
+}
+
+TEST(HashPin, Day1000Batch) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  expect_day1000_batch_pin(day1000(), 0x19463ef1002bb785ULL);
+}
+
+TEST(HashPin, Day1000BatchSharedIndoorSky) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  FleetScenario s = day1000();
+  s.trace_kind = TraceKind::kIndoor;
+  s.shared_trace = true;
+  expect_day1000_batch_pin(s, 0xc741d2f89ee4413eULL);
+}
+
+TEST(HashPin, Day1000GreedyMpp) {
+  if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
+  // An audit build routes the nodes to the dense loop; the benchmark pins
+  // the fast engine only.
+  if (audit_compiled_in()) GTEST_SKIP() << "pinned for the fast engine only";
+  FleetScenario s = day1000();
+  s.nodes = 256;
+  s.policy = "greedy_mpp";
+  const FleetSimulator sim(s);
+  EXPECT_EQ(sim.run({.parallel = false}).summary_hash, 0x0831d8ff2127f2afULL);
+  EXPECT_EQ(sim.run({.parallel = true}).summary_hash, 0x0831d8ff2127f2afULL);
+}
+
 // ---------------------------------------------------------------------------
 // Paths the summary hashes above do not reach: EnergyManager policies on the
 // fleet's fast engine, the single-node fast engine under SocSystem::run, the

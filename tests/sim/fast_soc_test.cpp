@@ -437,33 +437,61 @@ TEST(FastSocReuse, PeakOnAnIrradianceKnot) {
   expect_reuse_matches_fresh(on_knot, dim_trace());
 }
 
-TEST(FastSoc, ReusedManagedControllerMatchesFresh) {
-  // A managed controller run a second time must start from its constructed
-  // state: no light reassessment deferred to the first run's clock, no
-  // leftover sprint, queued job, light estimate or bypass latch, and job
-  // counts that start at zero.  The cloudy trace dims the node through the
-  // bypass crossover while periodic jobs sprint.
-  const SocConfig cfg = fast({});
-  const PvCell cell(cfg.pv);
-  const SwitchedCapRegulator model_regulator;
-  const Processor processor = Processor::make_test_chip();
-  const SystemModel model(cell, model_regulator, processor);
-  const PolicyWorkload workload{2e5, Seconds(5e-3), Seconds(2e-3), Seconds(1e-3)};
+/// The node the reused-controller tests run: the default cell, switched-cap
+/// regulator and test chip, with a periodic job every 5 ms.
+struct ReuseNode {
+  SocConfig cfg = fast({});
+  PvCell cell{cfg.pv};
+  SwitchedCapRegulator model_regulator;
+  Processor processor = Processor::make_test_chip();
+  SystemModel model{cell, model_regulator, processor};
+  PolicyWorkload workload{2e5, Seconds(5e-3), Seconds(2e-3), Seconds(1e-3)};
+};
+
+/// A controller run a second time must start from its constructed state: the
+/// second run of `reused` must give the bits and the job counts of `fresh`'s
+/// first.  The cloudy trace dims the node through the bypass crossover while
+/// periodic jobs run.
+void expect_reused_matches_fresh(PolicyController& reused, PolicyController& fresh) {
   const IrradianceTrace trace = bright_trace();
-  ManagedPolicyController reused(model, EnergyManagerParams{}, workload);
   SocSystem soc_reused = fast_soc();
   (void)soc_reused.run(trace, reused, 30.0_ms);
   const SimResult second = soc_reused.run(trace, reused, 30.0_ms);
-  ManagedPolicyController fresh(model, EnergyManagerParams{}, workload);
   SocSystem soc_fresh = fast_soc();
   const SimResult expect = soc_fresh.run(trace, fresh, 30.0_ms);
   expect_bitwise_equal(second, expect);
   const PolicyJobStats got = reused.job_stats();
   const PolicyJobStats want = fresh.job_stats();
-  EXPECT_GT(want.completed, 0);  // the run sprints
+  EXPECT_GT(want.completed, 0);  // the run completes jobs
   EXPECT_EQ(got.submitted, want.submitted);
   EXPECT_EQ(got.completed, want.completed);
   EXPECT_EQ(got.missed, want.missed);
+}
+
+TEST(FastSoc, ReusedManagedControllerMatchesFresh) {
+  // No light reassessment deferred to the first run's clock, no leftover
+  // sprint, queued job, light estimate or bypass latch, and job counts that
+  // start at zero.
+  const ReuseNode n;
+  ManagedPolicyController reused(n.model, EnergyManagerParams{}, n.workload);
+  ManagedPolicyController fresh(n.model, EnergyManagerParams{}, n.workload);
+  expect_reused_matches_fresh(reused, fresh);
+}
+
+TEST(FastSoc, ReusedGreedyControllerMatchesFresh) {
+  // The job accounting restarts: no submission deferred to the first run's
+  // clock, and job counts that start at zero.
+  const ReuseNode n;
+  GreedyMppController reused(n.model, MppTrackerParams{}, n.workload);
+  GreedyMppController fresh(n.model, MppTrackerParams{}, n.workload);
+  expect_reused_matches_fresh(reused, fresh);
+}
+
+TEST(FastSoc, ReusedDutyCycleControllerMatchesFresh) {
+  const ReuseNode n;
+  DutyCycleController reused(n.model, 0.5, Seconds(5e-3), n.workload);
+  DutyCycleController fresh(n.model, 0.5, Seconds(5e-3), n.workload);
+  expect_reused_matches_fresh(reused, fresh);
 }
 
 TEST(FastSoc, AuditForcesReferenceLoop) {
