@@ -13,6 +13,10 @@
 //     batch kernel only — the reference path needs ~10 s/run there, which is
 //     exactly why the kernel exists.  Its single-core run-only throughput is
 //     the headline `batch_nodes_per_sec` metric tracked by bench/baseline.json.
+//     The same population under one shared indoor sky (`trace = indoor`,
+//     `shared_trace = true`) gives `batch_indoor_nodes_per_sec`: dim light
+//     keeps its nodes in the low-light bypass, so their cost is per-node
+//     controller set-up and bypass stepping rather than sky construction.
 //
 // Construction (trace flattening, surface builds) is timed separately from
 // run(): the kernel is built once and reused, so the per-run figure is pure
@@ -212,6 +216,7 @@ int main(int argc, char** argv) {
   // Quick mode trims the population — per-node throughput is what the
   // baseline gate bands, and it is roughly population-independent.
   double day1000_nodes_per_sec = 0.0;
+  double indoor_nodes_per_sec = 0.0;
   double day1000_build_serial_s = 0.0;
   double day1000_build_parallel_s = 0.0;
   double day1000_build_warm_s = 0.0;
@@ -277,6 +282,21 @@ int main(int argc, char** argv) {
     day1000_nodes_per_sec = day.nodes / day_run.seconds_per_batch();
     day1000_steps = hemp::solver_stats::step_delta_since(steps_before);
 
+    // The same population under one shared indoor sky, serial run only.
+    FleetScenario indoor = day;
+    indoor.set("trace", "indoor");
+    indoor.set("shared_trace", "true");
+    indoor.validate();
+    const BatchFleetKernel indoor_kernel(indoor);
+    const auto indoor_run = suite.run(
+        "batch_indoor_serial",
+        [&] {
+          const FleetReport r = indoor_kernel.run({.parallel = false});
+          microbench::keep(r.total_cycles);
+        },
+        /*min_seconds=*/0.0, /*max_iters=*/1, repeats);
+    indoor_nodes_per_sec = indoor.nodes / indoor_run.seconds_per_batch();
+
     // The report a fleetsim day1000 job ends with.
     const FleetReport day_report = day_kernel.run();
     const std::string stem = output_path("fleet_bench_day1000");
@@ -331,6 +351,9 @@ int main(int argc, char** argv) {
              serial.seconds_per_batch() / batch_serial.seconds_per_batch());
   suite.note("batch_day1000_nodes", day1000_nodes);
   suite.note("batch_nodes_per_sec", day1000_nodes_per_sec);
+  if (indoor_nodes_per_sec > 0.0) {
+    suite.note("batch_indoor_nodes_per_sec", indoor_nodes_per_sec);
+  }
   if (day1000_build_parallel_s > 0.0) {
     suite.note("batch_day1000_build_serial_s", day1000_build_serial_s);
     suite.note("batch_day1000_build_parallel_s", day1000_build_parallel_s);

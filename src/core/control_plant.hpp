@@ -12,6 +12,13 @@
 //   * the manager's tables: the Fig. 7a low-light crossover power, the
 //     holistic MEP at a light level and a job's sprint plan.
 //
+// The contract: every answer is a pure function of the plant and the call's
+// arguments.  The same question asked twice, in any order and at any time,
+// gets the same bits.  Callers rely on it both ways: EnergyManager memoizes
+// the MEP per light bucket and the last sprint plan, and a plant may build a
+// table on its first read instead of at construction (ModelPlant's Eq. 7
+// knots, the flat plant's whole Eq. 7 table) without moving a result.
+//
 // Two plants exist.  ModelPlant (core/model_plant.hpp) solves each answer
 // exactly over a SystemModel; the dense loop and the single-node fast path
 // run on it.  The fleet batch kernel's flat plant reads the fleet's shared
@@ -41,7 +48,8 @@ class ControlPlant {
   [[nodiscard]] virtual Watts max_power(Volts vdd) const = 0;
 
   // --- Harvester, as the MPP tracker sees it.  The two lookups are Eq. 7's
-  // table (non-const: a plant may solve its knots on first touch).
+  // table (non-const: a plant may build or solve it on first read).  The
+  // tracker reads them only when a threshold-timer window completes.
   [[nodiscard]] virtual Volts mpp_voltage_for(Watts p_in) = 0;
   [[nodiscard]] virtual Watts mpp_power_for(Watts p_in) = 0;
   [[nodiscard]] virtual MaxPowerPoint full_sun_mpp() const = 0;

@@ -1,6 +1,7 @@
 #include "core/energy_manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/annotations.hpp"
@@ -112,17 +113,28 @@ void EnergyManager::apply_mep_point(SocCommand& cmd, double g_estimate) {
   // Quantize to 0.05-sun buckets: the MEP barely moves with light, and the
   // holistic solve is far too expensive to run per tick.
   const int bucket = static_cast<int>(g_estimate * 20.0 + 0.5);
-  auto it = mep_cache_.find(bucket);
-  if (it == mep_cache_.end()) {
+  std::optional<MepPoint>& slot = mep_cache_[static_cast<std::size_t>(bucket)];
+  if (!slot) {
     // hemp-analyzer: allow(hot-path-purity) — memoized holistic MEP solve, once per light bucket
-    it = mep_cache_.emplace(bucket, plant_->holistic_mep(std::max(bucket, 1) / 20.0))
-             .first;
+    slot = plant_->holistic_mep(std::max(bucket, 1) / 20.0);
   }
-  const MepPoint& mep = it->second;
+  const MepPoint& mep = *slot;
   if (mep.feasible) {
     cmd.vdd_target = mep.vdd;
     cmd.frequency = mep.frequency;
   }
+}
+
+const SprintPlan& EnergyManager::plan_for(double cycles, Seconds budget) {
+  const std::uint64_t cycles_bits = std::bit_cast<std::uint64_t>(cycles);
+  const std::uint64_t budget_bits = std::bit_cast<std::uint64_t>(budget.value());
+  if (!plan_memo_ || plan_memo_->cycles_bits != cycles_bits ||
+      plan_memo_->budget_bits != budget_bits) {
+    plan_memo_ = PlanMemo{cycles_bits, budget_bits,
+                          // hemp-analyzer: allow(hot-path-purity) — memoized sprint plan, once per distinct (cycles, budget)
+                          plant_->sprint_plan(cycles, budget, params_.sprint_factor)};
+  }
+  return plan_memo_->plan;
 }
 
 HEMP_HOT void EnergyManager::on_tick(const SocState& state, SocCommand& cmd) {
@@ -174,8 +186,7 @@ void EnergyManager::start_next_job(const SocState& state, SocCommand& cmd) {
       return;
     }
   }
-  // hemp-analyzer: allow(hot-path-purity) — per-job sprint planning, once per submitted job
-  const SprintPlan plan = plant_->sprint_plan(job.cycles, budget, params_.sprint_factor);
+  const SprintPlan& plan = plan_for(job.cycles, budget);
   if (!plan.feasible) {
     ++run_.jobs_missed;
     return;

@@ -14,8 +14,9 @@
 // so all three engines run this one manager.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -140,6 +141,7 @@ class EnergyManager : public SocController {
   void tick_recovering(const SocState& state, SocCommand& cmd);
   void refresh_light_estimate(const SocState& state, const SocCommand& cmd);
   void apply_mep_point(SocCommand& cmd, double g_estimate);
+  [[nodiscard]] const SprintPlan& plan_for(double cycles, Seconds budget);
 
   /// One queued job: the request plus the absolute deadline stamped at
   /// submission (read only by the kEdf discipline).
@@ -185,9 +187,22 @@ class EnergyManager : public SocController {
   /// The full-sun MPP power, read once at construction — kMinEnergy mode
   /// normalizes the light estimate against it every tick.
   Watts full_sun_mpp_power_{0.0};
-  /// Holistic MEP solutions memoized per quantized irradiance bucket — the
-  /// MEP solve is a grid optimization and must not run every tick.
-  std::map<int, MepPoint> mep_cache_;
+  // Memos of pure plant answers (control_plant.hpp), kept across runs: a
+  // rerun asks the same questions and must get the same bits.
+  /// Holistic MEP solutions per 0.05-sun bucket — the MEP solve is a grid
+  /// optimization and must not run every tick.  Buckets 1..20 cover the
+  /// estimate's [0.05, 1] clamp; bucket 10 is the 0.5-sun seed.
+  std::array<std::optional<MepPoint>, 21> mep_cache_{};
+  /// The last sprint plan, keyed on the exact bits of its cycles and time
+  /// budget (the sprint factor is fixed): every FIFO job of a node asks the
+  /// same question, so the node plans once; EDF budgets are the remaining
+  /// slack and still miss.
+  struct PlanMemo {
+    std::uint64_t cycles_bits = 0;
+    std::uint64_t budget_bits = 0;
+    SprintPlan plan{};
+  };
+  std::optional<PlanMemo> plan_memo_;
 
   RunState run_;
   bool started_ = false;

@@ -393,9 +393,11 @@ namespace {
 // ---------------------------------------------------------------------------
 // The flat plant: what a node's EnergyManager and MppTrackingController read
 // of its physics (the ControlPlant seam, DESIGN.md Sec. 6f), answered from
-// the fleet's shared surfaces and the node's flattened regulator and
+// the fleet's shared surfaces and the node's flattened cell, regulator and
 // processor.  Nothing here runs an exact solve: the sprint plan reads only
-// the processor model.
+// the processor model.  Construction copies nothing and solves nothing;
+// Eq. 7's table is built on its first read, which most nodes never reach
+// (the tracker reads it only when a threshold-timer window completes).
 // ---------------------------------------------------------------------------
 
 class FlatPlant final : public ControlPlant {
@@ -403,10 +405,10 @@ class FlatPlant final : public ControlPlant {
   FlatPlant(const BatchFleetKernel::Shared& sh, std::size_t i)
       : surfaces_(*sh.surfaces),
         s_(sh.samples[i]),
+        pv_(sh.pv[i]),
         pc_(sh.proc[i]),
-        proc_(*sh.processors[i]) {
-    build_lut(sh.pv[i], sh.mgr.tracker.measure_voltage().value());
-  }
+        proc_(*sh.processors[i]),
+        v_meas_(sh.mgr.tracker.measure_voltage()) {}
 
   bool supports(Volts vin, Volts vout) const override {
     return flat::sc_supports(kScFlat, vin.value(), vout.value());
@@ -423,9 +425,11 @@ class FlatPlant final : public ControlPlant {
     return Watts(flat::proc_max_power(pc_, vdd.value()));
   }
   Volts mpp_voltage_for(Watts p_in) override {
+    ensure_lut();
     return Volts(lut_vmpp_(p_in.value()));
   }
   Watts mpp_power_for(Watts p_in) override {
+    ensure_lut();
     return Watts(lut_pmpp_(p_in.value()));
   }
   MaxPowerPoint full_sun_mpp() const override {
@@ -476,16 +480,26 @@ class FlatPlant final : public ControlPlant {
   }
 
  private:
+  /// Builds Eq. 7's table unless it exists (a built table has >= 2 knots).
+  /// The table is a pure function of the cell, the measurement voltage and
+  /// the surfaces, so building it late returns the bits of an eager build.
+  void ensure_lut() {
+    if (lut_vmpp_.size() > 0) return;
+    // hemp-analyzer: allow(hot-path-purity) — first-read table build, once per node: 48 flat Newton solves
+    build_lut();
+  }
+
   /// Eq. 7's table: MppLut's knots, sampled at the measurement voltage with
   /// the flat Newton solve, mapped to (Vmpp, Pmpp) by the shared surfaces.
-  void build_lut(const PvFlat& pv, double v_meas) {
+  void build_lut() {
+    const double v_meas = v_meas_.value();
     std::vector<double> p, vmpp, pmpp;
     double last_p = -1.0;
     double warm = 0.0;
     for (int i = 0; i < kMppLutSamples; ++i) {
       const double g =
           kMppLutGMin + (kMppLutGMax - kMppLutGMin) * i / (kMppLutSamples - 1);
-      const double p_meas = v_meas * pv_current(pv, v_meas, g, warm);
+      const double p_meas = v_meas * pv_current(pv_, v_meas, g, warm);
       if (p_meas <= last_p) continue;
       p.push_back(p_meas);
       vmpp.push_back(surfaces_.mpp.vmpp_at(s_.pv_scale, g));
@@ -498,9 +512,11 @@ class FlatPlant final : public ControlPlant {
 
   const FleetSurfaces& surfaces_;
   const NodeSample& s_;
+  const PvFlat& pv_;
   const flat::FlatProc& pc_;
   const Processor& proc_;
-  PiecewiseLinear lut_vmpp_, lut_pmpp_;
+  Volts v_meas_;  ///< the tracker's measurement voltage
+  PiecewiseLinear lut_vmpp_, lut_pmpp_;  ///< empty until the first read
 };
 
 /// The lane's manager parameters in the node's sampled mode.

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/solver_stats.hpp"
@@ -210,6 +212,10 @@ struct ScriptedPlant final : ControlPlant {
   Watts lut_budget{0.5e-3};
   /// holistic_mep calls per light level.
   mutable std::map<double, int> mep_calls;
+  mutable int plan_calls = 0;
+  /// Reads of Eq. 7's table.
+  int vmpp_reads = 0;
+  int pmpp_reads = 0;
 
   bool supports(Volts vin, Volts vout) const override {
     return vout.value() <= 0.9 * vin.value();
@@ -219,8 +225,14 @@ struct ScriptedPlant final : ControlPlant {
   Volts max_voltage() const override { return Volts(1.0); }
   Hertz max_frequency(Volts vdd) const override { return Hertz(100e6 * vdd.value()); }
   Watts max_power(Volts vdd) const override { return Watts(1e-3 * vdd.value()); }
-  Volts mpp_voltage_for(Watts) override { return lut_vmpp; }
-  Watts mpp_power_for(Watts) override { return lut_budget; }
+  Volts mpp_voltage_for(Watts) override {
+    ++vmpp_reads;
+    return lut_vmpp;
+  }
+  Watts mpp_power_for(Watts) override {
+    ++pmpp_reads;
+    return lut_budget;
+  }
   MaxPowerPoint full_sun_mpp() const override {
     return {Volts(1.0), Amps(10e-3), Watts(10e-3)};
   }
@@ -229,7 +241,14 @@ struct ScriptedPlant final : ControlPlant {
     ++mep_calls[g];
     return {Volts(0.4 + 0.1 * g), Joules(1e-12), Hertz(40e6), true};
   }
-  SprintPlan sprint_plan(double, Seconds, double) const override { return plan; }
+  /// `plan`, stamped with the job it was asked for.
+  SprintPlan sprint_plan(double cycles, Seconds deadline, double) const override {
+    ++plan_calls;
+    SprintPlan out = plan;
+    out.cycles = cycles;
+    out.deadline = deadline;
+    return out;
+  }
 };
 
 /// Drives a controller by hand: each tick sets the observed state.
@@ -350,6 +369,156 @@ TEST(EnergyManagerScripted, MepSolvedOncePerLightBucket) {
   EXPECT_EQ(plant.mep_calls, (std::map<double, int>{{0.2, 1}, {0.5, 1}}));
   EXPECT_EQ(d.cmd.vdd_target.value(), 0.45);
   EXPECT_EQ(d.solves(), 0U);
+}
+
+/// A feasible plant plan for 1e6-cycle jobs.
+ScriptedPlant sprinting_plant() {
+  ScriptedPlant plant;
+  plant.plan.feasible = true;
+  plant.plan.cycles = 1e6;
+  plant.plan.phase_time = 5.0_ms;
+  plant.plan.slow = {0.5_V, 50.0_MHz};
+  plant.plan.fast = {0.6_V, 150.0_MHz};
+  return plant;
+}
+
+/// Starts the queued job at `t`, finishes it on the next tick and recovers:
+/// four ticks 1/1024 s apart, so every time and budget is exact in binary.
+/// Returns the started job's plan.
+SprintPlan run_one_job(EnergyManager& mgr, Driver& d, double& t, double& cycles) {
+  constexpr double kTick = 1.0 / 1024.0;
+  d.tick(Seconds(t), 1.2_V, 0.5_V, Watts(0.0), cycles);
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kSprinting);
+  const SprintPlan plan = mgr.sprint() ? mgr.sprint()->plan : SprintPlan{};
+  cycles += plan.cycles;
+  d.tick(Seconds(t += kTick), 1.2_V, 0.5_V, Watts(0.0), cycles);
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kRecovering);
+  d.tick(Seconds(t += kTick), 1.2_V, 0.5_V, Watts(0.0), cycles);
+  EXPECT_EQ(mgr.current_state(), EnergyManager::State::kTracking);
+  t += kTick;
+  return plan;
+}
+
+TEST(EnergyManagerScripted, PlansEachDistinctSprintOnce) {
+  constexpr double kTick = 1.0 / 1024.0;
+  const Seconds deadline(8 * kTick);
+  // FIFO: five jobs of one (cycles, deadline) ask one question.
+  ScriptedPlant plant = sprinting_plant();
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  for (int i = 0; i < 5; ++i) mgr.submit_at({1e6, deadline}, 0.0_ms);
+  double t = 0.0, cycles = 0.0;
+  for (int i = 0; i < 5; ++i) {
+    const SprintPlan plan = run_one_job(mgr, d, t, cycles);
+    EXPECT_TRUE(plan.feasible);
+    EXPECT_EQ(plan.cycles, 1e6);
+    EXPECT_EQ(plan.deadline.value(), deadline.value());
+    EXPECT_EQ(plan.slow.vdd.value(), 0.5);
+    EXPECT_EQ(plan.fast.frequency.value(), 150e6);
+  }
+  EXPECT_EQ(mgr.jobs_completed(), 5);
+  EXPECT_EQ(plant.plan_calls, 1);
+
+  // Run again: the memo survives on_start, so the rerun asks nothing new,
+  // and it reads exactly as a fresh manager's first run does.
+  ScriptedPlant fresh_plant = sprinting_plant();
+  EnergyManager fresh(fresh_plant, {});
+  Driver fd{fresh};
+  d.start(1.2_V);
+  fd.start(1.2_V);
+  EXPECT_EQ(mgr.jobs_completed(), 0);
+  mgr.submit_at({1e6, deadline}, 0.0_ms);
+  fresh.submit_at({1e6, deadline}, 0.0_ms);
+  double t_rerun = 0.0, c_rerun = 0.0, t_fresh = 0.0, c_fresh = 0.0;
+  const SprintPlan rerun = run_one_job(mgr, d, t_rerun, c_rerun);
+  const SprintPlan first = run_one_job(fresh, fd, t_fresh, c_fresh);
+  EXPECT_EQ(plant.plan_calls, 1);
+  EXPECT_EQ(fresh_plant.plan_calls, 1);
+  EXPECT_EQ(rerun.deadline.value(), first.deadline.value());
+  EXPECT_EQ(rerun.slow.vdd.value(), first.slow.vdd.value());
+  EXPECT_EQ(mgr.jobs_completed(), fresh.jobs_completed());
+  EXPECT_EQ(mgr.jobs_missed(), fresh.jobs_missed());
+  EXPECT_EQ(d.cmd.vdd_target.value(), fd.cmd.vdd_target.value());
+  EXPECT_EQ(d.cmd.frequency.value(), fd.cmd.frequency.value());
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(EnergyManagerScripted, EdfPlansEachDistinctBudgetOnce) {
+  // EDF plans against the remaining slack: each job asks with the time it
+  // has left, and only a repeat of the last budget hits the memo.
+  constexpr double kTick = 1.0 / 1024.0;
+  const Seconds deadline(8 * kTick);
+  ScriptedPlant plant = sprinting_plant();
+  EnergyManagerParams params;
+  params.queue_discipline = QueueDiscipline::kEdf;
+  EnergyManager mgr(plant, params);
+  Driver d{mgr};
+  d.start(1.2_V);
+  double t = 0.0, cycles = 0.0;
+  // Job A starts when submitted; B and C each wait two ticks; D waits one.
+  const auto job = [&](double waited) {
+    mgr.submit_at({1e6, deadline}, Seconds(t - waited));
+    return run_one_job(mgr, d, t, cycles).deadline.value();
+  };
+  EXPECT_EQ(job(0.0), 8 * kTick);
+  EXPECT_EQ(plant.plan_calls, 1);
+  EXPECT_EQ(job(2 * kTick), 6 * kTick);
+  EXPECT_EQ(plant.plan_calls, 2);
+  EXPECT_EQ(job(2 * kTick), 6 * kTick);
+  EXPECT_EQ(plant.plan_calls, 2);
+  EXPECT_EQ(job(kTick), 7 * kTick);
+  EXPECT_EQ(plant.plan_calls, 3);
+  EXPECT_EQ(mgr.jobs_completed(), 4);
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+/// One scripted day of solar-node voltages, 1 ms apart, at a steady load.
+/// The completing day falls through the tracker's 1.0 V -> 0.9 V threshold
+/// window once; the restless day dips under 1.0 V and recovers over and
+/// over, so the timer arms and is abandoned without completing a window.
+std::vector<double> window_day() {
+  std::vector<double> v(40, 1.2);
+  v[10] = v[11] = 0.98;  // arms
+  for (std::size_t i = 12; i < v.size(); ++i) v[i] = 0.88;  // completes
+  return v;
+}
+std::vector<double> restless_day() {
+  std::vector<double> v(40, 1.2);
+  for (std::size_t i = 5; i < v.size(); i += 4) v[i] = 0.98;
+  return v;
+}
+
+/// Eq. 7 table reads (vmpp, pmpp) over `day` for a manager in `mode`.
+std::pair<int, int> table_reads(const std::vector<double>& day, ManagerMode mode,
+                                Watts load, bool expect_bypass) {
+  ScriptedPlant plant;
+  EnergyManagerParams params;
+  params.mode = mode;
+  EnergyManager mgr(plant, params);
+  Driver d{mgr};
+  d.start(1.2_V);
+  for (std::size_t i = 0; i < day.size(); ++i) {
+    d.tick(Seconds(1e-3 * static_cast<double>(i)), Volts(day[i]), 0.5_V, load);
+    EXPECT_EQ(mgr.in_bypass(), expect_bypass) << "tick " << i;
+  }
+  EXPECT_EQ(d.solves(), 0U);
+  return {plant.vmpp_reads, plant.pmpp_reads};
+}
+
+TEST(EnergyManagerScripted, ReadsEq7TableOnlyWhenAWindowCompletes) {
+  // A 2 mW load keeps the light estimate above the 1 mW crossover, a 0.5 mW
+  // load holds the node in the low-light bypass.
+  const Watts bright(2e-3), dim(0.5e-3);
+  using Reads = std::pair<int, int>;
+  EXPECT_EQ(table_reads(window_day(), ManagerMode::kMinEnergy, bright, false),
+            Reads(0, 0));
+  EXPECT_EQ(table_reads(window_day(), ManagerMode::kMaxPerformance, dim, true),
+            Reads(0, 0));
+  EXPECT_EQ(table_reads(restless_day(), ManagerMode::kMaxPerformance, bright, false),
+            Reads(0, 0));
+  EXPECT_EQ(table_reads(window_day(), ManagerMode::kMaxPerformance, bright, false),
+            Reads(1, 1));
 }
 
 TEST(MppTrackerScripted, ReseedPicksHighestLadderLevelWithinBudget) {
