@@ -1,12 +1,13 @@
 // Perf trajectory bench: times the hot kernels and writes BENCH_perf.json.
 //
-// Five kernel families and one work count are tracked PR-over-PR:
+// Five kernel families and two work counts are tracked PR-over-PR:
 //   * the MPP solve (exact solve vs quantized cache hit);
 //   * the fig07a-style light sweep of delivered power;
 //   * the regulated performance point (grid scan + Brent) and the holistic
 //     MEP solve;
 //   * one second of SocSystem::run simulated time;
-//   * the exact MPP solves one cold greedy_mpp node pays.
+//   * the exact MPP solves one cold greedy_mpp node pays;
+//   * the event steps one cold edf_sprint node takes per node-day.
 // Plus the parallel-vs-serial scaling of a regulated-point sweep over one
 // shared model on the shared thread pool.
 //
@@ -172,6 +173,37 @@ void bench_greedy_cold_solves(microbench::Suite& suite) {
              static_cast<double>(solver_stats::delta_since(before).mpp_solves));
 }
 
+// Event steps one cold edf_sprint node takes per node-day on the fast
+// engine: day1000's node (5 us reference tick, 250 us waveform cadence) and
+// workload on the fixed cloudy day above.  A deterministic work count: the
+// managed controller's step hint bounds each step, so a hint that asks for
+// more reference ticks grows it.
+void bench_edf_cold_steps(microbench::Suite& suite) {
+  SocConfig cfg;
+  cfg.fast_path = true;
+  cfg.audit = false;  // an audit build would route the run to the dense loop
+  cfg.time_step = Seconds(5e-6);
+  cfg.waveform_interval = Seconds(250e-6);
+  const PvCell cell(cfg.pv);
+  const SwitchedCapRegulator model_regulator;
+  const Processor processor = Processor::make_test_chip();
+  const SystemModel model(cell, model_regulator, processor);
+  Rng rng(2018);
+  const IrradianceTrace trace = cloud_field(rng, CloudFieldParams{});
+  PolicyContext ctx;
+  ctx.model = &model;
+  ctx.workload = {2e6, Seconds(40e-3), Seconds(8e-3), Seconds(0.0)};
+  ctx.day_length = Seconds(0.25);
+  ctx.solar_capacitance = cfg.solar_capacitance;
+  const auto controller =
+      PolicyRegistry::global().at("edf_sprint").make_controller(ctx);
+  SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
+  const auto before = solver_stats::step_snapshot();
+  microbench::keep(soc.run(trace, *controller, ctx.day_length));
+  suite.note("edf_cold_steps_per_node_day",
+             static_cast<double>(solver_stats::step_delta_since(before).total()));
+}
+
 void bench_parallel_sweep(microbench::Suite& suite, bench::ScRig& rig,
                           double min_seconds) {
   // Every worker shares one model, as a figure sweep does; each regulated
@@ -220,6 +252,7 @@ int main(int argc, char** argv) {
   bench_optimizers(suite, rig, min_seconds);
   bench_soc_run(suite, sim_seconds, quick);
   bench_greedy_cold_solves(suite);
+  bench_edf_cold_steps(suite);
   bench_parallel_sweep(suite, rig, min_seconds);
 
   suite.print();

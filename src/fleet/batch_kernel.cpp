@@ -648,8 +648,8 @@ struct NodeRunner : flat::StepCore {
     WatchAccum ws, wd;
     if (mgr.tracker_ticked()) {
       const ThresholdTimer& timer = mgr.tracker().timer();
-      watch_comparator(ws, timer.v_high(), timer.high_output());
-      watch_comparator(ws, timer.v_low(), timer.low_output());
+      ws.level(v_s, timer.high_next_toggle().value());
+      ws.level(v_s, timer.low_next_toggle().value());
     }
     if (bank) watch_bank(ws, *bank);
     if (st == State::kRecovering) {

@@ -154,6 +154,7 @@ struct FastEngine : flat::StepCore {
 
       // --- Step length from the controller's own bounds (a dense tick, or
       // the hint exits, counts as a deadline). ------------------------------
+      state.frequency = Hertz(f_eff);  // the clock the hint's sprint end reads
       SocStepHint hint;
       controller->step_hint(state, hint);
       step_cause = solver_stats::StepCause::kDeadline;

@@ -45,6 +45,7 @@
 #include "harvester/pv_cell.hpp"
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
+#include "storage/comparator.hpp"
 
 namespace hemp::flat {
 
@@ -70,10 +71,11 @@ inline constexpr double kRailSettleFactor = 2.0;  ///< ... caps dt at this * tau
 inline constexpr double kBypassDvCap = 16e-3;  ///< max rail swing/step in bypass
 inline constexpr double kVminHysteresis = 5e-3;  ///< re-enable band above Vmin
 inline constexpr double kWatchVFloor = 0.05;  ///< discharge-current bound floor
-/// Half of the ComparatorBank's default 5 mV hysteresis band: crossings must
-/// be detected before the node leaves the band, so this is both the watch
-/// overshoot allowance and the threshold offset for direction resolution.
-inline constexpr double kCompHalfHyst = 0.0025;
+/// Half of the comparators' 5 mV hysteresis band: crossings must be detected
+/// before the node leaves the band, so this is the watch overshoot allowance.
+inline constexpr double kCompHalfHyst = 0.5 * kComparatorHysteresis.value();
+// Exactly 0.0025: the batch kernel's pinned hashes were recorded with it.
+static_assert(kCompHalfHyst == 0.0025);
 inline constexpr double kWatchDeadband = 1e-3;  ///< keeps dt finite at
                                                 ///< equilibria; must stay under
                                                 ///< the comparator half-

@@ -12,8 +12,7 @@
 //                   and trace knots, then the engine's timed events, then the
 //                   rail settle episode, the bypass swing cap, the analytic
 //                   watch bounds and whole-tick quantization;
-//   * watch_comparator(), watch_bank() — a latched comparator's next toggle
-//                   level (a ThresholdTimer's or a ComparatorBank's);
+//   * watch_bank()  — the next toggle level of each comparator of a bank;
 //   * integrate() — the regulated rail episode with per-regime loss pricing,
 //                   the merged bypass step, or the detached node update;
 //   * account()   — the step's cause count, cycles, delivered energy and
@@ -175,18 +174,11 @@ struct StepCore {
     }
   }
 
-  /// Watch the level where a latched solar-node comparator toggles next:
-  /// its threshold less the half-hysteresis while its output is high, plus
-  /// the half-hysteresis while low.
-  HEMP_HOT void watch_comparator(WatchAccum& ws, Volts threshold, bool output) const {
-    ws.level(v_s, output ? threshold.value() - kCompHalfHyst
-                         : threshold.value() + kCompHalfHyst);
-  }
-
-  /// watch_comparator over every comparator of `bank`.
+  /// Watch the level where each solar-node comparator of `bank` toggles
+  /// next (Comparator::next_toggle).
   HEMP_HOT void watch_bank(WatchAccum& ws, const ComparatorBank& bank) const {
     for (std::size_t i = 0; i < bank.size(); ++i) {
-      watch_comparator(ws, bank.thresholds()[i], bank.output(i));
+      ws.level(v_s, bank.next_toggle(i).value());
     }
   }
 

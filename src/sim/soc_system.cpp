@@ -26,7 +26,7 @@ void SocConfig::validate() const {
 
 SocSystem::SocSystem(SocConfig config, RegulatorPtr regulator, Processor processor)
     : config_(std::move(config)), regulator_(std::move(regulator)),
-      processor_(std::move(processor)), cell_(config_.pv), bypass_(config_.bypass) {
+      processor_(std::move(processor)), cell_(config_.pv) {
   config_.validate();
   HEMP_REQUIRE(regulator_ != nullptr, "SocSystem: null regulator");
 }

@@ -58,8 +58,9 @@ struct SocConfig {
   bool audit = audit_compiled_in();
   /// Opt into the surface-only event-driven engine (zero exact solves in the
   /// stepped loop).  Falls back to the dense reference loop when the audit is
-  /// on, when the regulator is not the on-chip switched-cap converter, or when
-  /// the controller declines to bound its next state change (see SocStepHint).
+  /// on or when the regulator is not the on-chip switched-cap converter.  A
+  /// controller that declines to bound its next state change keeps the run on
+  /// the event engine, one reference tick per step (see SocStepHint).
   bool fast_path = false;
   /// Knot-coarsening budget for the fast path's flattened trace: the
   /// absorbed-irradiance error allowed per simulated second (sun fraction;
@@ -215,7 +216,6 @@ class SocSystem {
   RegulatorPtr regulator_;
   Processor processor_;
   PvCell cell_;
-  BypassSwitch bypass_;
   std::shared_ptr<FastSocContext> fast_ctx_;
 };
 

@@ -38,15 +38,15 @@ std::optional<ComparatorEvent> Comparator::update(Volts v, Seconds t) {
   return std::nullopt;
 }
 
-ComparatorBank::ComparatorBank(std::vector<Volts> thresholds, Volts hysteresis)
-    : thresholds_(std::move(thresholds)) {
-  HEMP_REQUIRE(!thresholds_.empty(), "ComparatorBank: need >= 1 threshold");
-  for (std::size_t i = 1; i < thresholds_.size(); ++i) {
-    HEMP_REQUIRE(thresholds_[i - 1] > thresholds_[i],
+ComparatorBank::ComparatorBank(const std::vector<Volts>& thresholds,
+                               Volts hysteresis) {
+  HEMP_REQUIRE(!thresholds.empty(), "ComparatorBank: need >= 1 threshold");
+  for (std::size_t i = 1; i < thresholds.size(); ++i) {
+    HEMP_REQUIRE(thresholds[i - 1] > thresholds[i],
                  "ComparatorBank: thresholds must be strictly descending");
   }
-  comparators_.reserve(thresholds_.size());
-  for (Volts th : thresholds_) comparators_.emplace_back(th, hysteresis);
+  comparators_.reserve(thresholds.size());
+  for (Volts th : thresholds) comparators_.emplace_back(th, hysteresis);
 }
 
 std::vector<ComparatorEvent> ComparatorBank::update(Volts v, Seconds t) {

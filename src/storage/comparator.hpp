@@ -15,6 +15,9 @@ namespace hemp {
 
 enum class Edge { kRising, kFalling };
 
+/// The on-board comparators' hysteresis band (symmetric about the threshold).
+inline constexpr Volts kComparatorHysteresis{0.005};
+
 struct ComparatorEvent {
   Edge edge;
   Seconds time;
@@ -24,14 +27,19 @@ struct ComparatorEvent {
 /// Single comparator with symmetric hysteresis around its threshold.
 class Comparator {
  public:
-  Comparator(Volts threshold, Volts hysteresis = Volts(0.005));
+  Comparator(Volts threshold, Volts hysteresis = kComparatorHysteresis);
 
   /// Feed one voltage sample at time `t`; returns an event when the output
   /// toggles.  Samples must arrive in non-decreasing time order.
   std::optional<ComparatorEvent> update(Volts v, Seconds t);
 
-  [[nodiscard]] Volts threshold() const { return threshold_; }
   [[nodiscard]] bool output() const { return output_; }
+  /// The input level at which the output toggles next: the threshold less
+  /// half the hysteresis while the output is high, plus it while low.
+  [[nodiscard]] Volts next_toggle() const {
+    const double h = hysteresis_.value() * 0.5;
+    return Volts(output_ ? threshold_.value() - h : threshold_.value() + h);
+  }
   /// Reset the latch to track a fresh waveform.
   void reset(Volts v);
 
@@ -46,8 +54,8 @@ class Comparator {
 /// Ordered bank of comparators (V0 > V1 > V2 in the paper's Fig. 8 scheme).
 class ComparatorBank {
  public:
-  explicit ComparatorBank(std::vector<Volts> thresholds,
-                          Volts hysteresis = Volts(0.005));
+  explicit ComparatorBank(const std::vector<Volts>& thresholds,
+                          Volts hysteresis = kComparatorHysteresis);
 
   /// Feed a sample to every comparator; returns all toggles this sample.
   std::vector<ComparatorEvent> update(Volts v, Seconds t);
@@ -56,14 +64,14 @@ class ComparatorBank {
   /// this sample's toggles, reusing the caller's capacity.
   void update_into(Volts v, Seconds t, std::vector<ComparatorEvent>& out);
 
-  [[nodiscard]] const std::vector<Volts>& thresholds() const { return thresholds_; }
   [[nodiscard]] std::size_t size() const { return comparators_.size(); }
-  /// Present latched output of comparator `i` (true = input above threshold).
-  [[nodiscard]] bool output(std::size_t i) const { return comparators_[i].output(); }
+  /// Comparator `i`'s next toggle level (Comparator::next_toggle).
+  [[nodiscard]] Volts next_toggle(std::size_t i) const {
+    return comparators_[i].next_toggle();
+  }
   void reset(Volts v);
 
  private:
-  std::vector<Volts> thresholds_;
   std::vector<Comparator> comparators_;
 };
 
@@ -72,16 +80,15 @@ class ComparatorBank {
 /// fires on the falling edge through v_low.
 class ThresholdTimer {
  public:
-  ThresholdTimer(Volts v_high, Volts v_low, Volts hysteresis = Volts(0.005));
+  ThresholdTimer(Volts v_high, Volts v_low,
+                 Volts hysteresis = kComparatorHysteresis);
 
   /// Returns the measured interval when the low edge completes a measurement.
   std::optional<Seconds> update(Volts v, Seconds t);
 
-  [[nodiscard]] Volts v_high() const { return high_.threshold(); }
-  [[nodiscard]] Volts v_low() const { return low_.threshold(); }
-  /// Latched outputs of the window comparators: the direction each toggles next.
-  [[nodiscard]] bool high_output() const { return high_.output(); }
-  [[nodiscard]] bool low_output() const { return low_.output(); }
+  /// Next toggle levels of the window comparators (Comparator::next_toggle).
+  [[nodiscard]] Volts high_next_toggle() const { return high_.next_toggle(); }
+  [[nodiscard]] Volts low_next_toggle() const { return low_.next_toggle(); }
   [[nodiscard]] bool armed() const { return armed_; }
   void reset(Volts v);
 

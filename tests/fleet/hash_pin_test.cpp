@@ -206,7 +206,9 @@ void expect_pin(const char* what, std::uint64_t got, std::uint64_t want) {
 // queue keeps short: on a longer day, with lighter job pressure and smaller
 // solar storage than the pin scenario, each of these fleets reads the table
 // inside its run and solves a knot there.  As for greedy_mpp, an audit build
-// routes the nodes through the dense loop and pins that loop's bits.
+// routes the nodes through the dense loop and pins that loop's bits.  The
+// fast-engine pins were re-recorded when the step hint began reading the
+// step's own clock (the sprint-end deadline had read the previous step's).
 void expect_managed_fleet_pin(const char* policy, std::uint64_t audit_pin,
                               std::uint64_t pin) {
   FleetScenario s = pin_scenario();
@@ -225,12 +227,12 @@ void expect_managed_fleet_pin(const char* policy, std::uint64_t audit_pin,
 
 TEST(HashPin, FleetSimulatorHystEager) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
-  expect_managed_fleet_pin("hyst_eager", 0xd7911a8c38e8f547ULL, 0x7d8d68ea4483a107ULL);
+  expect_managed_fleet_pin("hyst_eager", 0xd7911a8c38e8f547ULL, 0xca18fdd5e5f30f54ULL);
 }
 
 TEST(HashPin, FleetSimulatorEdfSprint) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
-  expect_managed_fleet_pin("edf_sprint", 0x7c52d5ccadb8687cULL, 0xc7214c098b201616ULL);
+  expect_managed_fleet_pin("edf_sprint", 0x7c52d5ccadb8687cULL, 0x8f57a72f3f319071ULL);
 }
 
 SocConfig fast_config() {

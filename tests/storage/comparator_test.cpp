@@ -85,6 +85,26 @@ TEST(ComparatorBank, SequentialCrossingsFireIndividually) {
   EXPECT_EQ(bank.update(0.84_V, 4.0_ms).size(), 0u);
 }
 
+TEST(Comparator, NextToggleFollowsTheLatch) {
+  Comparator c(1.0_V, 0.01_V);
+  c.reset(1.2_V);
+  EXPECT_EQ(c.next_toggle().value(), 1.0 - 0.005);  // high: falls below
+  ASSERT_TRUE(c.update(0.99_V, 1.0_ms).has_value());
+  EXPECT_EQ(c.next_toggle().value(), 1.0 + 0.005);  // low: rises above
+  // The default band is the 5 mV one the event engines' watch allowance
+  // (flat::kCompHalfHyst) halves.
+  Comparator d(1.0_V);
+  d.reset(0.8_V);
+  EXPECT_EQ(d.next_toggle().value(), 1.0 + 0.0025);
+}
+
+TEST(ThresholdTimer, NextTogglesOfTheWindow) {
+  ThresholdTimer timer(1.0_V, 0.9_V);
+  timer.reset(0.95_V);  // between the edges: high comparator low, low high
+  EXPECT_EQ(timer.high_next_toggle().value(), 1.0 + 0.0025);
+  EXPECT_EQ(timer.low_next_toggle().value(), 0.9 - 0.0025);
+}
+
 TEST(ThresholdTimer, MeasuresFallTime) {
   ThresholdTimer timer(1.0_V, 0.9_V);
   timer.reset(1.2_V);
