@@ -285,46 +285,4 @@ void EnergyManager::tick_recovering(const SocState& state, SocCommand& cmd) {
   }
 }
 
-void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
-  hint.event_driven = true;
-  switch (run_.state) {
-    case State::kTracking:
-      if (!queue_empty()) {
-        hint.deadline(state.time.value());  // job pending: decide immediately
-        return;
-      }
-      hint.deadline(run_.next_reassess.value());
-      if (!run_.low_light_bypass && params_.mode == ManagerMode::kMaxPerformance) {
-        tracker_.step_hint(state, hint);
-      }
-      // Bypass mode rides the shared node; the engine's own physics bounds
-      // (dt cap, comparator levels) limit how stale max_frequency(v_dd) gets.
-      break;
-    case State::kSprinting: {
-      const ActiveSprint& s = *run_.sprint;
-      hint.deadline((s.started + s.plan.deadline * 1.5).value());
-      if (!s.bypassed) {
-        hint.deadline((s.started + s.plan.phase_time).value());
-        hint.deadline(s.started.value() + kSprintSagArmTime);  // sag check arms then
-        const Seconds elapsed = state.time - s.started;
-        const OperatingPoint& op =
-            elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
-        hint.watch_rail(op.vdd.value() - kSprintSagMargin);  // rail-sag bypass trigger
-      }
-      if (state.frequency.value() > 0.0) {
-        const double remaining =
-            s.plan.cycles - (state.cycles_retired - s.start_cycles);
-        if (remaining > 0.0) {
-          hint.deadline(state.time.value() + remaining / state.frequency.value());
-        }
-      }
-      break;
-    }
-    case State::kRecovering:
-      hint.watch_solar(params_.recover_voltage.value());
-      if (!queue_empty()) hint.deadline(state.time.value());
-      break;
-  }
-}
-
 }  // namespace hemp

@@ -105,6 +105,7 @@ class EnergyManager : public SocController {
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
+  /// Both event engines' step rule (inline below, for the batch kernel).
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] int jobs_completed() const { return run_.jobs_completed; }
@@ -112,8 +113,7 @@ class EnergyManager : public SocController {
   [[nodiscard]] bool in_bypass() const { return run_.low_light_bypass; }
   [[nodiscard]] bool sprinting() const { return run_.sprint.has_value(); }
 
-  // --- Read-only run state, for an engine that bounds its own steps (the
-  // fleet batch kernel) instead of asking step_hint.
+  // --- Read-only run state, for tests that script the manager by hand.
   enum class State { kTracking, kSprinting, kRecovering };
   struct ActiveSprint {
     SprintPlan plan;
@@ -123,13 +123,6 @@ class EnergyManager : public SocController {
   };
   [[nodiscard]] State current_state() const { return run_.state; }
   [[nodiscard]] const std::optional<ActiveSprint>& sprint() const { return run_.sprint; }
-  [[nodiscard]] std::size_t pending_jobs() const { return run_.q_count; }
-  [[nodiscard]] Seconds next_reassess() const { return run_.next_reassess; }
-  /// Whether the last on_tick ran the MPP tracker.  Not implied by the
-  /// post-tick state: a job whose plan is infeasible leaves the manager
-  /// tracking without ticking the tracker.
-  [[nodiscard]] bool tracker_ticked() const { return run_.tracker_ticked; }
-  [[nodiscard]] const MppTrackingController& tracker() const { return tracker_; }
 
  private:
   EnergyManager(std::unique_ptr<ControlPlant> owned, const EnergyManagerParams& params);
@@ -175,6 +168,9 @@ class EnergyManager : public SocController {
     std::optional<Watts> p_in_estimate;
     Seconds next_reassess{0.0};
     Volts prev_v_solar{0.0};
+    /// Whether the last on_tick ran the MPP tracker.  Not implied by the
+    /// post-tick state: a job whose plan is infeasible leaves the manager
+    /// tracking without ticking the tracker.
     bool tracker_ticked = false;
   };
 
@@ -207,5 +203,51 @@ class EnergyManager : public SocController {
   RunState run_;
   bool started_ = false;
 };
+
+// The events that end the manager's present activity (Sec. VI-A's control
+// tick and timer window, Sec. VI-B's sprint phases).  A passed deadline is
+// still emitted (a sprint's phase switch and sag-arm time, for its whole
+// run): the hint marks it due, and each engine applies that its own way.
+inline void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) const {
+  hint.event_driven = true;
+  switch (run_.state) {
+    case State::kTracking:
+      hint.deadline(run_.next_reassess.value());
+      if (run_.tracker_ticked) {
+        // Its control cadence and its window comparators' next toggles.
+        const ThresholdTimer& timer = tracker_.timer();
+        hint.deadline(tracker_.next_control().value());
+        hint.watch_solar(timer.high_next_toggle().value());
+        hint.watch_solar(timer.low_next_toggle().value());
+      }
+      // Bypass mode rides the shared node; the engine's own physics bounds
+      // (dt cap, comparator levels) limit how stale max_frequency(v_dd) gets.
+      if (!queue_empty()) hint.decide_now = true;  // the job starts next evaluation
+      break;
+    case State::kSprinting: {
+      const ActiveSprint& s = *run_.sprint;
+      hint.deadline((s.started + s.plan.deadline * 1.5).value());
+      if (!s.bypassed) {
+        hint.deadline((s.started + s.plan.phase_time).value());
+        hint.deadline(s.started.value() + kSprintSagArmTime);  // sag check arms then
+        const Seconds elapsed = state.time - s.started;
+        if (elapsed.value() > kSprintSagArmTime) {
+          const OperatingPoint& op =
+              elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
+          hint.watch_rail(op.vdd.value() - kSprintSagMargin);  // rail-sag bypass trigger
+        }
+      }
+      if (state.frequency.value() > 0.0) {  // the job's last cycle at this clock
+        const double remaining =
+            s.plan.cycles - (state.cycles_retired - s.start_cycles);
+        hint.deadline(state.time.value() + remaining / state.frequency.value());
+      }
+      break;
+    }
+    case State::kRecovering:
+      hint.watch_solar(params_.recover_voltage.value());
+      break;
+  }
+}
 
 }  // namespace hemp

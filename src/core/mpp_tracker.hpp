@@ -143,7 +143,10 @@ class MppTrackingController : public SocController {
     return last_estimate_;
   }
   [[nodiscard]] int retarget_count() const { return retargets_; }
-  /// Read-only run state, for engines that bound their own steps.
+  /// Read-only run state, read by EnergyManager::step_hint: the manager
+  /// bounds the tracker's steps by the window comparators' next toggle
+  /// levels and keeps the control deadline while the timer is armed, where
+  /// this controller's own step_hint does neither (DESIGN.md Sec. 6m).
   [[nodiscard]] const ThresholdTimer& timer() const { return timer_; }
   [[nodiscard]] Seconds next_control() const { return next_control_; }
 

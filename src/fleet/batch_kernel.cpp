@@ -529,7 +529,7 @@ EnergyManagerParams node_params(const BatchFleetKernel::Shared& sh,
 
 // ---------------------------------------------------------------------------
 // Per-node runner: the core's managed controller on the flat plant, stepped
-// by the shared step core under the kernel's own step rule, integrated to
+// by the shared step core under the controller's step hint, integrated to
 // completion one node at a time (everything lives in L1).
 // ---------------------------------------------------------------------------
 
@@ -611,54 +611,29 @@ struct NodeRunner : flat::StepCore {
   // ---------------------------------------------------------------------
 
   /// Step length: the core's ceiling and trace knots, the controller's
-  /// timed events, then the core's settle, swing and watch bounds over the
-  /// controller's levels (timer window, traced bank, recovery, rail sag).
-  /// The kernel's own rule, read off the manager's state rather than its
-  /// step_hint: past deadlines are ignored, the tracker's control deadline
-  /// binds even while its timer is armed, and the rail-sag level is watched
-  /// only once the sag check has armed.
+  /// step hint (its future deadlines, a decide-now request, its watch
+  /// levels) and the traced bank's levels, then the core's settle, swing and
+  /// watch bounds.  A deadline the hint marks due has passed and bounds
+  /// nothing here.
   HEMP_HOT double choose_dt(double g0) {
-    using solver_stats::StepCause;
-    using State = EnergyManager::State;
-    const EnergyManager& mgr = ctl.manager();
-    const State st = mgr.current_state();
+    state.frequency = Hertz(f_eff);  // the clock the hint's sprint end reads
+    SocStepHint hint;
+    hint.now = t;
+    ctl.step_hint(state, hint);
+    if (!hint.event_driven) {  // one reference tick, as the fast path takes
+      step_cause = solver_stats::StepCause::kDeadline;
+      return dt_min;
+    }
     double dt = open_dt();
-    if (sh.scenario.job_cycles > 0.0) deadline(dt, ctl.next_submit().value());
-    if (st == State::kTracking) {
-      deadline(dt, mgr.next_reassess().value());
-      if (mgr.tracker_ticked()) deadline(dt, mgr.tracker().next_control().value());
-      if (mgr.pending_jobs() > 0) {  // a job starts at the very next eval
-        dt = dt_min;
-        step_cause = StepCause::kDeadline;
-      }
-    } else if (st == State::kSprinting) {
-      const EnergyManager::ActiveSprint& sprint = *mgr.sprint();
-      const double started = sprint.started.value();
-      deadline(dt, started + 1.5 * sprint.plan.deadline.value());
-      if (!sprint.bypassed) {
-        deadline(dt, started + sprint.plan.phase_time.value());
-        deadline(dt, started + kSprintSagArmTime);
-      }
-      if (f_eff > 0.0) {
-        const double remaining = sprint.plan.cycles - (cycles - sprint.start_cycles);
-        deadline(dt, t + remaining / f_eff);
-      }
+    deadline(dt, hint.next_deadline_s);
+    if (hint.decide_now) {  // a job starts at the next evaluation
+      dt = dt_min;
+      step_cause = solver_stats::StepCause::kDeadline;
     }
 
     WatchAccum ws, wd;
-    if (mgr.tracker_ticked()) {
-      const ThresholdTimer& timer = mgr.tracker().timer();
-      ws.level(v_s, timer.high_next_toggle().value());
-      ws.level(v_s, timer.low_next_toggle().value());
-    }
+    watch_hint(ws, wd, hint);
     if (bank) watch_bank(ws, *bank);
-    if (st == State::kRecovering) {
-      ws.level(v_s, sh.mgr.recover_voltage.value());
-    }
-    if (st == State::kSprinting && !mgr.sprint()->bypassed &&
-        t - mgr.sprint()->started.value() > kSprintSagArmTime) {
-      wd.level(v_d, cmd_vdd - kSprintSagMargin);
-    }
     return close_dt(dt, g0, ws, wd);
   }
 

@@ -22,9 +22,11 @@
 //
 // Each node runs the core's own controller, ManagedPolicyController
 // (EnergyManager + MppTrackingController), on a flat plant: the
-// ControlPlant whose physics answers come from the shared surfaces.  Only
-// the step rule is the kernel's own: it reads the manager's state, not its
-// step_hint (DESIGN.md Sec. 6m).
+// ControlPlant whose physics answers come from the shared surfaces, and is
+// stepped by that controller's step_hint, the rule the single-node fast path
+// reads too.  What stays the kernel's own is how it applies a deadline that
+// has already passed: it ignores it, where the fast path takes a reference
+// tick (DESIGN.md Sec. 6m).
 //
 // Equivalence: the kernel reproduces the reference FleetSimulator aggregates
 // within tolerance (see tests/fleet/batch_kernel_test.cpp) but is not

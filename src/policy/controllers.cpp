@@ -97,12 +97,6 @@ void ManagedPolicyController::on_tick(const SocState& state, SocCommand& cmd) {
   manager_.on_tick(state, cmd);
 }
 
-void ManagedPolicyController::step_hint(const SocState& state,
-                                        SocStepHint& hint) const {
-  manager_.step_hint(state, hint);
-  if (workload_.job_cycles > 0.0) hint.deadline(next_submit_.value());
-}
-
 PolicyJobStats ManagedPolicyController::job_stats() const {
   return {jobs_submitted_, manager_.jobs_completed(), manager_.jobs_missed()};
 }

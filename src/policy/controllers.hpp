@@ -83,13 +83,10 @@ class ManagedPolicyController final : public PolicyController {
   /// second run starts from the constructed state, job counts included.
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
+  /// The manager's hint plus the job clock (inline below, for the batch kernel).
   void step_hint(const SocState& state, SocStepHint& hint) const override;
 
   [[nodiscard]] PolicyJobStats job_stats() const override;
-
-  [[nodiscard]] const EnergyManager& manager() const { return manager_; }
-  /// The job clock: when the next periodic job is submitted.
-  [[nodiscard]] Seconds next_submit() const { return next_submit_; }
 
  private:
   EnergyManager manager_;
@@ -97,6 +94,12 @@ class ManagedPolicyController final : public PolicyController {
   Seconds next_submit_;
   int jobs_submitted_ = 0;
 };
+
+inline void ManagedPolicyController::step_hint(const SocState& state,
+                                               SocStepHint& hint) const {
+  manager_.step_hint(state, hint);
+  if (workload_.job_cycles > 0.0) hint.deadline(next_submit_.value());
+}
 
 /// MPP-tracking DVFS and nothing else: always regulated, always running,
 /// never bypasses, never sprints — jobs ride the ambient throughput.

@@ -75,8 +75,9 @@ struct FastEngine : flat::StepCore {
 
   /// Step length: the controller's hint exits, then the shared core bounded
   /// by the waveform cadence, the hint deadline and the hint watch levels.
+  /// A due deadline costs one reference tick, as a decide-now request does.
   HEMP_HOT double choose_dt(double g0, const SocStepHint& hint) {
-    if (hint.next_deadline_s <= t + 1e-15) return dt_min;  // decide next tick
+    if (hint.due || hint.decide_now) return dt_min;  // decide next tick
     if (cmd_path == PowerPath::kBypass && v_s - v_d > kBypassMergeBand) {
       step_cause = solver_stats::StepCause::kSettle;
       return std::min(dt_min, t_end - t);  // dense RC merge transient
@@ -91,12 +92,7 @@ struct FastEngine : flat::StepCore {
 
     flat::WatchAccum ws, wd;
     watch_bank(ws, *comparators);
-    for (std::size_t i = 0; i < hint.solar_watch_count; ++i) {
-      ws.level(v_s, hint.solar_watch[i]);
-    }
-    for (std::size_t i = 0; i < hint.rail_watch_count; ++i) {
-      wd.level(v_d, hint.rail_watch[i]);
-    }
+    watch_hint(ws, wd, hint);
     return close_dt(dt, g0, ws, wd);
   }
 
@@ -156,6 +152,7 @@ struct FastEngine : flat::StepCore {
       // the hint exits, counts as a deadline). ------------------------------
       state.frequency = Hertz(f_eff);  // the clock the hint's sprint end reads
       SocStepHint hint;
+      hint.now = t + 1e-15;  // a deadline within 1e-15 s of t is due here
       controller->step_hint(state, hint);
       step_cause = solver_stats::StepCause::kDeadline;
       const double dt = hint.event_driven ? choose_dt(g0, hint) : dt_min;

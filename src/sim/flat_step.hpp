@@ -12,7 +12,8 @@
 //                   and trace knots, then the engine's timed events, then the
 //                   rail settle episode, the bypass swing cap, the analytic
 //                   watch bounds and whole-tick quantization;
-//   * watch_bank()  — the next toggle level of each comparator of a bank;
+//   * watch_bank(), watch_hint() — the next toggle level of each comparator
+//                   of a bank, and the levels of a controller's step hint;
 //   * integrate() — the regulated rail episode with per-regime loss pricing,
 //                   the merged bypass step, or the detached node update;
 //   * account()   — the step's cause count, cycles, delivered energy and
@@ -20,9 +21,10 @@
 //
 // An engine derives from StepCore, latches its controller's command into the
 // cmd_* fields before load(), and runs the calls above in that order.  What
-// differs between the engines — the controllers, their timed deadlines and
-// extra watch levels — stays in the engine, before or after its call into
-// the core; nothing here depends on which engine is calling.
+// differs between the engines — their controllers, and how each applies a
+// hint deadline that has already passed — stays in the engine, before or
+// after its call into the core; nothing here depends on which engine is
+// calling.
 #pragma once
 
 #include <algorithm>
@@ -180,6 +182,12 @@ struct StepCore {
     for (std::size_t i = 0; i < bank.size(); ++i) {
       ws.level(v_s, bank.next_toggle(i).value());
     }
+  }
+
+  /// Watch the solar and rail levels of a controller's step hint.
+  HEMP_HOT void watch_hint(WatchAccum& ws, WatchAccum& wd, const SocStepHint& hint) const {
+    for (std::size_t i = 0; i < hint.solar_watch_count; ++i) ws.level(v_s, hint.solar_watch[i]);
+    for (std::size_t i = 0; i < hint.rail_watch_count; ++i) wd.level(v_d, hint.rail_watch[i]);
   }
 
   /// Finish the step length from the bound the engine has so far: the rail

@@ -95,24 +95,37 @@ struct SocCommand {
   bool run = true;  ///< clock enable
 };
 
-/// Controller advice for the event-driven fast path.  After each control
-/// evaluation the engine asks the controller how far it may step: the step is
-/// bounded by the earliest absolute deadline and by analytic no-late-detection
-/// bounds on every watched node level, so no controller-visible event (timer
-/// expiry, comparator edge, tracker window crossing) is observed late.
+/// Controller advice for the event engines.  After each control evaluation
+/// the engine asks the controller how far it may step: the step is bounded by
+/// the earliest future deadline and by analytic no-late-detection bounds on
+/// every watched node level, so no controller-visible event (timer expiry,
+/// comparator edge, tracker window crossing) is observed late.
+///
+/// A deadline at or before `now` sets `due` instead of bounding the step; a
+/// due deadline costs the fast path one reference tick and the batch kernel
+/// nothing.  `decide_now` asks both for an evaluation at the next tick.
 struct SocStepHint {
+  /// The instant the hint is asked at (engine-set).
+  double now = 0.0;
   /// Controller supports long steps from this state.  Left false (default),
   /// the engine takes one reference tick for this step and asks again after
   /// it; the run stays on the event engine.
   bool event_driven = false;
+  /// A deadline at or before `now` was emitted.
+  bool due = false;
+  /// The controller decides at the next reference tick.
+  bool decide_now = false;
+  /// Earliest deadline after `now`.
   double next_deadline_s = std::numeric_limits<double>::infinity();
-  std::array<double, 8> solar_watch{};
+  // Left uninitialized (only *_count entries are read): asked every step.
+  std::array<double, 8> solar_watch;
   std::size_t solar_watch_count = 0;
-  std::array<double, 4> rail_watch{};
+  std::array<double, 4> rail_watch;
   std::size_t rail_watch_count = 0;
 
   void deadline(double t_s) {
-    if (t_s < next_deadline_s) next_deadline_s = t_s;
+    if (t_s <= now) due = true;
+    else if (t_s < next_deadline_s) next_deadline_s = t_s;
   }
   void watch_solar(double v) {
     if (solar_watch_count < solar_watch.size()) solar_watch[solar_watch_count++] = v;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -274,6 +275,14 @@ struct Driver {
   [[nodiscard]] std::uint64_t solves() const {
     return solver_stats::delta_since(before).total();
   }
+  /// The controller's step hint after the last tick, asked at its time
+  /// (value-initialized, so the whole hint can be copied out).
+  [[nodiscard]] SocStepHint hint() const {
+    SocStepHint h{};
+    h.now = state.time.value();
+    ctl.step_hint(state, h);
+    return h;
+  }
 };
 
 TEST(EnergyManagerScripted, BypassHysteresisAcrossEnterAndExitRatios) {
@@ -345,11 +354,144 @@ TEST(EnergyManagerScripted, InfeasiblePlanCountsAsMissed) {
   EXPECT_EQ(mgr.jobs_missed(), 1);
   EXPECT_EQ(mgr.current_state(), EnergyManager::State::kTracking);
   EXPECT_FALSE(mgr.sprinting());
-  // Still tracking, yet the tracker did not run this tick.
-  EXPECT_FALSE(mgr.tracker_ticked());
+  // Still tracking, yet the tracker did not run this tick: its window
+  // levels stay out of the hint until it does.
+  EXPECT_EQ(d.hint().solar_watch_count, 0U);
   d.tick(0.1_ms, 1.2_V, 0.5_V, Watts(0.0));
-  EXPECT_TRUE(mgr.tracker_ticked());
+  EXPECT_EQ(d.hint().solar_watch_count, 2U);
   EXPECT_EQ(d.solves(), 0U);
+}
+
+// --- The step hint in each state ---------------------------------------------
+
+/// Where a window comparator last seen on `above` its threshold toggles next.
+double toggle(double threshold, bool above) {
+  const double h = 0.5 * kComparatorHysteresis.value();
+  return above ? threshold - h : threshold + h;
+}
+
+TEST(EnergyManagerScripted, HintTrackingBoundsTheTrackersControlAndWindow) {
+  ScriptedPlant plant;
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(2e-3));
+  SocStepHint h = d.hint();
+  EXPECT_TRUE(h.event_driven);
+  EXPECT_FALSE(h.due);
+  EXPECT_FALSE(h.decide_now);
+  // The 500 us control tick comes before the 2 ms reassessment.
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, 0.5e-3);
+  ASSERT_EQ(h.solar_watch_count, 2U);
+  EXPECT_DOUBLE_EQ(h.solar_watch[0], toggle(1.0, true));
+  EXPECT_DOUBLE_EQ(h.solar_watch[1], toggle(0.9, true));
+  EXPECT_EQ(h.rail_watch_count, 0U);
+
+  // The node falls through 1.0 V and arms the timer: DVFS holds, so the
+  // passed control tick stays in the hint, due, and the high comparator
+  // now toggles on the way back up.
+  d.tick(1.0_ms, 0.98_V, 0.5_V, Watts(2e-3));
+  h = d.hint();
+  EXPECT_TRUE(h.due);
+  EXPECT_FALSE(h.decide_now);
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, 2e-3);  // the reassessment
+  ASSERT_EQ(h.solar_watch_count, 2U);
+  EXPECT_DOUBLE_EQ(h.solar_watch[0], toggle(1.0, false));
+  EXPECT_DOUBLE_EQ(h.solar_watch[1], toggle(0.9, true));
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(EnergyManagerScripted, HintPendingJobDecidesNow) {
+  ScriptedPlant plant;
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(2e-3));
+  mgr.submit_at({1e6, 10.0_ms}, 0.0_ms);
+  const SocStepHint h = d.hint();
+  EXPECT_TRUE(h.decide_now);
+  EXPECT_FALSE(h.due);  // a request, not a passed deadline
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, 0.5e-3);
+  EXPECT_EQ(h.solar_watch_count, 2U);
+}
+
+TEST(EnergyManagerScripted, HintSprintKeepsPassedPhaseDeadlinesDue) {
+  ScriptedPlant plant;
+  plant.plan.feasible = true;
+  plant.plan.phase_time = 5.0_ms;
+  plant.plan.slow = {0.5_V, 50.0_MHz};
+  plant.plan.fast = {0.6_V, 150.0_MHz};
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  mgr.submit_at({1e6, 10.0_ms}, 0.0_ms);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(0.0));
+  ASSERT_EQ(mgr.current_state(), EnergyManager::State::kSprinting);
+  // Before the arm time: the sag check arms first, and the rail is not
+  // watched yet.  The clock is gated (no frequency), so no sprint end.
+  SocStepHint h = d.hint();
+  EXPECT_FALSE(h.due);
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, kSprintSagArmTime);
+  EXPECT_EQ(h.rail_watch_count, 0U);
+  EXPECT_EQ(h.solar_watch_count, 0U);
+
+  // Armed, still in the slow phase: the arm time is due, the phase switch
+  // is next, and the rail is watched under the slow operating point.
+  d.tick(0.2_ms, 1.2_V, 0.5_V, Watts(1e-4), 1e4);
+  h = d.hint();
+  EXPECT_TRUE(h.due);
+  EXPECT_FALSE(h.decide_now);
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, 5e-3);
+  ASSERT_EQ(h.rail_watch_count, 1U);
+  EXPECT_DOUBLE_EQ(h.rail_watch[0], 0.5 - kSprintSagMargin);
+
+  // Past the phase switch at 150 MHz: both phase deadlines are due, the
+  // job's last cycle comes before the 15 ms give-up time, and the rail is
+  // watched under the fast operating point.
+  d.tick(6.0_ms, 1.2_V, 0.6_V, Watts(1e-4), 5e5);
+  d.state.frequency = 150.0_MHz;
+  h = d.hint();
+  EXPECT_TRUE(h.due);
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, 6e-3 + 5e5 / 150e6);
+  ASSERT_EQ(h.rail_watch_count, 1U);
+  EXPECT_DOUBLE_EQ(h.rail_watch[0], 0.6 - kSprintSagMargin);
+
+  // Once bypassed, only the give-up time and the sprint end remain.
+  d.tick(6.1_ms, 1.2_V, 0.4_V, Watts(1e-4), 5e5);
+  ASSERT_TRUE(mgr.sprint().has_value());
+  ASSERT_TRUE(mgr.sprint()->bypassed);
+  d.state.frequency = Hertz(0.0);
+  h = d.hint();
+  EXPECT_FALSE(h.due);
+  EXPECT_DOUBLE_EQ(h.next_deadline_s, 15e-3);
+  EXPECT_EQ(h.rail_watch_count, 0U);
+  EXPECT_EQ(d.solves(), 0U);
+}
+
+TEST(EnergyManagerScripted, HintRecoveryWatchesOnlyTheRecoveryLevel) {
+  ScriptedPlant plant;
+  plant.plan.feasible = true;
+  plant.plan.phase_time = 5.0_ms;
+  plant.plan.slow = {0.5_V, 50.0_MHz};
+  plant.plan.fast = {0.6_V, 150.0_MHz};
+  EnergyManager mgr(plant, {});
+  Driver d{mgr};
+  d.start(1.2_V);
+  mgr.submit_at({1e6, 10.0_ms}, 0.0_ms);
+  d.tick(0.0_ms, 1.2_V, 0.5_V, Watts(0.0));
+  d.tick(1.0_ms, 1.0_V, 0.5_V, Watts(1e-4), 1e6);  // done, node at 1.0 V
+  ASSERT_EQ(mgr.current_state(), EnergyManager::State::kRecovering);
+  // Even with the next job waiting, recovery asks for no decision: it ends
+  // when the node crosses the recovery level.
+  mgr.submit_at({1e6, 10.0_ms}, 1.0_ms);
+  const SocStepHint h = d.hint();
+  EXPECT_TRUE(h.event_driven);
+  EXPECT_FALSE(h.due);
+  EXPECT_FALSE(h.decide_now);
+  EXPECT_EQ(h.next_deadline_s, std::numeric_limits<double>::infinity());
+  ASSERT_EQ(h.solar_watch_count, 1U);
+  EXPECT_EQ(h.solar_watch[0], EnergyManagerParams{}.recover_voltage.value());
+  EXPECT_EQ(h.rail_watch_count, 0U);
 }
 
 TEST(EnergyManagerScripted, MepSolvedOncePerLightBucket) {

@@ -14,13 +14,21 @@
 // its last jobs and locking up (EXPERIMENTS.md, "Smoke nodes against the
 // dense loop"); its configurations are the gate's view of the transients
 // the day1000 slice averages away.
+//
+// WorkContract bounds what a run costs: the event steps per node-day of
+// each step cause, on the first 16 day1000 nodes, within 10% of the counts
+// recorded when the configuration was added.  The result contracts above
+// cannot see a step rule that takes four times the steps it needs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "common/audit.hpp"
+#include "common/solver_stats.hpp"
 #include "fleet/batch_kernel.hpp"
 #include "fleet/fleet_sim.hpp"
 #include "policy/registry.hpp"
@@ -130,6 +138,75 @@ TEST(AccuracyGate, SmokeFastHystReluctant) {
 
 TEST(AccuracyGate, SmokeFastEdfSprint) {
   expect_fast_within(smoke, "edf_sprint", +0.0252, +0.0484);
+}
+
+// --- Work ------------------------------------------------------------------
+
+/// Steps per node-day by cause, in StepCause order: deadline, trace knot,
+/// watch bound, settle, dt cap.
+using StepsByCause = std::array<double, solver_stats::kStepCauseCount>;
+
+/// The first 16 day1000 nodes under `policy`.
+FleetScenario work_slice(const std::string& policy) {
+  FleetScenario s = day1000_slice(policy);
+  s.nodes = 16;
+  return s;
+}
+
+template <typename Engine>
+void expect_work(const std::string& policy, const StepsByCause& recorded) {
+  const FleetScenario scenario = work_slice(policy);
+  const Engine engine(scenario);
+  const solver_stats::StepSnapshot before = solver_stats::step_snapshot();
+  (void)engine.run({.parallel = true});
+  const solver_stats::StepSnapshot steps = solver_stats::step_delta_since(before);
+  static constexpr const char* kCause[] = {"deadline", "trace_knot", "watch_bound",
+                                           "settle", "dt_cap"};
+  for (int c = 0; c < solver_stats::kStepCauseCount; ++c) {
+    const double per_node_day =
+        static_cast<double>(steps.by_cause[c]) / scenario.nodes;
+    const double want = recorded[static_cast<std::size_t>(c)];
+    std::printf("steps %-11s %9.2f per node-day (recorded %9.2f)\n", kCause[c],
+                per_node_day, want);
+    EXPECT_LE(std::fabs(per_node_day - want), 0.10 * want)
+        << kCause[c] << " steps per node-day";
+  }
+}
+
+/// The fast engine's managed nodes; an audit build routes them to the dense
+/// loop, which takes no event steps.
+void expect_fast_work(const std::string& policy, const StepsByCause& recorded) {
+  if (audit_compiled_in()) GTEST_SKIP() << "an audit build runs these nodes densely";
+  expect_work<FleetSimulator>(policy, recorded);
+}
+
+// Recorded when the managed controller's step hint became both event
+// engines' step rule; the fast engine still takes a reference tick for
+// every due deadline, so its managed configurations should fall when it
+// stops.
+
+TEST(WorkContract, FastHystEager) {
+  expect_fast_work("hyst_eager", {6361.44, 43.12, 180.56, 329.31, 275.50});
+}
+
+TEST(WorkContract, FastHystReluctant) {
+  expect_fast_work("hyst_reluctant", {7947.38, 41.50, 139.00, 368.81, 218.12});
+}
+
+TEST(WorkContract, FastEdfSprint) {
+  expect_fast_work("edf_sprint", {6244.69, 43.00, 173.31, 335.25, 271.44});
+}
+
+TEST(WorkContract, FastGreedyMpp) {
+  expect_fast_work("greedy_mpp", {1188.31, 50.31, 219.00, 149.00, 250.50});
+}
+
+TEST(WorkContract, BatchHystEager) {
+  expect_work<BatchFleetKernel>("hyst_eager", {170.94, 50.50, 212.19, 358.56, 498.88});
+}
+
+TEST(WorkContract, BatchHystReluctant) {
+  expect_work<BatchFleetKernel>("hyst_reluctant", {201.25, 50.19, 172.12, 352.88, 506.56});
 }
 
 }  // namespace

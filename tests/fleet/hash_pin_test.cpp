@@ -208,7 +208,8 @@ void expect_pin(const char* what, std::uint64_t got, std::uint64_t want) {
 // inside its run and solves a knot there.  As for greedy_mpp, an audit build
 // routes the nodes through the dense loop and pins that loop's bits.  The
 // fast-engine pins were re-recorded when the step hint began reading the
-// step's own clock (the sprint-end deadline had read the previous step's).
+// step's own clock (the sprint-end deadline had read the previous step's),
+// and again when the manager's hint became the batch kernel's step rule.
 void expect_managed_fleet_pin(const char* policy, std::uint64_t audit_pin,
                               std::uint64_t pin) {
   FleetScenario s = pin_scenario();
@@ -227,12 +228,12 @@ void expect_managed_fleet_pin(const char* policy, std::uint64_t audit_pin,
 
 TEST(HashPin, FleetSimulatorHystEager) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
-  expect_managed_fleet_pin("hyst_eager", 0xd7911a8c38e8f547ULL, 0xca18fdd5e5f30f54ULL);
+  expect_managed_fleet_pin("hyst_eager", 0xd7911a8c38e8f547ULL, 0xe9ef8412ef764a53ULL);
 }
 
 TEST(HashPin, FleetSimulatorEdfSprint) {
   if (!kPinnedTarget) GTEST_SKIP() << "hash pins are recorded for x86-64 without FMA";
-  expect_managed_fleet_pin("edf_sprint", 0x7c52d5ccadb8687cULL, 0x8f57a72f3f319071ULL);
+  expect_managed_fleet_pin("edf_sprint", 0x7c52d5ccadb8687cULL, 0x17b3efb9404db368ULL);
 }
 
 SocConfig fast_config() {
@@ -292,8 +293,8 @@ TEST(HashPin, FastSocManagedJobs) {
       PolicyWorkload{2e5, Seconds(5e-3), Seconds(2e-3), Seconds(1e-3)});
   SocSystem soc(cfg, std::make_unique<SwitchedCapRegulator>(), processor);
   const SimResult r = soc.run(trace, controller, Seconds(0.02));
-  expect_pin("fast managed totals", totals_hash(r), 0x46eaee719287e388ULL);
-  expect_pin("fast managed waveform", waveform_hash(r.waveform), 0x82c03e4b57245612ULL);
+  expect_pin("fast managed totals", totals_hash(r), 0x4934edf3dff685ddULL);
+  expect_pin("fast managed waveform", waveform_hash(r.waveform), 0x871cdbf83793f789ULL);
 }
 
 TEST(HashPin, BatchFleetKernelSharedIndoorSky) {

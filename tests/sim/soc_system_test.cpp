@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -16,6 +17,33 @@ using namespace hemp::literals;
 SocSystem make_soc(SocConfig cfg = {}) {
   return SocSystem(cfg, std::make_unique<SwitchedCapRegulator>(),
                    Processor::make_test_chip());
+}
+
+TEST(SocStepHint, DeadlineAtOrBeforeNowIsDueLaterOnesKeepTheEarliest) {
+  SocStepHint hint;
+  hint.now = 1.0;
+  hint.deadline(3.0);
+  hint.deadline(2.0);
+  hint.deadline(2.5);
+  EXPECT_FALSE(hint.due);
+  EXPECT_EQ(hint.next_deadline_s, 2.0);
+  hint.deadline(1.0);  // at now
+  EXPECT_TRUE(hint.due);
+  EXPECT_EQ(hint.next_deadline_s, 2.0);  // a due deadline bounds nothing
+  hint.deadline(0.5);  // before now
+  EXPECT_TRUE(hint.due);
+  EXPECT_EQ(hint.next_deadline_s, 2.0);
+  EXPECT_FALSE(hint.decide_now);  // no deadline asks for a decision
+
+  SocStepHint asked;
+  asked.now = 1.0;
+  asked.decide_now = true;  // independent of every deadline
+  EXPECT_FALSE(asked.due);
+  EXPECT_EQ(asked.next_deadline_s, std::numeric_limits<double>::infinity());
+  asked.deadline(4.0);
+  EXPECT_TRUE(asked.decide_now);
+  EXPECT_FALSE(asked.due);
+  EXPECT_EQ(asked.next_deadline_s, 4.0);
 }
 
 TEST(SocSystem, RegulatedSteadyStateHoldsVddTarget) {
