@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "common/error.hpp"
+#include "imgproc/pipeline.hpp"
 #include "regulator/buck.hpp"
 #include "sim/soc_system.hpp"
 
@@ -220,6 +223,72 @@ TEST(SprintController, BypassClocksAtEnvelopeTopAboveVmax) {
   ASSERT_NO_THROW(ctrl.on_tick(state, cmd));
   EXPECT_EQ(cmd.frequency.value(),
             f.proc.max_frequency(f.proc.max_voltage()).value());
+}
+
+// The transients behind Figs. 9b and 11b, as their benches run them, pinned
+// to the bit: cycles retired, energy harvested and the bypass instant.  The
+// values were recorded on x86-64 (SSE2 doubles, no FMA contraction) with
+// glibc's libm; a target that fuses multiply-adds needs its own pins.
+#if defined(__x86_64__) && !defined(__FMA__)
+constexpr bool kPinnedTarget = true;
+#else
+constexpr bool kPinnedTarget = false;
+#endif
+
+struct TransientPin {
+  const char* what;
+  std::uint64_t cycles;
+  std::uint64_t harvested;
+  std::uint64_t bypass_time;  ///< 0 when the bypass never engaged
+};
+
+void expect_transient(Fixture& f, const SprintPlan& plan,
+                      const IrradianceTrace& trace, Seconds t_end, bool bypass,
+                      const TransientPin& pin) {
+  SCOPED_TRACE(pin.what);
+  SprintController ctrl(f.model, plan, {}, bypass);
+  SocSystem soc = f.make_soc();
+  const SimResult r = soc.run(trace, ctrl, t_end);
+  const std::uint64_t cycles = std::bit_cast<std::uint64_t>(r.totals.cycles);
+  const std::uint64_t harvested =
+      std::bit_cast<std::uint64_t>(r.totals.harvested.value());
+  const std::uint64_t bypass_time =
+      ctrl.bypass_time() ? std::bit_cast<std::uint64_t>(ctrl.bypass_time()->value())
+                         : 0;
+  EXPECT_EQ(cycles, pin.cycles);
+  EXPECT_EQ(harvested, pin.harvested);
+  EXPECT_EQ(bypass_time, pin.bypass_time);
+}
+
+TEST(SprintController, FigureTransientsHoldTheirBits) {
+  if (!kPinnedTarget) GTEST_SKIP() << "bits are recorded for x86-64 without FMA";
+  Fixture f;
+  // Fig. 9b: a 16 ms job, light stepped to darkness at 2 ms.
+  const SprintPlan plan_9b = f.scheduler.plan(9.65e6, 16.0_ms, 0.2);
+  const auto step = IrradianceTrace::step(1.0, 0.0, 2.0_ms);
+  expect_transient(f, plan_9b, step, 40.0_ms, true,
+                   {"9b with bypass", 0x414b4d1ff9d78e90ULL,
+                    0x3efe2abc1014e298ULL, 0x3f7290257c914ae0ULL});
+  expect_transient(f, plan_9b, step, 40.0_ms, false,
+                   {"9b regulator only", 0x414161c66469ce2bULL,
+                    0x3efe2abc1014e298ULL, 0});
+
+  // Fig. 11b: one 64x64 recognition frame by 14 ms, light ramped to darkness
+  // over 0.5-6 ms.
+  const double frame =
+      RecognitionPipeline::make_test_chip_pipeline().frame_cycles(64, 64);
+  const SprintPlan sprint = f.scheduler.plan(frame, 14.0_ms, 0.2);
+  const SprintPlan constant = f.scheduler.plan(frame, 14.0_ms, 0.0);
+  const auto ramp = IrradianceTrace::ramp(1.0, 0.0, 0.5_ms, 6.0_ms);
+  expect_transient(f, sprint, ramp, 60.0_ms, true,
+                   {"11b sprint + bypass", 0x4151a903647545f7ULL,
+                    0x3f0a40cfec6744c4ULL, 0x3f77e77d523b36c8ULL});
+  expect_transient(f, constant, ramp, 60.0_ms, true,
+                   {"11b constant + bypass", 0x41507a9f654dc361ULL,
+                    0x3f0a7aecfb3ee29cULL, 0x3f6e3a7daa4fc941ULL});
+  expect_transient(f, sprint, ramp, 60.0_ms, false,
+                   {"11b sprint, no bypass", 0x414990b7c50c0829ULL,
+                    0x3f0a401cc6743733ULL, 0});
 }
 
 TEST(SprintController, RejectsInfeasiblePlan) {
