@@ -42,7 +42,7 @@ void print_figure() {
   const auto dimming = IrradianceTrace::step(1.0, 0.0, 2.0_ms);
 
   auto run_variant = [&](bool enable_bypass) {
-    SprintController ctrl(rig.model, plan, {}, enable_bypass);
+    SprintController ctrl(rig.model, plan, enable_bypass);
     SocSystem soc(SocConfig{}, std::make_unique<BuckRegulator>(),
                   Processor::make_test_chip());
     const SimResult r = soc.run(dimming, ctrl, 40.0_ms);

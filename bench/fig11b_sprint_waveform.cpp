@@ -25,7 +25,7 @@ struct RunOutcome {
 
 RunOutcome run_variant(const SystemModel& model, const SprintPlan& plan,
                        const IrradianceTrace& trace, bool enable_bypass) {
-  SprintController ctrl(model, plan, {}, enable_bypass);
+  SprintController ctrl(model, plan, enable_bypass);
   SocSystem soc(SocConfig{}, std::make_unique<BuckRegulator>(),
                 Processor::make_test_chip());
   SimResult r = soc.run(trace, ctrl, 60.0_ms);
@@ -118,7 +118,7 @@ void BM_SprintTransient(benchmark::State& state) {
   const SprintPlan plan = scheduler.plan(9.65e6, Seconds(16e-3), 0.2);
   const auto dimming = IrradianceTrace::ramp(1.0, 0.0, Seconds(1e-3), Seconds(4e-3));
   for (auto _ : state) {
-    SprintController ctrl(rig.model, plan, {}, true);
+    SprintController ctrl(rig.model, plan, true);
     SocSystem soc(SocConfig{}, std::make_unique<BuckRegulator>(),
                   Processor::make_test_chip());
     benchmark::DoNotOptimize(soc.run(dimming, ctrl, Seconds(30e-3)));

@@ -56,7 +56,7 @@ int main() {
       std::printf("%-28s %12s\n", s.name, "infeasible");
       continue;
     }
-    SprintController ctrl(model, plan, {}, s.bypass);
+    SprintController ctrl(model, plan, s.bypass);
     SocSystem soc(SocConfig{}, std::make_unique<BuckRegulator>(),
                   Processor::make_test_chip());
     const SimResult r = soc.run(dying_light, ctrl, 50.0_ms);

@@ -191,12 +191,8 @@ void EnergyManager::start_next_job(const SocState& state, SocCommand& cmd) {
     ++run_.jobs_missed;
     return;
   }
-  run_.sprint = ActiveSprint{plan, state.time, state.cycles_retired, false};
+  run_.sprint = SprintRun::begin(plan, state, cmd);
   run_.state = State::kSprinting;
-  cmd.path = PowerPath::kRegulated;
-  cmd.vdd_target = plan.slow.vdd;
-  cmd.frequency = plan.slow.frequency;
-  cmd.run = true;
 }
 
 void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
@@ -231,48 +227,17 @@ void EnergyManager::tick_tracking(const SocState& state, SocCommand& cmd) {
 }
 
 void EnergyManager::tick_sprinting(const SocState& state, SocCommand& cmd) {
-  ActiveSprint& s = *run_.sprint;
-  const double done_cycles = state.cycles_retired - s.start_cycles;
-  const Seconds elapsed = state.time - s.started;
-
-  if (done_cycles >= s.plan.cycles) {
-    ++run_.jobs_completed;
+  SprintRun& s = *run_.sprint;
+  const bool done = state.cycles_retired - s.start_cycles >= s.plan.cycles;
+  if (done || state.time - s.started > s.plan.deadline * 1.5) {
+    ++(done ? run_.jobs_completed : run_.jobs_missed);
     run_.sprint.reset();
     run_.state = State::kRecovering;
     cmd.run = false;
     cmd.path = PowerPath::kRegulated;
     return;
   }
-  if (elapsed > s.plan.deadline * 1.5) {
-    ++run_.jobs_missed;
-    run_.sprint.reset();
-    run_.state = State::kRecovering;
-    cmd.run = false;
-    cmd.path = PowerPath::kRegulated;
-    return;
-  }
-
-  if (s.bypassed) {
-    // The shared node can overshoot Vmax under strong sun: clock at the
-    // envelope's top there.
-    if (state.v_dd >= plant_->min_voltage()) {
-      cmd.frequency = plant_->max_frequency(std::min(state.v_dd, plant_->max_voltage()));
-    }
-    return;
-  }
-
-  const OperatingPoint& op =
-      elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
-  cmd.vdd_target = op.vdd;
-  cmd.frequency = op.frequency;
-
-  const bool no_headroom = !plant_->supports(state.v_solar, op.vdd);
-  const bool sagging = state.v_dd.value() < op.vdd.value() - kSprintSagMargin &&
-                       elapsed.value() > kSprintSagArmTime;
-  if (no_headroom || sagging) {
-    s.bypassed = true;
-    cmd.path = PowerPath::kBypass;
-  }
+  s.command(state, cmd, *plant_, true);
 }
 
 void EnergyManager::tick_recovering(const SocState& state, SocCommand& cmd) {

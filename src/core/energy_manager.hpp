@@ -41,12 +41,6 @@ enum class QueueDiscipline {
   kEdf,   ///< earliest absolute deadline first, stale jobs dropped as missed
 };
 
-/// Sprint rail-sag rule: a regulated sprint falls back to the bypass once
-/// the rail sags this far (V) under its operating point, a check that arms
-/// only after the sprint has run this long (s).
-inline constexpr double kSprintSagMargin = 0.05;
-inline constexpr double kSprintSagArmTime = 1e-4;
-
 /// The Fig. 7a low-light bypass hysteresis: the bypass state after a light
 /// estimate `p_est`.  The node enters the bypass below `enter_ratio` of the
 /// crossover power and leaves it above `exit_ratio`; a zero crossover power
@@ -115,14 +109,8 @@ class EnergyManager : public SocController {
 
   // --- Read-only run state, for tests that script the manager by hand.
   enum class State { kTracking, kSprinting, kRecovering };
-  struct ActiveSprint {
-    SprintPlan plan;
-    Seconds started{0.0};
-    double start_cycles = 0.0;
-    bool bypassed = false;
-  };
   [[nodiscard]] State current_state() const { return run_.state; }
-  [[nodiscard]] const std::optional<ActiveSprint>& sprint() const { return run_.sprint; }
+  [[nodiscard]] const std::optional<SprintRun>& sprint() const { return run_.sprint; }
 
  private:
   EnergyManager(std::unique_ptr<ControlPlant> owned, const EnergyManagerParams& params);
@@ -161,7 +149,7 @@ class EnergyManager : public SocController {
     /// Last tick time — the deadline clock for submit() without an explicit
     /// now.
     Seconds now{0.0};
-    std::optional<ActiveSprint> sprint;
+    std::optional<SprintRun> sprint;
     int jobs_completed = 0;
     int jobs_missed = 0;
     bool low_light_bypass = false;
@@ -225,23 +213,9 @@ inline void EnergyManager::step_hint(const SocState& state, SocStepHint& hint) c
       if (!queue_empty()) hint.decide_now = true;  // the job starts next evaluation
       break;
     case State::kSprinting: {
-      const ActiveSprint& s = *run_.sprint;
-      hint.deadline((s.started + s.plan.deadline * 1.5).value());
-      if (!s.bypassed) {
-        hint.deadline((s.started + s.plan.phase_time).value());
-        hint.deadline(s.started.value() + kSprintSagArmTime);  // sag check arms then
-        const Seconds elapsed = state.time - s.started;
-        if (elapsed.value() > kSprintSagArmTime) {
-          const OperatingPoint& op =
-              elapsed < s.plan.phase_time ? s.plan.slow : s.plan.fast;
-          hint.watch_rail(op.vdd.value() - kSprintSagMargin);  // rail-sag bypass trigger
-        }
-      }
-      if (state.frequency.value() > 0.0) {  // the job's last cycle at this clock
-        const double remaining =
-            s.plan.cycles - (state.cycles_retired - s.start_cycles);
-        hint.deadline(state.time.value() + remaining / state.frequency.value());
-      }
+      const SprintRun& s = *run_.sprint;
+      hint.deadline((s.started + s.plan.deadline * 1.5).value());  // overdue
+      s.hint(state, hint);
       break;
     }
     case State::kRecovering:

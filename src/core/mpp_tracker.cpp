@@ -114,23 +114,6 @@ void MppTrackerParams::validate() const {
   HEMP_REQUIRE(dvfs_steps >= 4, "MppTracker: need >= 4 DVFS steps");
 }
 
-namespace {
-
-DvfsLadder make_ladder(const ControlPlant& plant, Volts ceiling, int steps) {
-  const double lo = plant.min_voltage().value();
-  const double hi = std::min(ceiling.value(), plant.max_voltage().value());
-  HEMP_REQUIRE(hi > lo, "MppTracker: empty DVFS range");
-  std::vector<OperatingPoint> levels;
-  levels.reserve(static_cast<std::size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    const Volts v(lo + (hi - lo) * i / (steps - 1));
-    levels.push_back({v, plant.max_frequency(v)});
-  }
-  return DvfsLadder(std::move(levels));
-}
-
-}  // namespace
-
 MppTrackingController::MppTrackingController(const SystemModel& model,
                                              const MppTrackerParams& params)
     : MppTrackingController(std::make_unique<ModelPlant>(model, params), params) {}
@@ -144,7 +127,9 @@ MppTrackingController::MppTrackingController(std::unique_ptr<ControlPlant> owned
 MppTrackingController::MppTrackingController(ControlPlant& plant,
                                              const MppTrackerParams& params)
     : plant_(&plant), params_(params),
-      ladder_(make_ladder(plant, params.vdd_ceiling, params.dvfs_steps)),
+      ladder_(DvfsLadder::spanning(
+          plant.min_voltage(), std::min(params.vdd_ceiling, plant.max_voltage()),
+          params.dvfs_steps, [&plant](Volts v) { return plant.max_frequency(v); })),
       timer_(params.v_high, params.v_low) {
   params_.validate();
   v_mpp_full_sun_ = plant.full_sun_mpp().voltage;
@@ -224,7 +209,10 @@ HEMP_HOT void MppTrackingController::on_tick(const SocState& state, SocCommand& 
   const double err = state.v_solar.value() - v_target_.value();
   const double dv = state.v_solar.value() - prev_v_solar_.value();
   prev_v_solar_ = state.v_solar;
-  if (const int delta = po_ladder_step(params_, err, dv)) step(delta, cmd);
+  if (const int delta =
+          po_ladder_step(params_.deadband, params_.slew_tolerance, err, dv)) {
+    step(delta, cmd);
+  }
 }
 
 void MppTrackingController::step_hint(const SocState& state, SocStepHint& hint) const {

@@ -105,15 +105,17 @@ struct MppTrackerParams {
   }
 };
 
-/// The steady-state P&O rule: +1 (draw more) when the solar node sits more
-/// than the deadband above its target (`err` = v_solar - target) and is not
-/// already falling, -1 (back off) when below it and not already recovering,
-/// else 0 (hold).  `dv` is the node's move since the last control period.
-[[nodiscard]] inline int po_ladder_step(const MppTrackerParams& p, double err,
-                                        double dv) {
-  const double slew = p.slew_tolerance.value();
-  if (err > p.deadband.value() && dv > -slew) return +1;
-  if (err < -p.deadband.value() && dv < slew) return -1;
+/// The steady-state P&O rule, shared by the MPP tracker and the fractional-Voc
+/// baseline: +1 (draw more) when the solar node sits more than `deadband`
+/// above its target (`err` = v_solar - target) and is not already falling
+/// faster than `slew_tolerance`, -1 (back off) when below it and not already
+/// recovering that fast, else 0 (hold).  `dv` is the node's move since the
+/// last control period.
+[[nodiscard]] inline int po_ladder_step(Volts deadband, Volts slew_tolerance,
+                                        double err, double dv) {
+  const double slew = slew_tolerance.value();
+  if (err > deadband.value() && dv > -slew) return +1;
+  if (err < -deadband.value() && dv < slew) return -1;
   return 0;
 }
 

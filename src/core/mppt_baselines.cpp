@@ -1,29 +1,11 @@
 #include "core/mppt_baselines.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 #include "common/error.hpp"
+#include "core/mpp_tracker.hpp"
 
 namespace hemp {
-namespace {
-
-DvfsLadder baseline_ladder(const Processor& proc, Volts ceiling, int steps) {
-  const double lo = proc.min_voltage().value();
-  const double hi = std::min(ceiling.value(), proc.max_voltage().value());
-  HEMP_REQUIRE(hi > lo, "MPPT baseline: empty DVFS range");
-  std::vector<OperatingPoint> levels;
-  levels.reserve(static_cast<std::size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    const Volts v(lo + (hi - lo) * i / (steps - 1));
-    levels.push_back({v, proc.max_frequency(v)});
-  }
-  return DvfsLadder(std::move(levels));
-}
-
-}  // namespace
-
 void PerturbObserveParams::validate() const {
   HEMP_REQUIRE(perturb_period.value() > 0.0, "P&O: bad perturb period");
   HEMP_REQUIRE(dvfs_steps >= 4, "P&O: need >= 4 DVFS steps");
@@ -32,8 +14,11 @@ void PerturbObserveParams::validate() const {
 PerturbObserveController::PerturbObserveController(const SystemModel& model,
                                                    const PerturbObserveParams& params)
     : model_(&model), params_(params),
-      ladder_(baseline_ladder(model.processor(), params.vdd_ceiling,
-                              params.dvfs_steps)) {
+      ladder_(DvfsLadder::spanning(
+          model.processor().min_voltage(),
+          std::min(params.vdd_ceiling, model.processor().max_voltage()),
+          params.dvfs_steps,
+          [&model](Volts v) { return model.processor().max_frequency(v); })) {
   params_.validate();
 }
 
@@ -87,8 +72,11 @@ void FractionalVocParams::validate() const {
 FractionalVocController::FractionalVocController(const SystemModel& model,
                                                  const FractionalVocParams& params)
     : model_(&model), params_(params),
-      ladder_(baseline_ladder(model.processor(), params.vdd_ceiling,
-                              params.dvfs_steps)) {
+      ladder_(DvfsLadder::spanning(
+          model.processor().min_voltage(),
+          std::min(params.vdd_ceiling, model.processor().max_voltage()),
+          params.dvfs_steps,
+          [&model](Volts v) { return model.processor().max_frequency(v); })) {
   params_.validate();
 }
 
@@ -134,12 +122,11 @@ void FractionalVocController::on_tick(const SocState& state, SocCommand& cmd) {
   const double err = state.v_solar.value() - v_target_.value();
   const double dv = state.v_solar.value() - prev_v_solar_.value();
   prev_v_solar_ = state.v_solar;
-  const double slew = params_.slew_tolerance.value();
-  if (err > params_.deadband.value() && dv > -slew) {
-    level_ = std::min(level_ + 1, ladder_.size() - 1);
-    apply_level(cmd);
-  } else if (err < -params_.deadband.value() && dv < slew) {
-    level_ = level_ > 0 ? level_ - 1 : 0;
+  if (const int delta =
+          po_ladder_step(params_.deadband, params_.slew_tolerance, err, dv)) {
+    const long next = static_cast<long>(level_) + delta;
+    level_ = static_cast<std::size_t>(
+        std::clamp<long>(next, 0, static_cast<long>(ladder_.size()) - 1));
     apply_level(cmd);
   }
 }

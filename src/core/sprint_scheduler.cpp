@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
+#include "core/model_plant.hpp"
 
 namespace hemp {
 
@@ -163,19 +164,55 @@ SprintScheduler::GainEstimate SprintScheduler::evaluate_gain(const SprintPlan& p
   return out;
 }
 
-SprintController::SprintController(const SystemModel& model, SprintPlan plan,
-                                   SprintControllerParams params, bool enable_bypass)
-    : model_(&model), plan_(std::move(plan)), params_(params),
-      enable_bypass_(enable_bypass) {
-  HEMP_REQUIRE(plan_.feasible, "SprintController: plan is infeasible");
+SprintRun SprintRun::begin(const SprintPlan& plan, const SocState& state,
+                           SocCommand& cmd) {
+  cmd.path = PowerPath::kRegulated;
+  cmd.vdd_target = plan.slow.vdd;
+  cmd.frequency = plan.slow.frequency;
+  cmd.run = true;
+  return SprintRun{plan, state.time, state.cycles_retired, false};
 }
 
+void SprintRun::command(const SocState& state, SocCommand& cmd,
+                        const ControlPlant& plant, bool allow_bypass) {
+  if (bypassed) {
+    // The shared node can overshoot Vmax under strong sun: clock at the
+    // envelope's top there.
+    if (state.v_dd >= plant.min_voltage()) {
+      cmd.frequency = plant.max_frequency(std::min(state.v_dd, plant.max_voltage()));
+    }
+    return;
+  }
+
+  const Seconds elapsed = state.time - started;
+  const OperatingPoint& op = elapsed < plan.phase_time ? plan.slow : plan.fast;
+  cmd.vdd_target = op.vdd;
+  cmd.frequency = op.frequency;
+  if (!allow_bypass) return;
+
+  const bool no_headroom = !plant.supports(state.v_solar, op.vdd);
+  const bool sagging = state.v_dd.value() < op.vdd.value() - kSprintSagMargin &&
+                       elapsed.value() > kSprintSagArmTime;
+  if (no_headroom || sagging) {
+    bypassed = true;
+    cmd.path = PowerPath::kBypass;
+  }
+}
+
+SprintController::SprintController(const SystemModel& model, SprintPlan plan,
+                                   bool enable_bypass)
+    : plant_(std::make_unique<ModelPlant>(model, MppTrackerParams{})),
+      run_{std::move(plan)}, enable_bypass_(enable_bypass) {
+  HEMP_REQUIRE(run_.plan.feasible, "SprintController: plan is infeasible");
+}
+
+SprintController::~SprintController() = default;
+
 void SprintController::on_start(const SocState& state, SocCommand& cmd) {
-  (void)state;
-  cmd.path = PowerPath::kRegulated;
-  cmd.vdd_target = plan_.slow.vdd;
-  cmd.frequency = plan_.slow.frequency;
-  cmd.run = true;
+  run_ = SprintRun::begin(run_.plan, state, cmd);
+  done_ = false;
+  bypass_at_.reset();
+  done_at_.reset();
 }
 
 void SprintController::on_tick(const SocState& state, SocCommand& cmd) {
@@ -183,53 +220,26 @@ void SprintController::on_tick(const SocState& state, SocCommand& cmd) {
     cmd.run = false;
     return;
   }
-  if (state.cycles_retired >= plan_.cycles) {
+  if (state.cycles_retired - run_.start_cycles >= run_.plan.cycles) {
     done_ = true;
     done_at_ = state.time;
     cmd.run = false;
     return;
   }
-
-  if (bypassed_) {
-    // Ride the rail: run as fast as the sagging supply allows.  Under strong
-    // sun the shared node can overshoot Vmax; clock at the envelope's top.
-    const Processor& proc = model_->processor();
-    if (state.v_dd >= proc.min_voltage()) {
-      cmd.frequency = proc.max_frequency(std::min(state.v_dd, proc.max_voltage()));
-    }
-    return;
-  }
-
-  // Phase schedule.
-  const OperatingPoint& op =
-      state.time < plan_.phase_time ? plan_.slow : plan_.fast;
-  cmd.vdd_target = op.vdd;
-  cmd.frequency = op.frequency;
-
-  // Bypass decision: the regulator has lost input headroom, or the rail sags.
-  if (enable_bypass_) {
-    const bool no_headroom =
-        !model_->regulator().supports(state.v_solar, cmd.vdd_target);
-    const bool sagging =
-        state.v_dd.value() < cmd.vdd_target.value() - params_.sag_margin.value() &&
-        state.time.value() > 10.0 * 1e-6;  // ignore the startup transient
-    if (no_headroom || sagging) {
-      bypassed_ = true;
-      bypass_at_ = state.time;
-      cmd.path = PowerPath::kBypass;
-    }
-  }
+  const bool was_bypassed = run_.bypassed;
+  run_.command(state, cmd, *plant_, enable_bypass_);
+  if (run_.bypassed && !was_bypassed) bypass_at_ = state.time;
 }
 
 bool SprintController::finished(const SocState& state) {
   if (done_) return true;
-  if (bypassed_) {
+  if (run_.bypassed) {
     // Dead when the rail fell below operating range and the solar node has
     // nothing left to push into it.
-    const double vmin = model_->processor().min_voltage().value();
-    if (state.v_dd.value() < vmin - params_.give_up_margin.value() &&
-        state.v_solar.value() <
-            state.v_dd.value() + params_.give_up_margin.value()) {
+    constexpr double kGiveUpMargin = 0.01;  // V
+    const double vmin = plant_->min_voltage().value();
+    if (state.v_dd.value() < vmin - kGiveUpMargin &&
+        state.v_solar.value() < state.v_dd.value() + kGiveUpMargin) {
       return true;
     }
   }

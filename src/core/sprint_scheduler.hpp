@@ -12,17 +12,20 @@
 //     first half, faster for the second (sprint factor s) — which keeps the
 //     solar node at a higher, more productive voltage early and harvests more
 //     total energy (Eqs. 12-13);
-//   * at runtime, bypasses the regulator once it can no longer sustain the
+//   * at runtime (SprintRun), bypasses the regulator once it can no longer sustain the
 //     rail, letting the cell charge the rail directly and extending operation
 //     (the paper measures +3 ms / ~20% extension, ~10% extra solar energy).
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "core/system_model.hpp"
 #include "sim/soc_system.hpp"
 
 namespace hemp {
+
+class ControlPlant;
 
 struct SprintPlan {
   OperatingPoint nominal;  ///< constant-speed point meeting the deadline
@@ -79,38 +82,74 @@ class SprintScheduler {
   const SystemModel* model_;
 };
 
-struct SprintControllerParams {
-  /// Engage the bypass when the regulator loses input headroom or the rail
-  /// sags this far below its target.
-  Volts sag_margin{0.05};
-  /// Consider the run dead when (in bypass) the rail cannot reach the
-  /// processor's minimum voltage anymore.
-  Volts give_up_margin{0.01};
+/// Sprint rail-sag rule: a regulated sprint falls back to the bypass once
+/// the rail sags this far (V) under its operating point, a check that arms
+/// only after the sprint has run this long (s).
+inline constexpr double kSprintSagMargin = 0.05;
+inline constexpr double kSprintSagArmTime = 1e-4;
+
+/// One sprint in flight: the plan, when and at what cycle count it started,
+/// and whether the regulator has been bypassed.  EnergyManager and
+/// SprintController both execute a sprint through it.
+struct SprintRun {
+  SprintPlan plan;
+  Seconds started{0.0};
+  double start_cycles = 0.0;
+  bool bypassed = false;
+
+  /// Start `plan` at `state`: regulated, at the slow phase's point.
+  static SprintRun begin(const SprintPlan& plan, const SocState& state,
+                         SocCommand& cmd);
+
+  /// One control evaluation.  Bypassed, the core rides the shared node at
+  /// f_max; otherwise it runs the phase schedule, and (with `allow_bypass`)
+  /// bypasses the regulator once it loses input headroom or the rail sags.
+  void command(const SocState& state, SocCommand& cmd, const ControlPlant& plant,
+               bool allow_bypass);
+
+  /// The sprint's events: the phase switch, the sag check's arm time, the
+  /// rail-sag watch and the job's last cycle at the present clock.  The two
+  /// fixed deadlines are emitted for the whole regulated run, also once
+  /// passed (SocStepHint marks them due).
+  void hint(const SocState& state, SocStepHint& hint) const {
+    if (!bypassed) {
+      hint.deadline((started + plan.phase_time).value());
+      hint.deadline(started.value() + kSprintSagArmTime);  // sag check arms then
+      const Seconds elapsed = state.time - started;
+      if (elapsed.value() > kSprintSagArmTime) {
+        const OperatingPoint& op = elapsed < plan.phase_time ? plan.slow : plan.fast;
+        hint.watch_rail(op.vdd.value() - kSprintSagMargin);  // rail-sag bypass trigger
+      }
+    }
+    if (state.frequency.value() > 0.0) {  // the job's last cycle at this clock
+      const double remaining = plan.cycles - (state.cycles_retired - start_cycles);
+      hint.deadline(state.time.value() + remaining / state.frequency.value());
+    }
+  }
 };
 
-/// Executes a SprintPlan against the transient SoC: slow phase, fast phase,
-/// then regulator bypass at the tail (paper Figs. 9b / 11b).
+/// Executes one SprintPlan against the transient SoC (paper Figs. 9b / 11b)
+/// with the energy manager's sprint code, on its own ModelPlant.  Without
+/// `enable_bypass` the sprint stays on the regulator (the benches' A/B).
 class SprintController : public SocController {
  public:
   SprintController(const SystemModel& model, SprintPlan plan,
-                   SprintControllerParams params = {},
                    bool enable_bypass = true);
+  ~SprintController() override;
 
   void on_start(const SocState& state, SocCommand& cmd) override;
   void on_tick(const SocState& state, SocCommand& cmd) override;
   bool finished(const SocState& state) override;
 
-  [[nodiscard]] bool bypass_engaged() const { return bypassed_; }
+  [[nodiscard]] bool bypass_engaged() const { return run_.bypassed; }
   [[nodiscard]] std::optional<Seconds> bypass_time() const { return bypass_at_; }
   [[nodiscard]] bool job_done() const { return done_; }
   [[nodiscard]] std::optional<Seconds> completion_time() const { return done_at_; }
 
  private:
-  const SystemModel* model_;
-  SprintPlan plan_;
-  SprintControllerParams params_;
+  std::unique_ptr<const ControlPlant> plant_;
+  SprintRun run_;
   bool enable_bypass_;
-  bool bypassed_ = false;
   bool done_ = false;
   std::optional<Seconds> bypass_at_;
   std::optional<Seconds> done_at_;

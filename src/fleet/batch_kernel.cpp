@@ -592,7 +592,7 @@ struct NodeRunner : flat::StepCore {
     state.v_dd = Volts(v_d);
     ctl.on_start(state, cmd);
     if (events != nullptr) {
-      bank.emplace(kSoc.comparator_thresholds);
+      bank.emplace(kComparatorThresholds);
       bank->reset(Volts(v_s));
     }
   }

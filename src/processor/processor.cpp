@@ -1,7 +1,5 @@
 #include "processor/processor.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -57,52 +55,12 @@ Processor Processor::make_test_chip() {
   return Processor(SpeedModel(), PowerModel(), "65nm-image-processor");
 }
 
-DvfsLadder::DvfsLadder(const Processor& proc, int steps) {
-  HEMP_REQUIRE(steps >= 2, "DvfsLadder: need >= 2 steps");
-  const double lo = proc.min_voltage().value();
-  const double hi = proc.max_voltage().value();
-  levels_.reserve(static_cast<std::size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    const Volts v(lo + (hi - lo) * i / (steps - 1));
-    levels_.push_back({v, proc.max_frequency(v)});
-  }
-}
-
 DvfsLadder::DvfsLadder(std::vector<OperatingPoint> levels) : levels_(std::move(levels)) {
   HEMP_REQUIRE(levels_.size() >= 2, "DvfsLadder: need >= 2 levels");
   for (std::size_t i = 1; i < levels_.size(); ++i) {
     HEMP_REQUIRE(levels_[i - 1].vdd < levels_[i].vdd,
                  "DvfsLadder: levels must be sorted by voltage");
   }
-}
-
-OperatingPoint DvfsLadder::floor_level(Volts v) const {
-  HEMP_CHECK_RANGE(v >= levels_.front().vdd, "DvfsLadder: below the lowest level");
-  OperatingPoint out = levels_.front();
-  for (const auto& l : levels_) {
-    if (l.vdd <= v) out = l;
-  }
-  return out;
-}
-
-OperatingPoint DvfsLadder::ceil_level_for_frequency(Hertz f) const {
-  for (const auto& l : levels_) {
-    if (l.frequency >= f) return l;
-  }
-  throw RangeError("DvfsLadder: frequency above the highest level");
-}
-
-std::size_t DvfsLadder::nearest_index(Volts v) const {
-  std::size_t best = 0;
-  double best_d = std::fabs(levels_[0].vdd.value() - v.value());
-  for (std::size_t i = 1; i < levels_.size(); ++i) {
-    const double d = std::fabs(levels_[i].vdd.value() - v.value());
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
 }
 
 const OperatingPoint& DvfsLadder::at(std::size_t i) const {

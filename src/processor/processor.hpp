@@ -5,8 +5,10 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "processor/power_model.hpp"
 #include "processor/speed_model.hpp"
@@ -63,22 +65,25 @@ class Processor {
 /// driven by the clock generator + regulator reference (paper Sec. VI-A).
 class DvfsLadder {
  public:
-  /// Build `steps` evenly spaced voltage levels across the processor's
-  /// operating envelope, each paired with its max frequency.
-  DvfsLadder(const Processor& proc, int steps);
+  /// `steps` evenly spaced voltage levels over [lo, hi], each paired with
+  /// `f_max(v)`: the one ladder builder.  Throws on an empty range.
+  template <class FMax>
+  [[nodiscard]] static DvfsLadder spanning(Volts lo, Volts hi, int steps, FMax&& f_max) {
+    HEMP_REQUIRE(hi > lo, "DvfsLadder: empty DVFS range");
+    std::vector<OperatingPoint> levels;
+    levels.reserve(static_cast<std::size_t>(steps));
+    for (int i = 0; i < steps; ++i) {
+      const Volts v(lo.value() + (hi.value() - lo.value()) * i / (steps - 1));
+      levels.push_back({v, f_max(v)});
+    }
+    return DvfsLadder(std::move(levels));
+  }
 
   /// Explicit levels (must be sorted by voltage ascending).
   explicit DvfsLadder(std::vector<OperatingPoint> levels);
 
   [[nodiscard]] const std::vector<OperatingPoint>& levels() const { return levels_; }
   [[nodiscard]] std::size_t size() const { return levels_.size(); }
-
-  /// Highest level whose voltage is <= `v` (throws if below the lowest level).
-  [[nodiscard]] OperatingPoint floor_level(Volts v) const;
-  /// Lowest level able to sustain `f` (throws if above the highest level).
-  [[nodiscard]] OperatingPoint ceil_level_for_frequency(Hertz f) const;
-  /// Index of the level closest in voltage to `v`.
-  [[nodiscard]] std::size_t nearest_index(Volts v) const;
   [[nodiscard]] const OperatingPoint& at(std::size_t i) const;
 
  private:

@@ -7,8 +7,9 @@
 // sim/flat_step.hpp; the fleet batch kernel runs the same one) over the
 // precomputed hemp::flat surfaces, and adds what only a SocController
 // needs: the controller's hint deadlines and watch levels, the waveform
-// decimation cadence, SocConfig's comparator levels as a step bound, and an
-// exact replay of the reference RC tick through the bypass-entry transient.
+// decimation cadence, the solar node's comparator levels as a step bound,
+// and an exact replay of the reference RC tick through the bypass-entry
+// transient.
 //
 // Steps are quantized to whole reference ticks so controller decisions land
 // on the same instants the fixed-step loop uses.  Zero exact solves run
@@ -62,7 +63,7 @@ constexpr double kBypassMergeBand = 0.02;
 struct FastEngine : flat::StepCore {
   // Wiring (set once in run_fast).
   SocController* controller = nullptr;
-  /// SocConfig's comparator bank, a step bound only (`edges`: its scratch).
+  /// The solar node's comparator bank, a step bound only (`edges`: its scratch).
   ComparatorBank* comparators = nullptr;
   std::vector<ComparatorEvent>* edges = nullptr;
   Waveform* waveform = nullptr;
@@ -228,7 +229,7 @@ SimResult SocSystem::run_fast(const IrradianceTrace& trace_in,
   // node's path only: solve those cells on first touch, not the whole grid.
   fast_ctx_->fill.cover(g_peak);
 
-  ComparatorBank comparators(config_.comparator_thresholds);
+  ComparatorBank comparators(kComparatorThresholds);
   comparators.reset(config_.solar_start_voltage);
   std::vector<ComparatorEvent> edges;
   edges.reserve(comparators.size());

@@ -43,9 +43,6 @@ struct SocConfig {
   Farads vdd_capacitance{10e-6};
   Volts solar_start_voltage{1.2};
   Volts vdd_start_voltage{0.5};
-  /// Descending comparator thresholds on the solar node (Fig. 8's V0, V1,
-  /// V2).  The fast path bounds its steps by them; no controller reads them.
-  std::vector<Volts> comparator_thresholds{Volts(1.1), Volts(1.0), Volts(0.9)};
   BypassParams bypass{};
   Seconds time_step{2e-6};
   /// Time constant of the regulator's output-voltage restoration loop.

@@ -38,7 +38,7 @@ std::optional<ComparatorEvent> Comparator::update(Volts v, Seconds t) {
   return std::nullopt;
 }
 
-ComparatorBank::ComparatorBank(const std::vector<Volts>& thresholds,
+ComparatorBank::ComparatorBank(std::span<const Volts> thresholds,
                                Volts hysteresis) {
   HEMP_REQUIRE(!thresholds.empty(), "ComparatorBank: need >= 1 threshold");
   for (std::size_t i = 1; i < thresholds.size(); ++i) {

@@ -6,7 +6,9 @@
 // the time the solar-node voltage takes to fall between two thresholds.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -17,6 +19,10 @@ enum class Edge { kRising, kFalling };
 
 /// The on-board comparators' hysteresis band (symmetric about the threshold).
 inline constexpr Volts kComparatorHysteresis{0.005};
+/// The solar node's descending comparator thresholds (Fig. 8's V0, V1, V2).
+/// The fast path bounds its steps by them; no controller reads them.
+inline constexpr std::array<Volts, 3> kComparatorThresholds{Volts(1.1), Volts(1.0),
+                                                           Volts(0.9)};
 
 struct ComparatorEvent {
   Edge edge;
@@ -54,7 +60,7 @@ class Comparator {
 /// Ordered bank of comparators (V0 > V1 > V2 in the paper's Fig. 8 scheme).
 class ComparatorBank {
  public:
-  explicit ComparatorBank(const std::vector<Volts>& thresholds,
+  explicit ComparatorBank(std::span<const Volts> thresholds,
                           Volts hysteresis = kComparatorHysteresis);
 
   /// Feed a sample to every comparator; returns all toggles this sample.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "common/error.hpp"
 #include "imgproc/pipeline.hpp"
@@ -189,11 +190,11 @@ TEST(SprintController, BypassExtendsOperationUnderDimming) {
 
   const auto dimming = IrradianceTrace::step(1.0, 0.0, 2.0_ms);
 
-  SprintController with_bypass(f.model, plan, {}, /*enable_bypass=*/true);
+  SprintController with_bypass(f.model, plan, /*enable_bypass=*/true);
   SocSystem soc1 = f.make_soc();
   const SimResult r1 = soc1.run(dimming, with_bypass, 40.0_ms);
 
-  SprintController without_bypass(f.model, plan, {}, /*enable_bypass=*/false);
+  SprintController without_bypass(f.model, plan, /*enable_bypass=*/false);
   SocSystem soc2 = f.make_soc();
   const SimResult r2 = soc2.run(dimming, without_bypass, 40.0_ms);
 
@@ -246,7 +247,7 @@ void expect_transient(Fixture& f, const SprintPlan& plan,
                       const IrradianceTrace& trace, Seconds t_end, bool bypass,
                       const TransientPin& pin) {
   SCOPED_TRACE(pin.what);
-  SprintController ctrl(f.model, plan, {}, bypass);
+  SprintController ctrl(f.model, plan, bypass);
   SocSystem soc = f.make_soc();
   const SimResult r = soc.run(trace, ctrl, t_end);
   const std::uint64_t cycles = std::bit_cast<std::uint64_t>(r.totals.cycles);
@@ -289,6 +290,23 @@ TEST(SprintController, FigureTransientsHoldTheirBits) {
   expect_transient(f, sprint, ramp, 60.0_ms, false,
                    {"11b sprint, no bypass", 0x414990b7c50c0829ULL,
                     0x3f0a401cc6743733ULL, 0});
+}
+
+TEST(SprintController, RerunMatchesAFreshRun) {
+  // on_start begins a fresh sprint: a run after a bypassed one starts
+  // regulated again, with no bypass or completion time carried over.
+  Fixture f;
+  const SprintPlan plan = f.scheduler.plan(9.65e6, 16.0_ms, 0.2);
+  const auto dimming = IrradianceTrace::step(1.0, 0.0, 2.0_ms);
+  SprintController ctrl(f.model, plan);
+  SocSystem soc = f.make_soc();
+  const SimResult first = soc.run(dimming, ctrl, 40.0_ms);
+  const std::optional<Seconds> first_bypass = ctrl.bypass_time();
+  ASSERT_TRUE(first_bypass.has_value());
+  const SimResult second = soc.run(dimming, ctrl, 40.0_ms);
+  EXPECT_EQ(second.totals.cycles, first.totals.cycles);
+  ASSERT_TRUE(ctrl.bypass_time().has_value());
+  EXPECT_EQ(ctrl.bypass_time()->value(), first_bypass->value());
 }
 
 TEST(SprintController, RejectsInfeasiblePlan) {

@@ -357,7 +357,7 @@ TEST(HashPin, BatchFleetKernelTracedComparatorEvents) {
   Fnv f;
   std::size_t total = 0;
   // Each edge hashes as its index in the descending threshold bank.
-  const std::vector<Volts>& bank = SocConfig{}.comparator_thresholds;
+  const auto& bank = kComparatorThresholds;
   for (int node = 0; node < s.nodes; ++node) {
     std::vector<ComparatorEvent> events;
     const NodeResult r = kernel.run_node_traced(node, events);

@@ -88,9 +88,14 @@ TEST(Processor, PaperFrameTimeAtHalfVolt) {
   EXPECT_NEAR(t.value(), 15e-3, 1e-3);
 }
 
+DvfsLadder envelope_ladder(const Processor& p, int steps) {
+  return DvfsLadder::spanning(p.min_voltage(), p.max_voltage(), steps,
+                              [&p](Volts v) { return p.max_frequency(v); });
+}
+
 TEST(DvfsLadder, SpansProcessorEnvelope) {
   const Processor p = chip();
-  const DvfsLadder ladder(p, 10);
+  const DvfsLadder ladder = envelope_ladder(p, 10);
   EXPECT_EQ(ladder.size(), 10u);
   EXPECT_DOUBLE_EQ(ladder.at(0).vdd.value(), p.min_voltage().value());
   EXPECT_DOUBLE_EQ(ladder.at(9).vdd.value(), p.max_voltage().value());
@@ -98,39 +103,11 @@ TEST(DvfsLadder, SpansProcessorEnvelope) {
 
 TEST(DvfsLadder, LevelsCarryMaxFrequency) {
   const Processor p = chip();
-  const DvfsLadder ladder(p, 8);
+  const DvfsLadder ladder = envelope_ladder(p, 8);
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     EXPECT_NEAR(ladder.at(i).frequency.value(),
                 p.max_frequency(ladder.at(i).vdd).value(), 1.0);
   }
-}
-
-TEST(DvfsLadder, FloorLevelPicksHighestAtOrBelow) {
-  const Processor p = chip();
-  const DvfsLadder ladder(p, 11);  // steps of 0.1 V from 0.2 to 1.2
-  EXPECT_NEAR(ladder.floor_level(0.55_V).vdd.value(), 0.5, 1e-9);
-  EXPECT_NEAR(ladder.floor_level(0.5_V).vdd.value(), 0.5, 1e-9);
-  EXPECT_THROW((void)ladder.floor_level(0.1_V), RangeError);
-}
-
-TEST(DvfsLadder, CeilLevelForFrequency) {
-  const Processor p = chip();
-  const DvfsLadder ladder(p, 11);
-  const Hertz f_target(200e6);
-  const OperatingPoint op = ladder.ceil_level_for_frequency(f_target);
-  EXPECT_GE(op.frequency.value(), f_target.value());
-  // The level right below must be too slow.
-  const std::size_t idx = ladder.nearest_index(op.vdd);
-  if (idx > 0) { EXPECT_LT(ladder.at(idx - 1).frequency.value(), f_target.value()); }
-  EXPECT_THROW((void)ladder.ceil_level_for_frequency(Hertz(1e12)), RangeError);
-}
-
-TEST(DvfsLadder, NearestIndex) {
-  const Processor p = chip();
-  const DvfsLadder ladder(p, 11);
-  EXPECT_EQ(ladder.nearest_index(0.21_V), 0u);
-  EXPECT_EQ(ladder.nearest_index(1.19_V), 10u);
-  EXPECT_EQ(ladder.nearest_index(0.69_V), 5u);  // 0.7 V level
 }
 
 TEST(DvfsLadder, ExplicitLevelsMustBeSorted) {

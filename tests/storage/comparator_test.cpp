@@ -61,14 +61,14 @@ TEST(Comparator, Validation) {
 }
 
 TEST(ComparatorBank, RequiresDescendingThresholds) {
-  EXPECT_NO_THROW(ComparatorBank({1.1_V, 1.0_V, 0.9_V}));
-  EXPECT_THROW(ComparatorBank({0.9_V, 1.0_V}), ModelError);
-  EXPECT_THROW(ComparatorBank({1.0_V, 1.0_V}), ModelError);
+  EXPECT_NO_THROW(ComparatorBank{kComparatorThresholds});
+  EXPECT_THROW(ComparatorBank(std::array{0.9_V, 1.0_V}), ModelError);
+  EXPECT_THROW(ComparatorBank(std::array{1.0_V, 1.0_V}), ModelError);
   EXPECT_THROW(ComparatorBank({}), ModelError);
 }
 
 TEST(ComparatorBank, ReportsAllCrossingsInOneSample) {
-  ComparatorBank bank({1.1_V, 1.0_V, 0.9_V});
+  ComparatorBank bank(kComparatorThresholds);  // 1.1, 1.0 and 0.9 V
   bank.reset(1.2_V);
   // Plunge below all three at once.
   const auto events = bank.update(0.5_V, 1.0_ms);
@@ -77,7 +77,7 @@ TEST(ComparatorBank, ReportsAllCrossingsInOneSample) {
 }
 
 TEST(ComparatorBank, SequentialCrossingsFireIndividually) {
-  ComparatorBank bank({1.1_V, 1.0_V, 0.9_V});
+  ComparatorBank bank(kComparatorThresholds);  // 1.1, 1.0 and 0.9 V
   bank.reset(1.2_V);
   EXPECT_EQ(bank.update(1.05_V, 1.0_ms).size(), 1u);
   EXPECT_EQ(bank.update(0.95_V, 2.0_ms).size(), 1u);
