@@ -22,6 +22,7 @@
 #include "core/system_model.hpp"
 #include "processor/processor.hpp"
 #include "sim/soc_system.hpp"
+#include "storage/capacitor.hpp"
 #include "storage/comparator.hpp"
 
 namespace hemp {
@@ -91,7 +92,7 @@ struct MppTrackerParams {
   Volts v_high{1.0};
   Volts v_low{0.9};
   /// Must match the SoC's solar storage cap (Eq. 7's C).
-  Farads solar_capacitance{47e-6};
+  Farads solar_capacitance = kSolarNodeCapacitance;
   /// Number of DVFS ladder steps.
   int dvfs_steps = 48;
   /// Highest Vdd the ladder uses (stays inside the regulator envelope).

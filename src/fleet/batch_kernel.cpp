@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "common/interpolation.hpp"
 #include "common/numeric.hpp"
-#include "common/rng.hpp"
 #include "common/solver_stats.hpp"
 #include "core/control_plant.hpp"
 #include "core/energy_manager.hpp"
@@ -24,10 +23,10 @@
 #include "core/regulator_selector.hpp"
 #include "core/sprint_scheduler.hpp"
 #include "core/system_model.hpp"
+#include "fleet/front_end.hpp"
 #include "harvester/iv_curve.hpp"
 #include "harvester/pv_cell.hpp"
 #include "policy/controllers.hpp"
-#include "policy/registry.hpp"
 #include "processor/corners.hpp"
 #include "processor/processor.hpp"
 #include "regulator/switched_cap.hpp"
@@ -43,9 +42,10 @@ namespace {
 // Model constants come from the component parameter defaults: the fleet
 // builds every node from SocConfig{}, SwitchedCapParams{} and PvCellParams{}
 // plus the sampled scale factors, and each node's processor from
-// make_test_chip_at.  Each node runs the core's ManagedPolicyController on a
-// flat plant, with the lane's EnergyManagerParams (Shared::mgr); the step
-// physics is the shared flat::StepCore (sim/flat_step.hpp).
+// make_test_chip_at, drawn by the fleet front end (fleet/front_end.hpp).
+// Each node runs the core's ManagedPolicyController on a flat plant, with its
+// policy's EnergyManagerParams; the step physics is the shared
+// flat::StepCore (sim/flat_step.hpp).
 // ---------------------------------------------------------------------------
 
 using flat::FlatTrace;
@@ -82,25 +82,9 @@ constexpr double kIvVMax = 1.7;
 // Every fleet node shares the default switched-cap regulator.
 const flat::FlatSc kScFlat = flat::make_flat_sc(SwitchedCapParams{});
 
-/// The default cell with its short-circuit current scaled by `pv_scale`
-/// (the only PV parameter a fleet node varies).
-PvCellParams scaled_pv_params(double pv_scale) {
-  PvCellParams p;
-  p.isc_full_sun = p.isc_full_sun * pv_scale;
-  return p;
-}
-
 // ---------------------------------------------------------------------------
-// Shared (pv_scale, irradiance) MPP surfaces.
+// Scenario-level surfaces, built once per process (DESIGN.md Sec. 6k).
 // ---------------------------------------------------------------------------
-
-std::vector<double> linspace(double lo, double hi, int n) {
-  std::vector<double> xs(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    xs[static_cast<std::size_t>(i)] = lo + (hi - lo) * i / (n - 1);
-  }
-  return xs;
-}
 
 /// Degenerate sampled ranges (pv_scale_min == pv_scale_max) still need two
 /// distinct grid knots.
@@ -108,10 +92,6 @@ std::pair<double, double> widen_if_degenerate(double lo, double hi) {
   if (hi - lo < 1e-12) hi = lo + 1e-6;
   return {lo, hi};
 }
-
-// ---------------------------------------------------------------------------
-// Scenario-level surfaces, built once per process (DESIGN.md Sec. 6k).
-// ---------------------------------------------------------------------------
 
 /// The constructor's exact solves that no node, seed or sky affects.  They
 /// are a pure function of the widened pv-scale range: every other input
@@ -122,8 +102,8 @@ std::pair<double, double> widen_if_degenerate(double lo, double hi) {
 struct FleetSurfaces {
   flat::MppSurface mpp;
   flat::IvSurface iv;
-  /// Low-light crossover irradiance per corner over (temperature, pv_scale);
-  /// 0 = no crossover.
+  /// Low-light crossover irradiance per corner (kProcessCorners order, the
+  /// enum's) over (temperature, pv_scale); 0 = no crossover.
   std::array<BilinearGrid, 3> cross;
 };
 
@@ -199,19 +179,16 @@ SurfaceCache& surface_cache() {
 // ---------------------------------------------------------------------------
 
 struct BatchFleetKernel::Shared {
-  FleetScenario scenario;
-  bool shared_sky = false;
-  FlatTrace sky;  ///< valid when shared_sky
+  explicit Shared(FleetScenario scenario) : front(std::move(scenario)) {}
 
-  /// Manager and tracker parameters of every lane: the legacy mix's defaults
-  /// (mode per node from the sampled min_energy) or a forced policy's.
-  EnergyManagerParams mgr;
+  FleetFrontEnd front;
+  FlatTrace sky;  ///< valid when the fleet shares its sky
 
   // SoA node-parameter plane (index-parallel arrays).
   std::vector<NodeSample> samples;
   std::vector<PvFlat> pv;
   std::vector<flat::FlatProc> proc;
-  std::vector<FlatTrace> traces;  ///< empty when shared_sky
+  std::vector<FlatTrace> traces;  ///< empty when the fleet shares its sky
   /// Kept for sprint planning, which reads the processor model; optional
   /// only so that every slot can be constructed in place by its own work
   /// unit.
@@ -224,24 +201,19 @@ struct BatchFleetKernel::Shared {
 
 BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
                                    const BatchKernelOptions& opts) {
-  auto shared = std::make_shared<Shared>();
+  auto shared = std::make_shared<Shared>(std::move(scenario));
   Shared& sh = *shared;
-  sh.scenario = std::move(scenario);
-  sh.scenario.validate();
-  const FleetScenario& sc = sh.scenario;
+  const FleetScenario& sc = sh.front.scenario();
 
-  // --- Forced scenario policy: only managers the lane implements (runs())
-  // ride this kernel; everything else must use the reference engine. --------
-  const bool forced = !sc.policy.empty();
-  if (forced) {
-    const EnergyPolicy& policy = PolicyRegistry::global().at(sc.policy);
-    if (!runs(policy)) {
-      throw ModelError("BatchFleetKernel: policy '" + sc.policy +
+  // --- Only managers the lane implements (runs()) ride this kernel;
+  // everything else must use the reference engine. ---------------------------
+  for (const EnergyPolicy* policy : sh.front.policies()) {
+    if (!runs(*policy)) {
+      throw ModelError("BatchFleetKernel: policy '" + policy->name() +
                        "' has no batch-kernel lane; run it on the reference "
                        "kernel (fleetsim --kernel reference)");
     }
-    sh.mgr = *policy.manager_params();
-    sh.mgr.validate();
+    policy->manager_params()->validate();
   }
 
   // Everything below is a set of independent work units (DESIGN.md
@@ -263,20 +235,18 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     // the hemp::flat builders, one unit per pv-scale row.
     fresh->mpp = flat::size_mpp_surface(s_lo, s_hi, kSurfaceSKnots, kSurfaceGMin,
                                         flat::kSurfaceGMax, kSurfaceGKnots);
-    fresh->iv =
-        flat::size_iv_surface(linspace(s_lo, s_hi, kSurfaceSKnots), kIvVMax,
-                              flat::kIvVKnots, flat::kSurfaceGMax, flat::kIvGKnots);
+    fresh->iv = flat::size_iv_surface(
+        flat::surface_knots(s_lo, s_hi, kSurfaceSKnots), kIvVMax, flat::kIvVKnots,
+        flat::kSurfaceGMax, flat::kIvGKnots);
   }
 
   // --- Low-light crossover tables: exact RegulatorSelector bisection per
   // corner over a coarse (temperature, pv_scale) grid, one unit per cell;
   // each node's flat plant interpolates them.
-  const std::vector<double> temp_knots = linspace(-20.0, 85.0, kCrossTempKnots);
-  const std::vector<double> cross_s_knots = linspace(s_lo, s_hi, kCrossSKnots);
-  // Corner order: the crossover tables' index (corner_ix below).
-  static constexpr ProcessCorner kCorners[] = {ProcessCorner::kSlowSlow,
-                                               ProcessCorner::kTypical,
-                                               ProcessCorner::kFastFast};
+  const std::vector<double> temp_knots =
+      flat::surface_knots(-20.0, 85.0, kCrossTempKnots);
+  const std::vector<double> cross_s_knots =
+      flat::surface_knots(s_lo, s_hi, kCrossSKnots);
   const std::size_t cross_cells = temp_knots.size() * cross_s_knots.size();
   std::array<std::vector<double>, 3> cross_vals;
   for (std::vector<double>& v : cross_vals) v.resize(cross_cells);
@@ -287,13 +257,11 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
     const std::size_t j = k % cross_s_knots.size();
     const PvCell pv_cell(scaled_pv_params(cross_s_knots[j]));
     const SwitchedCapRegulator reg;
-    const Processor proc = make_test_chip_at({kCorners[c], temp_knots[i]});
+    const Processor proc = make_test_chip_at({kProcessCorners[c], temp_knots[i]});
     const SystemModel model(pv_cell, reg, proc);
     RegulatorSelector selector(model);
     cross_vals[c][k] = selector.crossover_irradiance().value_or(0.0);
   };
-
-  sh.shared_sky = sc.shares_sky();
 
   // Adaptive knot coarsening: every flattened trace gives up knots until the
   // cumulative absorbed-irradiance perturbation hits the scenario's per-day
@@ -301,11 +269,9 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   // event-driven loop must take, so this directly buys throughput.
   const double coarsen_budget = sc.trace_coarsen_eps * sc.day_length.value();
   const auto build_sky = [&] {
-    Rng sky_rng = Rng(sc.seed).fork(~0ULL);
-    const IrradianceTrace trace = draw_sky(sc, sky_rng);
     sh.sky = sc.trace_kind == TraceKind::kConstant
                  ? flatten_constant(sc.constant_g)
-                 : flatten_trace(trace, sc.day_length.value());
+                 : flatten_trace(*sh.front.shared_sky(), sc.day_length.value());
     if (coarsen_budget > 0.0) sh.sky.coarsen(coarsen_budget);
   };
 
@@ -314,29 +280,30 @@ BatchFleetKernel::BatchFleetKernel(FleetScenario scenario,
   sh.pv.resize(n);
   sh.proc.resize(n);
   sh.processors.resize(n);
-  if (!sh.shared_sky) sh.traces.resize(n);
+  if (!sc.shares_sky()) sh.traces.resize(n);
 
   const auto build_node = [&](std::size_t i) {
-    Rng rng = Rng(sc.seed).fork(static_cast<std::uint64_t>(i));
-    NodeSample& s = sh.samples[i];
-    s = draw_node(sc, static_cast<int>(i), rng);
-    // A forced policy overrides the sampled mode (the effective mode lands
-    // in the report's CSV); the Bernoulli draw still happened.
-    if (forced) s.min_energy = sh.mgr.mode == ManagerMode::kMinEnergy;
-    if (!sh.shared_sky) {
-      sh.traces[i] = flatten_trace(draw_sky(sc, rng), sc.day_length.value());
+    NodeDraw node = sh.front.draw(static_cast<int>(i));
+    // The sample records the mode the node's policy runs: a forced policy
+    // overrides the sampled one (the Bernoulli draw still happened), and the
+    // legacy mix chose its policy by it.
+    sh.samples[i] = node.sample;
+    sh.samples[i].min_energy =
+        node.policy->manager_params()->mode == ManagerMode::kMinEnergy;
+    if (node.sky) {
+      sh.traces[i] = flatten_trace(*node.sky, sc.day_length.value());
       if (coarsen_budget > 0.0) sh.traces[i].coarsen(coarsen_budget);
     }
 
-    sh.pv[i] = flat::make_flat_pv(scaled_pv_params(s.pv_scale));
-    sh.processors[i].emplace(make_test_chip_at(s.conditions));
+    sh.pv[i] = flat::make_flat_pv(node.pv);
+    sh.processors[i].emplace(std::move(node.processor));
     sh.proc[i] = flat::make_flat_proc(*sh.processors[i]);
   };
 
   // --- The work units, longest first so the pool's tail is the short
   // crossover cells: the shared sky, IV slices, node blocks, MPP rows, then
   // the crossover cells (the surface units only on a cache miss). -----------
-  const std::size_t sky_units = sh.shared_sky ? 1 : 0;
+  const std::size_t sky_units = sc.shares_sky() ? 1 : 0;
   const std::size_t iv_units = fresh ? fresh->iv.s_knots.size() : 0;
   const std::size_t node_units = (n + kCtorNodeBlock - 1) / kCtorNodeBlock;
   const std::size_t mpp_units = fresh ? fresh->mpp.s_knots.size() : 0;
@@ -385,7 +352,7 @@ bool BatchFleetKernel::runs(const EnergyPolicy& policy) {
 }
 
 const FleetScenario& BatchFleetKernel::scenario() const {
-  return shared_->scenario;
+  return shared_->front.scenario();
 }
 
 namespace {
@@ -402,13 +369,13 @@ namespace {
 
 class FlatPlant final : public ControlPlant {
  public:
-  FlatPlant(const BatchFleetKernel::Shared& sh, std::size_t i)
+  FlatPlant(const BatchFleetKernel::Shared& sh, std::size_t i, Volts v_meas)
       : surfaces_(*sh.surfaces),
         s_(sh.samples[i]),
         pv_(sh.pv[i]),
         pc_(sh.proc[i]),
         proc_(*sh.processors[i]),
-        v_meas_(sh.mgr.tracker.measure_voltage()) {}
+        v_meas_(v_meas) {}
 
   bool supports(Volts vin, Volts vout) const override {
     return flat::sc_supports(kScFlat, vin.value(), vout.value());
@@ -441,11 +408,9 @@ class FlatPlant final : public ControlPlant {
   /// The corner's crossover table at the node's temperature and pv scale,
   /// as MPP power; crossovers below the tables' resolution read as none.
   Watts crossover_power() const override {
-    const int corner_ix = s_.conditions.corner == ProcessCorner::kSlowSlow ? 0
-                          : s_.conditions.corner == ProcessCorner::kTypical ? 1
-                                                                            : 2;
-    const double g_cross = surfaces_.cross[static_cast<std::size_t>(corner_ix)](
-        s_.conditions.temperature_c, s_.pv_scale);
+    const double g_cross =
+        surfaces_.cross[static_cast<std::size_t>(s_.conditions.corner)](
+            s_.conditions.temperature_c, s_.pv_scale);
     return Watts(g_cross >= kCrossMinG ? surfaces_.mpp.pmpp_at(s_.pv_scale, g_cross)
                                        : 0.0);
   }
@@ -519,14 +484,6 @@ class FlatPlant final : public ControlPlant {
   PiecewiseLinear lut_vmpp_, lut_pmpp_;  ///< empty until the first read
 };
 
-/// The lane's manager parameters in the node's sampled mode.
-EnergyManagerParams node_params(const BatchFleetKernel::Shared& sh,
-                                const NodeSample& s) {
-  EnergyManagerParams params = sh.mgr;
-  params.mode = s.min_energy ? ManagerMode::kMinEnergy : ManagerMode::kMaxPerformance;
-  return params;
-}
-
 // ---------------------------------------------------------------------------
 // Per-node runner: the core's managed controller on the flat plant, stepped
 // by the shared step core under the controller's step hint, integrated to
@@ -538,6 +495,8 @@ struct NodeRunner : flat::StepCore {
   const NodeSample& s;
   std::vector<ComparatorEvent>* events;  ///< traced mode when set
 
+  /// The node's policy's manager and tracker parameters.
+  EnergyManagerParams params;
   FlatPlant plant;
   /// EnergyManager + MppTrackingController + the periodic job clock.
   ManagedPolicyController ctl;
@@ -568,19 +527,19 @@ struct NodeRunner : flat::StepCore {
       : sh(shared),
         s(shared.samples[i]),
         events(traced),
-        plant(shared, i),
-        ctl(plant, node_params(shared, s),
-            PolicyWorkload{shared.scenario.job_cycles, shared.scenario.job_period,
-                           shared.scenario.job_deadline, s.job_phase}) {
-    trace = shared.shared_sky ? &shared.sky : &shared.traces[i];
+        params(*shared.front.policy(s).manager_params()),
+        plant(shared, i, params.tracker.measure_voltage()),
+        ctl(plant, params, shared.front.workload(s)) {
+    const FleetScenario& scenario = shared.front.scenario();
+    trace = shared.traces.empty() ? &shared.sky : &shared.traces[i];
     sc = kScFlat;
     pc = shared.proc[i];
     iv = shared.surfaces->iv.bind(s.pv_scale);
-    t_end = shared.scenario.day_length.value();
-    dt_min = shared.scenario.time_step.value();
+    t_end = scenario.day_length.value();
+    dt_min = scenario.time_step.value();
     tau = kSoc.regulation_time_constant.value();
     c_solar = s.solar_capacitance.value();
-    c_vdd = shared.scenario.vdd_cap.value();
+    c_vdd = scenario.vdd_cap.value();
     r_on = kSoc.bypass.on_resistance.value();
     v_s = kSoc.solar_start_voltage.value();
     v_d = kSoc.vdd_start_voltage.value();
@@ -674,11 +633,9 @@ struct NodeRunner : flat::StepCore {
     account(dt);
     // MPPT tracking error, dt-weighted (the reference averages uniform
     // waveform samples under the same predicate).
-    if (cmd_path == PowerPath::kRegulated && f_eff > 0.0 && g0 >= 0.05) {
-      const double k = std::round(g0 * 100.0);
-      const double g_q = k / 100.0;
-      if (g_q >= 0.05) {
-        const double vmpp = mppt_vmpp(static_cast<std::size_t>(k), g_q);
+    if (cmd_path == PowerPath::kRegulated && f_eff > 0.0) {
+      if (const std::optional<MpptBucket> b = mppt_bucket(g0)) {
+        const double vmpp = mppt_vmpp(static_cast<std::size_t>(b->k), b->g);
         if (vmpp > 0.0) {
           mppt_num += dt * std::fabs(v_s - vmpp) / vmpp;
           mppt_den += dt;
@@ -694,26 +651,15 @@ struct NodeRunner : flat::StepCore {
     if (bank) update_bank();  // final edge flush at day end
     flush_step_counts();
 
-    const PolicyJobStats jobs = ctl.job_stats();
-    NodeResult out;
-    out.sample = s;
-    out.cycles = cycles;
-    out.brownouts = brownouts;
-    out.timing_faults = timing_faults;
-    out.jobs_submitted = jobs.submitted;
-    out.jobs_completed = jobs.completed;
-    out.jobs_missed = jobs.missed;
-    const int adjudicated = jobs.completed + jobs.missed;
-    out.deadline_hit_rate =
-        adjudicated > 0 ? static_cast<double>(jobs.completed) / adjudicated
-                        : 1.0;
-    out.mppt_error = mppt_den > 0.0 ? mppt_num / mppt_den : 0.0;
-    out.harvested = Joules(harvested);
-    out.delivered = Joules(delivered);
-    out.halted = Seconds(halted);
-    out.energy_per_job =
-        jobs.completed > 0 ? Joules(delivered / jobs.completed) : Joules(0.0);
-    return out;
+    SimTotals totals;
+    totals.cycles = cycles;
+    totals.brownouts = brownouts;
+    totals.timing_faults = timing_faults;
+    totals.harvested = Joules(harvested);
+    totals.delivered_to_processor = Joules(delivered);
+    totals.halted_time = Seconds(halted);
+    return node_result(s, totals, ctl.job_stats(),
+                       mppt_den > 0.0 ? mppt_num / mppt_den : 0.0);
   }
 
   HEMP_HOT NodeResult run() {
@@ -727,47 +673,21 @@ struct NodeRunner : flat::StepCore {
 }  // namespace
 
 NodeResult BatchFleetKernel::run_node(int index) const {
-  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
+  HEMP_REQUIRE(index >= 0 && index < scenario().nodes,
                "BatchFleetKernel: node index out of range");
   return NodeRunner(*shared_, static_cast<std::size_t>(index), nullptr).run();
 }
 
 NodeResult BatchFleetKernel::run_node_traced(
     int index, std::vector<ComparatorEvent>& events) const {
-  HEMP_REQUIRE(index >= 0 && index < shared_->scenario.nodes,
+  HEMP_REQUIRE(index >= 0 && index < scenario().nodes,
                "BatchFleetKernel: node index out of range");
   return NodeRunner(*shared_, static_cast<std::size_t>(index), &events).run();
 }
 
 FleetReport BatchFleetKernel::run(const BatchKernelOptions& opts) const {
-  const Shared& sh = *shared_;
-  const auto before = solver_stats::snapshot();
-  const int n = sh.scenario.nodes;
-  std::vector<NodeResult> results(static_cast<std::size_t>(n));
-  const int block = std::max(1, opts.block_size);
-  if (!opts.parallel || n <= block) {
-    for (int i = 0; i < n; ++i) {
-      results[static_cast<std::size_t>(i)] = run_node(i);
-    }
-  } else {
-    const std::size_t blocks =
-        (static_cast<std::size_t>(n) + static_cast<std::size_t>(block) - 1) /
-        static_cast<std::size_t>(block);
-    ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::shared();
-    parallel_for(pool, blocks, [&](std::size_t b) {
-      const int lo = static_cast<int>(b) * block;
-      const int hi = std::min(lo + block, n);
-      for (int i = lo; i < hi; ++i) {
-        results[static_cast<std::size_t>(i)] = run_node(i);
-      }
-    });
-  }
-  if (opts.check_no_exact_solves) {
-    const auto delta = solver_stats::delta_since(before);
-    HEMP_REQUIRE(delta.total() == 0,
-                 "BatchFleetKernel: exact solver invoked during a batch run");
-  }
-  return aggregate(sh.scenario, std::move(results));
+  return shared_->front.run([this](int i) { return run_node(i); },
+                            {.pool = opts.pool, .parallel = opts.parallel});
 }
 
 }  // namespace hemp

@@ -5,9 +5,10 @@
 // compressed day is ~50k ticks per node and the fleet engine tops out at
 // O(100) nodes/s.  This kernel restructures the hot path two ways:
 //
-//   * Structure-of-arrays parameter plane: every sampled node identity
-//     (PV scale, storage, corner-resolved processor constants, policy) is
-//     drawn once in the constructor into contiguous arrays, and the shared
+//   * Structure-of-arrays parameter plane: every node identity (PV scale,
+//     storage, corner-resolved processor constants, policy) is drawn once in
+//     the constructor, through the fleet front end FleetSimulator draws
+//     with too (fleet/front_end.hpp), into contiguous arrays, and the shared
 //     model evaluations — the (pv_scale, irradiance) MPP surface and the
 //     bypass-crossover table — are precomputed bilinear grids.  Nothing in
 //     the stepped loop calls an exact Brent/grid solver (asserted via
@@ -50,14 +51,9 @@ struct BatchKernelOptions {
   /// Pool to shard nodes (and the constructor's work units) onto; nullptr
   /// uses ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  /// false runs the serial loop (results are bit-identical either way).
+  /// false runs the serial loop; true runs one node per pool task (results
+  /// are bit-identical either way).
   bool parallel = true;
-  /// Nodes per work item when sharding onto the pool.
-  int block_size = 16;
-  /// Assert that the run performed zero exact-solver calls (debug counter
-  /// from common/solver_stats.hpp).  The check is process-wide, so callers
-  /// running concurrent exact solves elsewhere should disable it.
-  bool check_no_exact_solves = false;
   /// Ignored.  The SIMD lane driver it selected measured slower than the
   /// scalar loop and was deleted (DESIGN.md Sec. 6h); the field stays only
   /// because the fleet benchmark's harness still names it, and goes with the

@@ -1,6 +1,5 @@
 #include "fleet/scenario.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -10,7 +9,6 @@
 #include <type_traits>
 
 #include "common/error.hpp"
-#include "trace/generators.hpp"
 
 namespace hemp {
 
@@ -204,63 +202,6 @@ FleetScenario FleetScenario::from_file(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return from_string(text.str());
-}
-
-NodeSample draw_node(const FleetScenario& sc, int index, Rng& rng) {
-  NodeSample s;
-  s.index = index;
-  s.pv_scale = rng.uniform(sc.pv_scale_min, sc.pv_scale_max);
-  // Log-uniform: capacitor vendors quote decade series, and a fleet spans
-  // decades of storage size, not a linear band.
-  s.solar_capacitance =
-      Farads(std::exp(rng.uniform(std::log(sc.solar_cap_min.value()),
-                                  std::log(sc.solar_cap_max.value()))));
-  static constexpr ProcessCorner kCorners[] = {
-      ProcessCorner::kSlowSlow, ProcessCorner::kTypical,
-      ProcessCorner::kFastFast};
-  s.conditions.corner = kCorners[rng.weighted(sc.corner_weights.data(),
-                                              sc.corner_weights.size())];
-  s.conditions.temperature_c =
-      std::clamp(rng.normal(sc.temperature_mean_c, sc.temperature_sigma_c),
-                 -20.0, 85.0);
-  s.min_energy = rng.uniform() < sc.min_energy_fraction;
-  s.job_phase = sc.job_cycles > 0.0
-                    ? Seconds(rng.uniform(0.0, sc.job_period.value()))
-                    : Seconds(0.0);
-  return s;
-}
-
-IrradianceTrace draw_sky(const FleetScenario& sc, Rng& rng) {
-  switch (sc.trace_kind) {
-    case TraceKind::kConstant:
-      return IrradianceTrace::constant(sc.constant_g);
-    case TraceKind::kDiurnal: {
-      DiurnalArcParams params;
-      params.day_length = sc.day_length;
-      return diurnal_arc(rng, params);
-    }
-    case TraceKind::kClouds: {
-      CloudFieldParams params;
-      params.day.day_length = sc.day_length;
-      // Scale the default deck (tuned for a 0.25 s compressed day) with the
-      // scenario timeline so cloud counts stay day-length invariant.
-      const double stretch = sc.day_length.value() / 0.25;
-      params.mean_gap = Seconds(0.03 * stretch);
-      params.mean_duration = Seconds(0.01 * stretch);
-      return cloud_field(rng, params);
-    }
-    case TraceKind::kIndoor: {
-      IndoorDutyParams params;
-      params.duration = sc.day_length;
-      const double stretch = sc.day_length.value() / 0.25;
-      params.mean_on = Seconds(0.04 * stretch);
-      params.mean_off = Seconds(0.02 * stretch);
-      return indoor_duty(rng, params);
-    }
-    case TraceKind::kCsv:
-      return IrradianceTrace::from_csv(sc.trace_csv);
-  }
-  throw ModelError("FleetScenario: unknown trace kind");
 }
 
 }  // namespace hemp

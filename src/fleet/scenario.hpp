@@ -4,17 +4,17 @@
 // the population size, the master seed, the compressed-day timeline, the
 // light model, the node heterogeneity distributions, and the periodic job
 // workload.  One scenario + one seed fully determines a FleetReport — the
-// fleet simulator derives every stochastic choice from Rng(seed).fork(node).
+// fleet front end (fleet/front_end.hpp) derives every stochastic choice from
+// Rng(seed).fork(node).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
-#include "common/rng.hpp"
 #include "common/units.hpp"
-#include "harvester/light_environment.hpp"
 #include "processor/corners.hpp"
+#include "storage/capacitor.hpp"
 
 namespace hemp {
 
@@ -64,7 +64,7 @@ struct FleetScenario {
   double pv_scale_max = 1.4;
   Farads solar_cap_min{22e-6};
   Farads solar_cap_max{100e-6};
-  Farads vdd_cap{10e-6};
+  Farads vdd_cap = kVddRailCapacitance;
   std::array<double, 3> corner_weights{0.2, 0.6, 0.2};  ///< SS, TT, FF
   double temperature_mean_c = 25.0;
   double temperature_sigma_c = 8.0;
@@ -109,19 +109,10 @@ struct FleetScenario {
 struct NodeSample {
   int index = 0;
   double pv_scale = 1.0;  ///< Isc multiplier standing in for panel area
-  Farads solar_capacitance{47e-6};
+  Farads solar_capacitance = kSolarNodeCapacitance;
   OperatingConditions conditions{};
   bool min_energy = false;  ///< controller policy: MEP hold vs MPP tracking
   Seconds job_phase{0.0};   ///< offset of the first periodic job
 };
-
-/// Node `index`'s identity, drawn from `rng` — node i's stream is
-/// Rng(seed).fork(i), and a per-node sky continues on the same stream after
-/// these draws.  Every engine samples through here, in this draw order.
-[[nodiscard]] NodeSample draw_node(const FleetScenario& sc, int index, Rng& rng);
-
-/// One sky from the scenario's light model.  The shared sky is drawn from
-/// Rng(seed).fork(~0), a stream no node uses.
-[[nodiscard]] IrradianceTrace draw_sky(const FleetScenario& sc, Rng& rng);
 
 }  // namespace hemp

@@ -98,21 +98,18 @@ Volts PvCell::open_circuit_voltage(double g) const {
 
 Amps PvCell::short_circuit_current(double g) const { return current(Volts(0.0), g); }
 
-PvCell make_ixys_kxob22_cell() {
-  PvCellParams p;
-  p.isc_full_sun = Amps(15e-3);
-  p.voc_full_sun = Volts(1.5);
-  p.series_junctions = 3;
-  p.ideality = 1.5;
-  p.series_resistance = Ohms(2.0);
-  p.shunt_resistance = Ohms(12e3);
-  return PvCell(p);
+PvCellParams scaled_pv_params(double pv_scale, const PvCellParams& base) {
+  PvCellParams p = base;
+  p.isc_full_sun = base.isc_full_sun * pv_scale;
+  return p;
 }
+
+PvCell make_ixys_kxob22_cell() { return PvCell(PvCellParams{}); }
 
 PvCell make_ixys_kxob22_cell_at(double temperature_c) {
   HEMP_REQUIRE(temperature_c >= -40.0 && temperature_c <= 125.0,
                "PvCell: panel temperature outside operating range");
-  PvCellParams p = make_ixys_kxob22_cell().params();
+  PvCellParams p;
   const double dt = temperature_c - 25.0;
   p.voc_full_sun = Volts(p.voc_full_sun.value() - 2.1e-3 * p.series_junctions * dt);
   p.isc_full_sun = Amps(p.isc_full_sun.value() * (1.0 + 5e-4 * dt));

@@ -16,6 +16,7 @@
 
 namespace hemp {
 
+/// The defaults are the paper's harvester at 25 C (make_ixys_kxob22_cell).
 struct PvCellParams {
   /// Short-circuit current under full sun (G = 1).
   Amps isc_full_sun{15e-3};
@@ -69,6 +70,11 @@ class PvCell {
   PvCellParams params_;
   Amps i0_{0.0};  // cached saturation current
 };
+
+/// `base` with its short-circuit current scaled by `pv_scale`: the panel-area
+/// factor a fleet node samples and the flat surfaces tabulate.
+[[nodiscard]] PvCellParams scaled_pv_params(double pv_scale,
+                                            const PvCellParams& base = {});
 
 /// Factory for the paper's harvester: IXYS KX0B22-04X3F, 22x7 mm, 22% efficient
 /// monocrystalline cell (paper Sec. II-A, Fig. 2), at 25 C.

@@ -130,14 +130,11 @@ class OraclePolicy final : public EnergyPolicy {
         oracle.solve(*ctx.trace, ctx.day_length, ctx.solar_capacitance,
                      ctx.solar_start_voltage, ctx.workload);
     OfflineScore score;
-    score.cycles = sol.cycles;
-    score.harvested = sol.harvest_available;
-    score.delivered = sol.spent;
-    score.jobs_submitted = sol.jobs.submitted;
-    score.jobs_completed = sol.jobs.completed;
-    score.jobs_missed = sol.jobs.missed;
-    score.deadline_hit_rate = sol.deadline_hit_rate;
-    score.halted = sol.off_time;
+    score.totals.cycles = sol.cycles;
+    score.totals.harvested = sol.harvest_available;
+    score.totals.delivered_to_processor = sol.spent;
+    score.totals.halted_time = sol.off_time;
+    score.jobs = sol.jobs;
     return score;
   }
 

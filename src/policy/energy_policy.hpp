@@ -29,6 +29,7 @@
 #include "core/system_model.hpp"
 #include "harvester/light_environment.hpp"
 #include "sim/soc_system.hpp"
+#include "storage/capacitor.hpp"
 
 namespace hemp {
 
@@ -52,8 +53,8 @@ struct PolicyContext {
   const SystemModel* model = nullptr;
   PolicyWorkload workload{};
   Seconds day_length{0.0};
-  Farads solar_capacitance{47e-6};
-  Farads vdd_capacitance{10e-6};
+  Farads solar_capacitance = kSolarNodeCapacitance;
+  Farads vdd_capacitance = kVddRailCapacitance;
   Volts solar_start_voltage{1.2};
   /// The node's sky, known ahead of time.  Required by offline policies;
   /// online policies must ignore it (they only observe the SocState).
@@ -65,6 +66,13 @@ struct PolicyJobStats {
   int submitted = 0;
   int completed = 0;
   int missed = 0;
+
+  /// The deadline hit rate: completed over adjudicated (completed + missed)
+  /// jobs, 1.0 when none was adjudicated.
+  [[nodiscard]] double hit_rate() const {
+    const int adjudicated = completed + missed;
+    return adjudicated > 0 ? static_cast<double>(completed) / adjudicated : 1.0;
+  }
 };
 
 /// A SocController that also carries its own job accounting (the fleet
@@ -76,15 +84,12 @@ class PolicyController : public SocController {
 
 /// Analytic per-node score returned by offline policies (the DP oracle):
 /// the outcome the fleet reduction records *instead of* simulating the node.
+/// Of the totals it fills cycles, harvested (the energy available at MPP
+/// over the horizon), delivered_to_processor (what the schedule spends) and
+/// halted_time.
 struct OfflineScore {
-  double cycles = 0.0;
-  Joules harvested{0.0};   ///< energy available at MPP over the horizon
-  Joules delivered{0.0};   ///< energy the schedule actually spends
-  int jobs_submitted = 0;
-  int jobs_completed = 0;
-  int jobs_missed = 0;
-  double deadline_hit_rate = 1.0;
-  Seconds halted{0.0};
+  SimTotals totals;
+  PolicyJobStats jobs;
 };
 
 class EnergyPolicy {

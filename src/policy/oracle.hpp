@@ -65,8 +65,7 @@ class DpOracle {
     Seconds dt{0.0};            ///< slot width
     std::vector<std::uint8_t> schedule;  ///< action index per slot
     std::vector<Action> actions;
-    PolicyJobStats jobs{};
-    double deadline_hit_rate = 1.0;
+    PolicyJobStats jobs{};  ///< jobs.hit_rate() is the deadline hit rate
     Seconds off_time{0.0};      ///< total time spent in the off action
   };
 

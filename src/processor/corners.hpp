@@ -7,6 +7,7 @@
 // performance point.
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "processor/processor.hpp"
@@ -18,6 +19,11 @@ enum class ProcessCorner {
   kTypical,
   kFastFast,  ///< low Vth, strong drive, high leakage
 };
+
+/// Every corner in enum order: the order of a scenario's corner weights and
+/// of the batch kernel's crossover tables.
+inline constexpr std::array<ProcessCorner, 3> kProcessCorners{
+    ProcessCorner::kSlowSlow, ProcessCorner::kTypical, ProcessCorner::kFastFast};
 
 std::string to_string(ProcessCorner corner);
 

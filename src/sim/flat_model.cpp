@@ -405,9 +405,7 @@ namespace {
 
 FlatPv slice_pv(const IvSurface& iv, const PvCellParams& base,
                 std::size_t slice) {
-  PvCellParams scaled = base;
-  scaled.isc_full_sun = base.isc_full_sun * iv.s_knots[slice];
-  return make_flat_pv(scaled);
+  return make_flat_pv(scaled_pv_params(iv.s_knots[slice], base));
 }
 
 /// Solve knots [0, g_count) of block `b` (rows b*kIvRowLanes on, fewer in
@@ -472,16 +470,20 @@ IvSurface build_iv_surface(std::vector<double> s_knots,
 // MPP surface.
 // ---------------------------------------------------------------------------
 
+std::vector<double> surface_knots(double lo, double hi, int n) {
+  std::vector<double> xs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    xs[static_cast<std::size_t>(i)] = lo + (hi - lo) * i / (n - 1);
+  }
+  return xs;
+}
+
 MppSurface size_mpp_surface(double s_lo, double s_hi, int s_count,
                             double g_min, double g_max, int g_count) {
   HEMP_REQUIRE(s_count >= 2 && g_count >= 2 && g_min > 0.0 && g_max > g_min,
                "build_mpp_surface: degenerate grid");
   MppSurface surf;
-  surf.s_knots.resize(static_cast<std::size_t>(s_count));
-  for (int i = 0; i < s_count; ++i) {
-    surf.s_knots[static_cast<std::size_t>(i)] =
-        s_lo + (s_hi - s_lo) * i / (s_count - 1);
-  }
+  surf.s_knots = surface_knots(s_lo, s_hi, s_count);
   surf.g_knots.resize(static_cast<std::size_t>(g_count));
   for (int j = 0; j < g_count; ++j) {
     surf.g_knots[static_cast<std::size_t>(j)] =
@@ -494,9 +496,7 @@ MppSurface size_mpp_surface(double s_lo, double s_hi, int s_count,
 }
 
 void fill_mpp_row(MppSurface& surf, const PvCellParams& base, std::size_t row) {
-  PvCellParams scaled = base;
-  scaled.isc_full_sun = base.isc_full_sun * surf.s_knots[row];
-  const PvCell cell(scaled);
+  const PvCell cell(scaled_pv_params(surf.s_knots[row], base));
   double* vmpp = surf.vmpp->row(row);
   double* pmpp = surf.pmpp->row(row);
   for (std::size_t j = 0; j < surf.g_knots.size(); ++j) {

@@ -432,6 +432,11 @@ struct MppSurface {
   }
 };
 
+/// `n` evenly spaced knots from lo to hi.  Unlike sim/sweep.hpp's linspace
+/// the last knot is not snapped to hi: the surfaces keep the knots they were
+/// pinned with.
+std::vector<double> surface_knots(double lo, double hi, int n);
+
 /// Exact find_mpp sampled over linear pv-scale knots and log-spaced
 /// irradiance knots (ctor-time only; the stepped loops read bilinearly).
 /// Equivalent to size_mpp_surface followed by fill_mpp_row on every row.

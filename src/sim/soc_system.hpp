@@ -39,8 +39,8 @@ enum class PowerPath {
 
 struct SocConfig {
   PvCellParams pv{};
-  Farads solar_capacitance{47e-6};
-  Farads vdd_capacitance{10e-6};
+  Farads solar_capacitance = kSolarNodeCapacitance;
+  Farads vdd_capacitance = kVddRailCapacitance;
   Volts solar_start_voltage{1.2};
   Volts vdd_start_voltage{0.5};
   BypassParams bypass{};

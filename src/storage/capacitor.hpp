@@ -9,6 +9,12 @@
 
 namespace hemp {
 
+/// The default SoC's solar-node storage capacitor: SocConfig, the MPP
+/// tracker's Eq. 7, policy contexts and unsampled fleet nodes start here.
+inline constexpr Farads kSolarNodeCapacitance{47e-6};
+/// The default SoC's Vdd-rail capacitor.
+inline constexpr Farads kVddRailCapacitance{10e-6};
+
 class Capacitor {
  public:
   Capacitor(Farads capacitance, Volts initial_voltage);

@@ -60,8 +60,8 @@ TEST(SolverStats, DarkMppShortCircuitIsNotCounted) {
   EXPECT_EQ(solver_stats::delta_since(before).total(), 0u);
 }
 
-// The exact pattern BatchFleetKernel::run uses for check_no_exact_solves:
-// bracket the work with a snapshot and HEMP_REQUIRE a zero delta.
+// The zero-exact-solve guard the fleet checks use: bracket the work with a
+// snapshot and HEMP_REQUIRE a zero delta.
 void require_no_exact_solves(const solver_stats::Snapshot& before) {
   const auto delta = solver_stats::delta_since(before);
   HEMP_REQUIRE(delta.total() == 0, "exact solver invoked during bracketed run");

@@ -61,7 +61,8 @@ double rel_gap(double a, double b) {
 ///     contract bounds their *count*, not their trajectories.
 void expect_equivalent(const FleetScenario& scenario, double energy_tol,
                        double cycles_tol) {
-  const FleetReport ref = FleetSimulator(scenario).run({.parallel = false});
+  const FleetSimulator sim(scenario);
+  const FleetReport ref = sim.run({.parallel = false});
   const BatchFleetKernel kernel(scenario);
   const FleetReport batch = kernel.run({.parallel = false});
   ASSERT_EQ(ref.node_results.size(), batch.node_results.size());
@@ -73,8 +74,18 @@ void expect_equivalent(const FleetScenario& scenario, double energy_tol,
     const NodeResult& b = batch.node_results[i];
     SCOPED_TRACE("node " + std::to_string(i) +
                  (r.sample.min_energy ? " (min-energy)" : " (max-perf)"));
-    EXPECT_EQ(r.sample.pv_scale, b.sample.pv_scale);
-    EXPECT_EQ(r.sample.min_energy, b.sample.min_energy);
+    // The legacy mix: both engines draw every field of the node's identity
+    // through the one front end.
+    const NodeSample drawn = sim.sample_node(static_cast<int>(i));
+    for (const NodeSample* n : {&r.sample, &b.sample}) {
+      EXPECT_EQ(drawn.index, n->index);
+      EXPECT_EQ(drawn.pv_scale, n->pv_scale);
+      EXPECT_EQ(drawn.solar_capacitance.value(), n->solar_capacitance.value());
+      EXPECT_EQ(drawn.conditions.corner, n->conditions.corner);
+      EXPECT_EQ(drawn.conditions.temperature_c, n->conditions.temperature_c);
+      EXPECT_EQ(drawn.min_energy, n->min_energy);
+      EXPECT_EQ(drawn.job_phase.value(), n->job_phase.value());
+    }
     // Submission is a pure function of the job phase/period — always exact.
     EXPECT_EQ(r.jobs_submitted, b.jobs_submitted);
     if (rel_gap(r.cycles, b.cycles) > 0.5 ||
@@ -118,36 +129,33 @@ TEST(BatchFleetKernel, ParallelBitIdenticalToSerial) {
   const BatchFleetKernel kernel(quick_scenario());
   const FleetReport serial = kernel.run({.parallel = false});
   const FleetReport parallel = kernel.run({.parallel = true});
-  const FleetReport small_blocks =
-      kernel.run({.parallel = true, .block_size = 1});
   EXPECT_EQ(serial.summary_hash, parallel.summary_hash);
-  EXPECT_EQ(serial.summary_hash, small_blocks.summary_hash);
   EXPECT_EQ(serial.total_cycles, parallel.total_cycles);
 }
 
-TEST(BatchFleetKernel, CloudsParallelBitIdenticalAcrossBlockSizes) {
-  // Per-node cloudy skies step each node at its own cadence; however the 19
-  // nodes are cut into blocks (19 of one, six of three plus one of one, or
-  // one of sixteen plus one of three), every node must see exactly its
-  // serial step sequence.
+TEST(BatchFleetKernel, CloudsParallelBitIdenticalAcrossPoolSizes) {
+  // Per-node cloudy skies step each node at its own cadence; whichever worker
+  // of a 1-, 3- or 16-worker pool runs a node, and in whatever order, every
+  // node must see exactly its serial step sequence.
   FleetScenario s = quick_scenario();
   s.nodes = 19;
   s.trace_kind = TraceKind::kClouds;
   const BatchFleetKernel kernel(s);
   const FleetReport serial = kernel.run({.parallel = false});
-  for (const int block : {1, 3, 16}) {
-    const FleetReport par = kernel.run({.parallel = true, .block_size = block});
-    EXPECT_EQ(serial.summary_hash, par.summary_hash) << "block " << block;
+  for (const unsigned workers : {1u, 3u, 16u}) {
+    ThreadPool pool(workers);
+    const FleetReport par = kernel.run({.pool = &pool, .parallel = true});
+    EXPECT_EQ(serial.summary_hash, par.summary_hash) << workers << " workers";
     ASSERT_EQ(serial.node_results.size(), par.node_results.size());
     for (std::size_t i = 0; i < serial.node_results.size(); ++i) {
       EXPECT_EQ(serial.node_results[i].cycles, par.node_results[i].cycles)
-          << "block " << block << " node " << i;
+          << workers << " workers, node " << i;
       EXPECT_EQ(serial.node_results[i].harvested.value(),
                 par.node_results[i].harvested.value())
-          << "block " << block << " node " << i;
+          << workers << " workers, node " << i;
       EXPECT_EQ(serial.node_results[i].delivered.value(),
                 par.node_results[i].delivered.value())
-          << "block " << block << " node " << i;
+          << workers << " workers, node " << i;
     }
   }
 }
@@ -360,8 +368,9 @@ TEST(BatchFleetKernel, RunNodeMatchesRun) {
 TEST(BatchFleetKernel, NoExactSolvesDuringRun) {
   const BatchFleetKernel kernel(quick_scenario());
   const auto before = solver_stats::snapshot();
-  (void)kernel.run({.check_no_exact_solves = true});
+  (void)kernel.run();
   const auto delta = solver_stats::delta_since(before);
+  EXPECT_EQ(delta.total(), 0u);
   EXPECT_EQ(delta.mpp_solves, 0u);
   EXPECT_EQ(delta.regulated_solves, 0u);
 }

@@ -91,8 +91,8 @@ TEST(DpOracle, SolutionInvariants) {
   // spend more than the harvest plus the initial store.
   const double e0 = 0.5 * 47e-6 * 1.2 * 1.2;
   EXPECT_LE(sol.spent.value(), sol.harvest_available.value() + e0 + 1e-12);
-  EXPECT_GE(sol.deadline_hit_rate, 0.0);
-  EXPECT_LE(sol.deadline_hit_rate, 1.0);
+  EXPECT_GE(sol.jobs.hit_rate(), 0.0);
+  EXPECT_LE(sol.jobs.hit_rate(), 1.0);
   EXPECT_GE(sol.off_time.value(), 0.0);
   EXPECT_LE(sol.off_time.value(), 0.02 + 1e-12);
   // A job submitted right at the horizon is still in flight (deadline beyond

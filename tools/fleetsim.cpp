@@ -128,13 +128,9 @@ int main(int argc, char** argv) {
   try {
     FleetScenario scenario = FleetScenario::from_file(scenario_path);
     for (const auto& [key, value] : overrides) scenario.set(key, value);
-    if (!forced_policy.empty()) {
-      // Resolve eagerly so a typo reports the registry's names, not a
-      // kernel-specific error later.
-      (void)PolicyRegistry::global().at(forced_policy);
-      scenario.policy = forced_policy;
-    }
-    scenario.validate();
+    // Both engines validate the scenario and resolve its policy first, so a
+    // typo reports the registry's names.
+    if (!forced_policy.empty()) scenario.policy = forced_policy;
 
     const auto t0 = std::chrono::steady_clock::now();
     FleetReport report;
@@ -142,10 +138,7 @@ int main(int argc, char** argv) {
       const BatchFleetKernel kernel(scenario, {.parallel = !serial});
       report = kernel.run({.parallel = !serial});
     } else {
-      const FleetSimulator sim(scenario);
-      FleetOptions opts;
-      opts.parallel = !serial;
-      report = sim.run(opts);
+      report = FleetSimulator(scenario).run({.parallel = !serial});
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();

@@ -217,10 +217,7 @@ int main(int argc, char** argv) {
             const BatchFleetKernel kernel(sc, {.parallel = !serial});
             report = kernel.run({.parallel = !serial});
           } else {
-            const FleetSimulator sim(sc);
-            FleetOptions opts;
-            opts.parallel = !serial;
-            report = sim.run(opts);
+            report = FleetSimulator(sc).run({.parallel = !serial});
           }
           const auto t1 = std::chrono::steady_clock::now();
 
